@@ -175,9 +175,15 @@ def _parse_basis(text: str) -> lattice.Lattice2D:
 
 
 def _build_window(args) -> np.ndarray:
+    """The --window signal; ArgumentTypeError for a bad name or unreadable file."""
     name = args.window
     if name.startswith("@"):
-        return serialize.load_signal_csv(name[1:])
+        try:
+            return serialize.load_signal_csv(name[1:])
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(f"cannot read window file: {exc}") from exc
+    if name not in ("gaussian", "gaussian-sum", "periodic-gaussian"):
+        raise argparse.ArgumentTypeError(f"unknown window {name!r}")
     g0 = gabor.periodized_gaussian(args.L, args.c)
     if name == "gaussian":
         return g0
@@ -185,12 +191,8 @@ def _build_window(args) -> np.ndarray:
     if args.a % nu:
         raise NotFrameSequence(f"builtin window needs nu | a, got nu={nu}, a={args.a}")
     step = args.a // nu
-    if name == "gaussian-sum":
-        w = sum(gabor.tf_shift(g0, j * step, 0) for j in range(nu))
-    elif name == "periodic-gaussian":
-        w = sum(gabor.tf_shift(g0, j * step, 0) for j in range(args.L // step))
-    else:
-        raise argparse.ArgumentTypeError(f"unknown window {name!r}")
+    copies = nu if name == "gaussian-sum" else args.L // step
+    w = sum(gabor.tf_shift(g0, j * step, 0) for j in range(copies))
     return w / np.linalg.norm(w)
 
 
@@ -244,11 +246,8 @@ def _cmd_criteria(args, outdir: Path) -> int:
     with open(outdir / "orthogonality_table.csv", "w", newline="") as fh:
         cw = csv.writer(fh)
         cw.writerow(["k", "l", "abs_inner_product"])
-        dual = gabor.canonical_dual(sys_, args.rank_tol)
-        for k in range(args.b):
-            for l in range(args.a):
-                v = gabor.tf_shift(dual.gamma, k * (args.L // args.b), l * (args.L // args.a))
-                cw.writerow([k, l, repr(float(abs(np.vdot(v, w))))])
+        for (k, l), v in np.ndenumerate(rep.adjoint_inner_products):
+            cw.writerow([k, l, repr(float(v))])
     _finish(args, rep.to_json_dict(), {"cross_frame_constant": rep.constant}, outdir)
     return 0 if rep.verdict_consistent else VERDICT_NEGATIVE
 
@@ -324,12 +323,12 @@ def _cmd_equidistribution(args, outdir: Path) -> int:
 def _cmd_dual_window(args, outdir: Path) -> int:
     w = _build_window(args)
     sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
-    dual = gabor.canonical_dual(sys_, args.rank_tol)
-    fb = gabor.frame_bounds(sys_, args.rank_tol)
-    serialize.save_signal_csv(outdir / "dual_window.csv", dual.gamma)
+    an = gabor.analyze_system(sys_, args.rank_tol)
+    fb = an.frame
+    serialize.save_signal_csv(outdir / "dual_window.csv", an.dual.gamma)
     payload = {
         "gamma_csv": "dual_window.csv",
-        "span_rank": dual.span.rank,
+        "span_rank": an.dual.span.rank,
         "frame_bounds": {
             "lower": fb.lower,
             "upper": fb.upper,
@@ -364,6 +363,9 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.command](args, outdir)
+    except argparse.ArgumentTypeError as exc:  # --window is resolved after parsing
+        _sys.stderr.write(f"{parser.prog} {args.command}: error: argument --window: {exc}\n")
+        return PARSE_ERROR
     except NotFrameSequence as exc:
         _sys.stderr.write(f"NotFrameSequence: {exc}\n")
         return VERDICT_NEGATIVE

@@ -33,11 +33,13 @@ __all__ = [
     "SubspaceBasis",
     "FrameBounds",
     "DualWindowResult",
+    "SystemAnalysis",
     "tf_shift",
     "shift_operator",
     "gabor_matrix",
     "frame_operator_direct",
     "frame_operator_walnut",
+    "analyze_system",
     "canonical_dual",
     "frame_bounds",
     "cross_frame_operator",
@@ -226,45 +228,68 @@ def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(s > rank_tol * s[0]))
 
 
-def canonical_dual(
+@dataclass(frozen=True)
+class SystemAnalysis:
+    """The one spectral factorization of a system that its consumers share.
+
+    `D` is the synthesis matrix and `eigenvalues` the ascending spectrum of
+    S = D D^H from a single `eigh`; `frame` and `dual` are read from it.
+    """
+
+    system: FiniteGaborSystem
+    rank_tol: float
+    D: np.ndarray
+    eigenvalues: np.ndarray
+    frame: FrameBounds
+    dual: DualWindowResult
+
+
+def _bounds(lam: np.ndarray, rank_tol: float, n_vectors: int) -> FrameBounds:
+    """Frame bounds and Riesz flag (see `frame_bounds`) from the spectrum of S."""
+    if lam[-1] <= 0:
+        raise ZeroWindow("frame operator is zero")
+    kept = lam[lam > rank_tol * lam[-1]]
+    return FrameBounds(float(kept[0]), float(kept[-1]), int(kept.size), kept.size == n_vectors)
+
+
+def analyze_system(
     sys: FiniteGaborSystem, rank_tol: float = DEFAULT_RANK_TOL
-) -> DualWindowResult:
-    """Dual window gamma = S^+ g via the spectral pseudoinverse of S.
+) -> SystemAnalysis:
+    """Synthesis matrix, eigh(S), frame bounds, span, S^+ and dual window.
 
     Eigenvalues above rank_tol * lambda_max are inverted, the rest dropped;
     the retained eigenvectors span ran(S), the space the system spans.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    S = frame_operator_direct(sys)
-    lam, V = np.linalg.eigh(S)
-    if lam[-1] <= 0:
-        raise ZeroWindow("frame operator is zero")
+    D = gabor_matrix(sys)
+    lam, V = np.linalg.eigh(D @ D.conj().T)
+    frame = _bounds(lam, rank_tol, sys.n_time * sys.n_freq)
     keep = lam > rank_tol * lam[-1]
     Vk = V[:, keep]
     S_pinv = (Vk / lam[keep]) @ Vk.conj().T
-    gamma = S_pinv @ sys.window
-    return DualWindowResult(gamma, S_pinv, SubspaceBasis(Vk, rank_tol))
+    dual = DualWindowResult(S_pinv @ sys.window, S_pinv, SubspaceBasis(Vk, rank_tol))
+    return SystemAnalysis(sys, rank_tol, D, lam, frame, dual)
+
+
+def canonical_dual(
+    sys: FiniteGaborSystem, rank_tol: float = DEFAULT_RANK_TOL
+) -> DualWindowResult:
+    """Dual window gamma = S^+ g via the spectral pseudoinverse of S."""
+    return analyze_system(sys, rank_tol).dual
 
 
 def frame_bounds(
     sys: FiniteGaborSystem, rank_tol: float = DEFAULT_RANK_TOL
 ) -> FrameBounds:
-    """Spectral frame bounds on the span and a Gram-based Riesz-sequence test.
+    """Spectral frame bounds on the span and the Riesz-sequence flag.
 
-    A, B are the extreme eigenvalues of S above rank_tol * lambda_max; the
-    system is flagged a Riesz sequence iff the Gram matrix D^H D has its
-    smallest eigenvalue above the same relative threshold (uniform linear
-    independence).
+    A, B are the extreme eigenvalues of S above rank_tol * lambda_max.  The
+    Gram matrix D^H D shares the nonzero spectrum of S = D D^H, so the N*M
+    vectors form a Riesz sequence exactly when S keeps N*M eigenvalues.
     """
-    D = gabor_matrix(sys)
-    lam = np.linalg.eigvalsh(D @ D.conj().T)
-    if lam[-1] <= 0:
-        raise ZeroWindow("frame operator is zero")
-    kept = lam[lam > rank_tol * lam[-1]]
-    gram_ev = np.linalg.eigvalsh(D.conj().T @ D)
-    riesz = bool(gram_ev[0] > rank_tol * gram_ev[-1])
-    return FrameBounds(float(kept[0]), float(kept[-1]), int(kept.size), riesz)
+    lam = np.linalg.eigvalsh(frame_operator_direct(sys))
+    return _bounds(lam, rank_tol, sys.n_time * sys.n_freq)
 
 
 def cross_frame_operator(

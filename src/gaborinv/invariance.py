@@ -20,7 +20,6 @@ from math import gcd
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .errors import (
     DegenerateInput,
@@ -35,14 +34,14 @@ from .gabor import (
     FiniteGaborSystem,
     FrameBounds,
     SubspaceBasis,
+    SystemAnalysis,
+    analyze_system,
     canonical_dual,
     cross_frame_operator,
-    frame_bounds,
     gabor_matrix,
     numerical_rank,
     orthonormal_range,
     periodized_gaussian,
-    shift_operator,
     tf_shift,
 )
 
@@ -205,6 +204,8 @@ class CriteriaReport:
     res_iv   : max |<pi(k L/b, l L/a) gamma, g>| over l not divisible by nu.
     projection_residuals : idempotence, mutual annihilation, sum vs P_K,
                and vanishing on the orthocomplement of K (Frobenius norms).
+    adjoint_inner_products : |<pi(k L/b, l L/a) gamma, g>| as a (b, a)
+               array indexed [k, l]; not part of `to_json_dict`.
     """
 
     nu: int
@@ -223,6 +224,7 @@ class CriteriaReport:
     verdict_consistent: bool
     gamma_l0_residual: float
     frame: FrameBounds
+    adjoint_inner_products: np.ndarray = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -259,15 +261,18 @@ def _validate_nu(sys: FiniteGaborSystem, nu: int) -> None:
         raise InvalidNu(f"nu must divide the time step a={sys.a}, got {nu}")
 
 
-def _adjoint_subspace_matrix(sys: FiniteGaborSystem, nu: int, s: int) -> np.ndarray:
-    """Columns pi(k L/b, (l nu + s) L/a) g spanning the adjoint slice L_s."""
-    L, a, b = sys.L, sys.a, sys.b
-    cols = [
-        tf_shift(sys.window, k * (L // b), ((l * nu + s) * (L // a)) % L)
-        for k in range(b)
-        for l in range(a // nu)
-    ]
-    return np.array(cols).T
+def _min_principal_angle(QA: np.ndarray, QB: np.ndarray) -> float:
+    """Smallest principal angle between the spans of two orthonormal bases.
+
+    The Knyazev-Argentati cosine/sine rule of scipy.linalg.subspace_angles,
+    without re-orthonormalising bases that are orthonormal already.
+    """
+    C = QA.conj().T @ QB
+    sigma = np.linalg.svd(C, compute_uv=False)
+    B = QB - QA @ C if QA.shape[1] >= QB.shape[1] else QA - QB @ C.conj().T
+    mask = sigma**2 >= 0.5
+    mu = np.arcsin(np.clip(np.linalg.svd(B, compute_uv=False), -1, 1)) if mask.any() else 0.0
+    return float(np.min(np.where(mask, mu, np.arccos(np.clip(sigma[::-1], -1, 1)))))
 
 
 def criteria_engine(
@@ -294,17 +299,23 @@ def criteria_engine(
     _validate_nu(sys, nu)
     if not np.any(sys.window):
         raise NotFrameSequence("zero window spans nothing")
+    return _criteria(analyze_system(sys, rank_tol), nu, tol)
+
+
+def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
+    sys, g, rank_tol = an.system, an.system.window, an.rank_tol
     L, a, b = sys.L, sys.a, sys.b
-    g = sys.window
-    fb = frame_bounds(sys, rank_tol)
+    gamma = an.dual.gamma
+    res_i = membership_residual(an.dual.span, tf_shift(g, a // nu, 0))
 
-    dual = canonical_dual(sys, rank_tol)
-    gamma, spanG = dual.gamma, dual.span
-    res_i = membership_residual(spanG, tf_shift(g, a // nu, 0))
-
+    # adjoint systems over (L/b, L/a); column l*b + k holds pi(k L/b, l L/a)
+    Ag = gabor_matrix(FiniteGaborSystem(L, L // b, L // a, g))
+    Agamma = gabor_matrix(FiniteGaborSystem(L, L // b, L // a, gamma))
+    inner = np.abs(Agamma.conj().T @ g).reshape(a, b).T
+    res_iv = float(inner[:, np.arange(a) % nu != 0].max())
+    A0 = Ag.reshape(L, a, b)[:, ::nu].reshape(L, -1)  # the slice L_0: l in nu Z
     constant = a * b / L
-    t_step, f_step = L // b, nu * (L // a)
-    P = cross_frame_operator(gamma, g, t_step, f_step) / constant
+    P = A0 @ Agamma.reshape(L, a, b)[:, ::nu].reshape(L, -1).conj().T / constant
 
     norm_g = np.linalg.norm(g)
     res_ii = []
@@ -313,40 +324,20 @@ def criteria_engine(
         target = g if s == 0 else 0.0
         res_ii.append(float(np.linalg.norm(img - target) / norm_g))
 
-    slice_bases = []
-    ranks = []
-    mats = []
-    for s in range(nu):
-        A = _adjoint_subspace_matrix(sys, nu, s)
-        mats.append(A)
-        basis = orthonormal_range(A, rank_tol)
-        slice_bases.append(basis)
-        ranks.append(basis.rank)
-    joint_rank = numerical_rank(np.hstack(mats), rank_tol)
-    gaps = []
-    for s in range(nu):
-        others = np.hstack([m for r, m in enumerate(mats) if r != s])
-        qo = orthonormal_range(others, rank_tol)
-        if slice_bases[s].rank and qo.rank:
-            ang = subspace_angles(slice_bases[s].columns, qo.columns)
-            gaps.append(float(ang.min()))
-    min_gap = min(gaps) if gaps else float(np.pi / 2)
+    # A_s = M_{s L/a} A_0 Phi_s with Phi_s a diagonal of unit phases, so the
+    # slice L_s has the basis M_{s L/a} Q_0 and the rank of A_0; every slice
+    # meets the sum of the others at the same principal angles.
+    mods = [np.exp(2j * np.pi * s * np.arange(L) / a) for s in range(nu)]
+    slice0 = orthonormal_range(A0, rank_tol)
+    Q0 = slice0.columns
+    others = np.hstack([m[:, None] * Q0 for m in mods[1:]])
+    if nu > 2:
+        others = orthonormal_range(others, rank_tol).columns
+    gap = _min_principal_angle(Q0, others) if Q0.size and others.size else float(np.pi / 2)
+    spanK = orthonormal_range(Ag, rank_tol)  # hstack(A_s) up to column order
 
-    res_iv = 0.0
-    for k in range(b):
-        for l in range(a):
-            if l % nu == 0:
-                continue
-            v = tf_shift(gamma, k * (L // b), l * (L // a))
-            res_iv = max(res_iv, float(abs(np.vdot(v, g))))
-
-    adj_full = gabor_matrix(FiniteGaborSystem(L, L // b, L // a, g))
-    spanK = orthonormal_range(adj_full, rank_tol)
     PK = spanK.projector()
-    Ps = []
-    for s in range(nu):
-        Ms = shift_operator(L, 0, s * (L // a))
-        Ps.append(Ms @ P @ Ms.conj().T)
+    Ps = [m[:, None] * P * m.conj()[None, :] for m in mods]
     proj = {
         "idempotence": max(float(np.linalg.norm(p @ p - p)) for p in Ps),
         "mutual_annihilation": max(
@@ -362,17 +353,17 @@ def criteria_engine(
     }
     projections_ok = all(v < tol for v in proj.values())
 
+    rank_sum = nu * Q0.shape[1]
     holds = {
         "i": res_i < tol,
         "ii": max(res_ii) < tol,
-        "iii": sum(ranks) == joint_rank,
+        "iii": rank_sum == spanK.rank,
         "iv": res_iv < tol,
     }
     agree = len(set(holds.values())) == 1
     verdict = (
         "all_hold" if all(holds.values()) else "all_fail" if not any(holds.values()) else "mixed"
     )
-    gamma_l0 = membership_residual(slice_bases[0], gamma)
 
     return CriteriaReport(
         nu=nu,
@@ -380,17 +371,18 @@ def criteria_engine(
         constant=constant,
         res_i=res_i,
         res_ii=tuple(res_ii),
-        rank_sum=int(sum(ranks)),
-        joint_rank=int(joint_rank),
-        min_principal_gap=min_gap,
+        rank_sum=rank_sum,
+        joint_rank=spanK.rank,
+        min_principal_gap=gap,
         res_iv=res_iv,
         projection_residuals=proj,
         projections_ok=projections_ok,
         holds=holds,
         verdict=verdict,
         verdict_consistent=agree,
-        gamma_l0_residual=gamma_l0,
-        frame=fb,
+        gamma_l0_residual=membership_residual(slice0, gamma),
+        frame=an.frame,
+        adjoint_inner_products=inner,
     )
 
 
@@ -534,26 +526,20 @@ def gaussian_corollary_scenario(
         raise InvalidRefinement(
             f"refinement must divide gcd(a, b) = {gcd(a, b)}, got {refinement}"
         )
-    fb = frame_bounds(sys, rank_tol)
-    dual = canonical_dual(sys, rank_tol)
-    crit = criteria_engine(sys, nu, tol, rank_tol)
+    an = analyze_system(sys, rank_tol)
+    crit = _criteria(an, nu, tol)
     scan = scan_invariance(sys, refinement, tol, rank_tol)
+    table = tuple((k, l, float(v)) for (k, l), v in np.ndenumerate(crit.adjoint_inner_products))
 
-    table = []
-    for k in range(b):
-        for l in range(a):
-            v = tf_shift(dual.gamma, k * (L // b), l * (L // a))
-            table.append((k, l, float(abs(np.vdot(v, g)))))
-
-    D = gabor_matrix(sys)
-    ips = D.conj().T @ dual.gamma  # entries <gamma, pi(lambda) g>
+    ips = an.D.conj().T @ an.dual.gamma  # entries <gamma, pi(lambda) g>
     delta = np.zeros_like(ips)
     delta[0] = 1.0
     bio = float(np.linalg.norm(ips - delta, ord=np.inf))
 
-    # conditioning of the system itself (full Gram spectrum, no truncation)
-    gram_ev = np.linalg.eigvalsh(D.conj().T @ D)
-    cond = gram_ev[-1] / gram_ev[0] if gram_ev[0] > 0 else np.inf
+    # conditioning of the system itself: the full Gram spectrum, no truncation,
+    # is the top N*M eigenvalues of S (N*M < L because a*b > L)
+    smallest, largest = an.eigenvalues[-sys.n_time * sys.n_freq], an.eigenvalues[-1]
+    cond = largest / smallest if smallest > 0 else np.inf
     return GaussianScenarioReport(
         L=L,
         a=a,
@@ -561,10 +547,10 @@ def gaussian_corollary_scenario(
         c=float(c),
         nu=nu,
         refinement=refinement,
-        frame=fb,
+        frame=an.frame,
         criteria=crit,
         scan=scan,
-        orthogonality_table=tuple(table),
+        orthogonality_table=table,
         biorthogonality_residual=bio,
         condition_number=float(cond),
         poorly_conditioned=bool(cond > CONDITIONING_LIMIT),

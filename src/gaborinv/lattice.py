@@ -14,7 +14,7 @@ mutable state, so concurrent use is safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -144,14 +144,16 @@ class Lattice2D:
     """The lattice basis @ Z^2 for an invertible rational basis."""
 
     basis: RationalMatrix2x2
+    inverse: RationalMatrix2x2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.basis.det() == 0:
             raise InvalidLattice("lattice basis must be invertible")
+        object.__setattr__(self, "inverse", self.basis.inv())
 
     def contains(self, v: Sequence[RationalLike]) -> bool:
         """Exact membership test: basis^{-1} v integral."""
-        x, y = self.basis.inv().apply(v)
+        x, y = self.inverse.apply(v)
         return x.denominator == 1 and y.denominator == 1
 
     def same_lattice(self, other: "Lattice2D") -> bool:
@@ -160,7 +162,7 @@ class Lattice2D:
         Exact criterion: basis^{-1} @ other.basis is an integer matrix with
         determinant +-1.
         """
-        u = self.basis.inv() @ other.basis
+        u = self.inverse @ other.basis
         return u.is_integer() and abs(u.det()) == 1
 
 
@@ -412,30 +414,13 @@ def order_in_lattice(
 ) -> Optional[int]:
     """Smallest n in [1, n_max] with n*z in lat, or None.
 
-    For rational data the order is the lcm of the denominators of
-    basis^{-1} z.  The value is cross-checked before returning: the valid
-    multipliers form a subgroup of Z, so verifying that n itself works and
-    that n/p fails for every prime p | n certifies minimality (every proper
-    divisor of n divides some n/p).
+    With basis^{-1} z = (p_1/q_1, p_2/q_2) in lowest terms, k*z lies in the
+    lattice iff q_1 | k and q_2 | k, so the order is exactly lcm(q_1, q_2).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    w1, w2 = lat.basis.inv().apply(z)
+    w1, w2 = lat.inverse.apply(z)
     n = lcm(w1.denominator, w2.denominator)
-
-    def hits(k: int) -> bool:
-        return (k * w1).denominator == 1 and (k * w2).denominator == 1
-
-    assert hits(n), "lcm candidate must land in the lattice"
-    rest, p = n, 2
-    while rest > 1 and p * p <= n:
-        if rest % p == 0:
-            assert not hits(n // p), f"order {n} not minimal: {n // p} works"
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        assert not hits(n // rest), f"order {n} not minimal: {n // rest} works"
     return n if n <= n_max else None
 
 

@@ -191,7 +191,8 @@ def metaplectic_from_generators(B, L: int) -> MetaplecticOperator:
     B = _mat2(B)
     if L < 1:
         raise UnsupportedLength("L must be positive")
-    det = int(round(float(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])))
+    (x, y), (c, w) = B.tolist()  # Python ints: the determinant is exact
+    det = x * w - y * c
     if det % L != 1 % L:
         raise NotSymplectic(f"det B = {det} != 1 (mod {L})")
     jpow = _is_power_of_j(B, L)

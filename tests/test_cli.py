@@ -108,6 +108,21 @@ class TestCriteria:
         assert "NotFrameSequence" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "window, message",
+        [("bogus", "unknown window 'bogus'"), ("@{}/missing.csv", "No such file or directory")],
+    )
+    def test_bad_window_is_parse_error(self, tmp_path, capsys, window, message):
+        code = run(
+            tmp_path, "criteria", "--L", "16", "--a", "4", "--b", "4",
+            "--nu", "2", "--window", window.format(tmp_path),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert "Traceback" not in err
+
+
 class TestScanDensityGaussianEquid:
     def test_scan_negative_case(self, tmp_path, capsys):
         code = run(

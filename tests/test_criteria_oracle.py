@@ -1,0 +1,181 @@
+"""Differential tests: the criteria engine against a dense per-slice oracle.
+
+The engine factors each system once and derives every adjoint slice from
+the first; the oracle below builds and factors every slice on its own, the
+way the criteria read in the paper.  Inputs are the three builtin windows
+of the CLI moved by a random time-frequency shift and phase, which maps a
+system to a unitarily equivalent one.
+"""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
+
+from gaborinv.cli import _build_window
+from gaborinv.gabor import (
+    FiniteGaborSystem,
+    cross_frame_operator,
+    numerical_rank,
+    orthonormal_range,
+    periodized_gaussian,
+    shift_operator,
+    tf_shift,
+)
+from gaborinv.invariance import (
+    criteria_engine,
+    gaussian_corollary_scenario,
+    membership_residual,
+)
+
+RANK_TOL, TOL = 1e-8, 1e-6
+WINDOWS = ("gaussian", "gaussian-sum", "periodic-gaussian")  # the CLI's builtins
+
+
+def builtin_window(L, a, nu, name):
+    return _build_window(SimpleNamespace(window=name, L=L, a=a, nu=nu, c=math.pi))
+
+
+def divisors(n):
+    return [d for d in range(2, n) if n % d == 0]
+
+
+@st.composite
+def shifted_systems(draw):
+    nu = draw(st.sampled_from((2, 3)))
+    L = draw(st.sampled_from([L for L in range(12, 73) if L % nu == 0]))
+    a = draw(st.sampled_from([d for d in divisors(L) if d % nu == 0]))
+    b = draw(st.sampled_from([d for d in divisors(L) if 4 * a * d >= L]))  # N*M <= 4L
+    name = draw(st.sampled_from(WINDOWS))
+    t, m = draw(st.integers(0, L - 1)), draw(st.integers(0, L - 1))
+    phase = np.exp(2j * np.pi * draw(st.floats(0, 1)))
+    w = phase * tf_shift(builtin_window(L, a, nu, name), t, m)
+    return FiniteGaborSystem(L, a, b, w), nu
+
+
+def dense_oracle(sys, nu):
+    """Every criteria quantity from its defining formula, one slice at a time."""
+    L, a, b, g = sys.L, sys.a, sys.b, sys.window
+    D = np.array([tf_shift(g, k * a, l * b) for l in range(L // b) for k in range(L // a)]).T
+    lam, V = np.linalg.eigh(D @ D.conj().T)
+    keep = lam > RANK_TOL * lam[-1]
+    Vk = V[:, keep]
+    gamma = ((Vk / lam[keep]) @ Vk.conj().T) @ g  # S^+ g
+    gram = np.linalg.eigvalsh(D.conj().T @ D)
+    shifted = tf_shift(g, a // nu, 0)
+    res_i = np.linalg.norm(shifted - Vk @ (Vk.conj().T @ shifted)) / np.linalg.norm(g)
+
+    P = cross_frame_operator(gamma, g, L // b, nu * (L // a)) / (a * b / L)
+    res_ii = [
+        np.linalg.norm(P @ tf_shift(g, 0, s * (L // a)) - (g if s == 0 else 0))
+        / np.linalg.norm(g)
+        for s in range(nu)
+    ]
+
+    mats = [
+        np.array([
+            tf_shift(g, k * (L // b), ((l * nu + s) * (L // a)) % L)
+            for k in range(b)
+            for l in range(a // nu)
+        ]).T
+        for s in range(nu)
+    ]
+    ranks = [numerical_rank(A, RANK_TOL) for A in mats]
+    sv = np.linalg.svd(mats[0], compute_uv=False)
+    kept_sv = sv[sv > RANK_TOL * sv[0]]
+    bases = [orthonormal_range(A, RANK_TOL) for A in mats]
+    gaps = []
+    for s in range(nu):
+        others = orthonormal_range(np.hstack([A for r, A in enumerate(mats) if r != s]), RANK_TOL)
+        if bases[s].rank and others.rank:
+            gaps.append(subspace_angles(bases[s].columns, others.columns).min())
+
+    table = np.array([
+        [abs(np.vdot(tf_shift(gamma, k * (L // b), l * (L // a)), g)) for l in range(a)]
+        for k in range(b)
+    ])
+    PK = orthonormal_range(np.hstack(mats), RANK_TOL).projector()
+    Ps = []
+    for s in range(nu):
+        Ms = shift_operator(L, 0, s * (L // a))
+        Ps.append(Ms @ P @ Ms.conj().T)
+    proj = {
+        "idempotence": max(np.linalg.norm(p @ p - p) for p in Ps),
+        "mutual_annihilation": max(
+            np.linalg.norm(Ps[s] @ Ps[r]) for s in range(nu) for r in range(nu) if r != s
+        ),
+        "sum_equals_PK": np.linalg.norm(sum(Ps) - PK),
+        "vanish_on_K_perp": max(np.linalg.norm(p @ (np.eye(L) - PK)) for p in Ps),
+    }
+    return {
+        "res_i": res_i,
+        "res_ii": res_ii,
+        "rank_sum": sum(ranks),
+        "joint_rank": numerical_rank(np.hstack(mats), RANK_TOL),
+        "gap": min(gaps) if gaps else np.pi / 2,
+        "table": table,
+        "res_iv": table[:, np.arange(a) % nu != 0].max(),
+        "proj": proj,
+        "gamma_l0": membership_residual(bases[0], gamma),
+        "frame": (lam[keep][0], lam[-1], int(keep.sum()), bool(gram[0] > RANK_TOL * gram[-1])),
+        "kappa": max(lam[-1] / lam[keep][0], kept_sv[0] / kept_sv[-1] if kept_sv.size else 1.0),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_systems())
+def test_criteria_engine_matches_dense_oracle(case):
+    sys, nu = case
+    rep = criteria_engine(sys, nu)
+    ref = dense_oracle(sys, nu)
+    # Two exact formulas for one number differ by rounding amplified by the
+    # conditioning (of S for what is read through S^+, of A_0 for the slice
+    # basis), so 1e-10 holds up to kappa = 1e5 and scales with kappa beyond.
+    tol = max(1e-10, 1e-15 * ref["kappa"])
+    close = dict(abs=tol, rel=tol)
+
+    assert (rep.rank_sum, rep.joint_rank) == (ref["rank_sum"], ref["joint_rank"])
+    holds = {
+        "i": ref["res_i"] < TOL,
+        "ii": max(ref["res_ii"]) < TOL,
+        "iii": ref["rank_sum"] == ref["joint_rank"],
+        "iv": ref["res_iv"] < TOL,
+    }
+    assert rep.holds == holds
+    assert rep.projections_ok == all(v < TOL for v in ref["proj"].values())
+    assert (rep.frame.rank, rep.frame.is_riesz_sequence) == ref["frame"][2:]
+    assert (rep.frame.lower, rep.frame.upper) == pytest.approx(ref["frame"][:2], **close)
+
+    assert rep.res_i == pytest.approx(ref["res_i"], **close)
+    assert rep.res_ii == pytest.approx(tuple(ref["res_ii"]), **close)
+    assert rep.res_iv == pytest.approx(ref["res_iv"], **close)
+    assert rep.gamma_l0_residual == pytest.approx(ref["gamma_l0"], **close)
+    np.testing.assert_allclose(rep.adjoint_inner_products, ref["table"], rtol=tol, atol=tol)
+    for key, value in ref["proj"].items():
+        assert rep.projection_residuals[key] == pytest.approx(value, **close), key
+    # Near zero, scipy's rule takes the smallest angle from arccos whenever some
+    # angle exceeds pi/4, which resolves it only to sqrt(2 eps r), r the rank.
+    if ref["gap"] > 1e-4:
+        assert rep.min_principal_gap == pytest.approx(ref["gap"], **close)
+    else:
+        assert rep.min_principal_gap < 1e-6
+
+
+@pytest.mark.parametrize("L, a, b", [(120, 12, 12), (72, 12, 9)])
+def test_gaussian_scenario_matches_dense_oracle(L, a, b):
+    rep = gaussian_corollary_scenario(L, a, b, math.pi, 2, 1)
+    g = periodized_gaussian(L, math.pi)
+    ref = dense_oracle(FiniteGaborSystem(L, a, b, g), 2)
+    table = np.array([v for _, _, v in rep.orthogonality_table]).reshape(b, a)
+    np.testing.assert_allclose(table, ref["table"], rtol=1e-10, atol=1e-10)
+    assert [(k, l) for k, l, _ in rep.orthogonality_table] == [
+        (k, l) for k in range(b) for l in range(a)
+    ]
+    D = np.array([tf_shift(g, k * a, l * b) for l in range(L // b) for k in range(L // a)]).T
+    gram = np.linalg.eigvalsh(D.conj().T @ D)
+    assert rep.condition_number == pytest.approx(gram[-1] / gram[0], rel=1e-10)
+    assert tuple(rep.frame)[2:] == ref["frame"][2:]

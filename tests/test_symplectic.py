@@ -53,6 +53,11 @@ class TestConstruction:
         with pytest.raises(NotSymplectic):
             metaplectic_from_generators([[2, 0], [0, 1]], 7)
 
+    def test_rejects_determinant_lost_in_float_rounding(self):
+        # det = 2**60 + 1 = 2 (mod 3); as a float it rounds to 2**60 = 1 (mod 3)
+        with pytest.raises(NotSymplectic):
+            metaplectic_from_generators([[2**30, 1], [-1, 2**30]], 3)
+
     def test_even_length_rejected_for_shears(self):
         with pytest.raises(UnsupportedLength):
             metaplectic_from_generators(SHEAR1, 8)
