@@ -77,6 +77,14 @@ def _pair(text: str) -> tuple[float, float]:
     return (_real_or_named(parts[0]), _real_or_named(parts[1]))
 
 
+def _basis(text: str) -> lattice.RationalMatrix2x2:
+    """Row-major rationals 'p/q,p/q;p/q,p/q'; invertibility is the command's check."""
+    try:
+        return lattice.RationalMatrix2x2([r.split(",") for r in text.split(";")])
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"not a 2x2 rational basis: {text!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="gaborinv", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -98,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("separate", help="separable reduction of a rational lattice")
     sp.add_argument(
         "--basis",
+        type=_basis,
         required=True,
         help="row-major rationals 'p/q,p/q;p/q,p/q'",
     )
@@ -106,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("order", help="order of a rational point in the quotient")
     sp.add_argument("--zx", type=_rational, required=True)
     sp.add_argument("--zy", type=_rational, required=True)
-    sp.add_argument("--basis", default="1,0;0,1", help="lattice basis (default Z^2)")
+    sp.add_argument("--basis", type=_basis, default="1,0;0,1", help="lattice basis (default Z^2)")
     sp.add_argument("--n-max", type=int, default=10**6)
     common(sp)
 
@@ -169,11 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_basis(text: str) -> lattice.Lattice2D:
-    rows = [r.split(",") for r in text.split(";")]
-    return lattice.Lattice2D(lattice.RationalMatrix2x2(rows))
-
-
 def _build_window(args) -> np.ndarray:
     """The --window signal; ArgumentTypeError for a bad name or unreadable file."""
     name = args.window
@@ -197,11 +201,12 @@ def _build_window(args) -> np.ndarray:
 
 
 def _manifest(args, constants: dict) -> dict:
-    config = {
-        k: (str(v) if isinstance(v, Fraction) else v)
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",)
-    }
+    def echo(v):
+        if isinstance(v, lattice.RationalMatrix2x2):  # as --basis is written
+            return ";".join(",".join(lattice.rational_str(x) for x in row) for row in v.entries)
+        return str(v) if isinstance(v, Fraction) else v
+
+    config = {k: echo(v) for k, v in sorted(vars(args).items()) if k not in ("func",)}
     return {"version": __version__, "config": config, "constants": constants}
 
 
@@ -219,8 +224,7 @@ def _cmd_reduce(args, outdir: Path) -> int:
 
 
 def _cmd_separate(args, outdir: Path) -> int:
-    lat = _parse_basis(args.basis)
-    C, sep = lattice.separate(lat)
+    C, sep = lattice.separate(lattice.Lattice2D(args.basis))
     payload = {
         "C": [[lattice.rational_str(v) for v in row] for row in C.entries],
         "det_C": lattice.rational_str(C.det()),
@@ -232,8 +236,7 @@ def _cmd_separate(args, outdir: Path) -> int:
 
 
 def _cmd_order(args, outdir: Path) -> int:
-    lat = _parse_basis(args.basis)
-    n = lattice.order_in_lattice((args.zx, args.zy), lat, args.n_max)
+    n = lattice.order_in_lattice((args.zx, args.zy), lattice.Lattice2D(args.basis), args.n_max)
     payload = {"order": n, "n_max": args.n_max}
     _finish(args, payload, {}, outdir)
     return 0 if n is not None else VERDICT_NEGATIVE
@@ -324,17 +327,11 @@ def _cmd_dual_window(args, outdir: Path) -> int:
     w = _build_window(args)
     sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
     an = gabor.analyze_system(sys_, args.rank_tol)
-    fb = an.frame
     serialize.save_signal_csv(outdir / "dual_window.csv", an.dual.gamma)
     payload = {
         "gamma_csv": "dual_window.csv",
         "span_rank": an.dual.span.rank,
-        "frame_bounds": {
-            "lower": fb.lower,
-            "upper": fb.upper,
-            "rank": fb.rank,
-            "is_riesz_sequence": fb.is_riesz_sequence,
-        },
+        "frame_bounds": an.frame.to_json_dict(),
     }
     _finish(args, payload, {}, outdir)
     return 0

@@ -12,8 +12,10 @@ map as alpha <-> a samples, beta <-> b bins, and the adjoint lattice
 (1/beta, 1/alpha) <-> (L/b samples, L/a bins); the product alpha*beta
 corresponds to a*b/L.
 
-Dense L x L matrices throughout; matrices are never mutated after
-construction and all functions are pure.
+S = D D^H couples n only with n + j L/b (Walnut 1992; Zibulski & Zeevi 1997):
+on each fibre {r + j L/b : j < b} it is the b x b block (L/b) Z_r Z_r^H with
+Z_r[j, k] = g[r + j L/b - k a], so S is factored as L/b blocks, never as an
+L x L matrix.  Matrices are never mutated and all functions are pure.
 """
 
 from __future__ import annotations
@@ -156,6 +158,9 @@ class FrameBounds(NamedTuple):
     rank: int
     is_riesz_sequence: bool
 
+    def to_json_dict(self) -> dict:
+        return self._asdict()
+
 
 class DualWindowResult(NamedTuple):
     gamma: np.ndarray
@@ -228,17 +233,39 @@ def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(s > rank_tol * s[0]))
 
 
+def walnut_fibres(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
+    """Z[r, j, k] = g[r + j P - k t_step] with P = L/f_step, one index gather.
+
+    The frame operator of the system (t_step, f_step) restricted to the fibre
+    {r + j P : j < f_step} is P * Z[r] Z[r]^H, and it vanishes between fibres.
+    The fibre of a signal x is x.reshape(f_step, P).T[r].
+    """
+    L = g.shape[0]
+    r, j, k = np.ogrid[: L // f_step, :f_step, : L // t_step]
+    return g[(r + j * (L // f_step) - k * t_step) % L]
+
+
+def tf_inner_products(f: np.ndarray, h: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
+    """<f, pi(k t_step, l f_step) h> as an (L/t_step, L/f_step) array [k, l]: row k
+    is the FFT of f conj(T_{k t_step} h) folded modulo L/f_step, times a phase.
+    """
+    L = f.shape[0]
+    P, k = L // f_step, np.arange(L // t_step)[:, None]
+    folded = (f * h.conj()[(np.arange(L) - k * t_step) % L]).reshape(len(k), f_step, P).sum(axis=1)
+    return np.fft.fft(folded, axis=1) * np.exp(2j * np.pi * (k * np.arange(P) * t_step % P) / P)
+
+
 @dataclass(frozen=True)
 class SystemAnalysis:
     """The one spectral factorization of a system that its consumers share.
 
-    `D` is the synthesis matrix and `eigenvalues` the ascending spectrum of
-    S = D D^H from a single `eigh`; `frame` and `dual` are read from it.
+    `eigenvalues` is the ascending spectrum of S, the union of the spectra of
+    its L/b Walnut blocks, from one batched SVD; `frame` and `dual` are
+    read from it.
     """
 
     system: FiniteGaborSystem
     rank_tol: float
-    D: np.ndarray
     eigenvalues: np.ndarray
     frame: FrameBounds
     dual: DualWindowResult
@@ -255,21 +282,33 @@ def _bounds(lam: np.ndarray, rank_tol: float, n_vectors: int) -> FrameBounds:
 def analyze_system(
     sys: FiniteGaborSystem, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SystemAnalysis:
-    """Synthesis matrix, eigh(S), frame bounds, span, S^+ and dual window.
+    """Spectrum of S, frame bounds, span, S^+ and dual window, block by block.
 
-    Eigenvalues above rank_tol * lambda_max are inverted, the rest dropped;
-    the retained eigenvectors span ran(S), the space the system spans.
+    Eigenvalues above rank_tol * lambda_max (over all blocks) are inverted, the
+    rest dropped; the retained eigenvectors, scattered into L-size columns like
+    S^+, span ran(S), the space the system spans.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    D = gabor_matrix(sys)
-    lam, V = np.linalg.eigh(D @ D.conj().T)
-    frame = _bounds(lam, rank_tol, sys.n_time * sys.n_freq)
-    keep = lam > rank_tol * lam[-1]
-    Vk = V[:, keep]
-    S_pinv = (Vk / lam[keep]) @ Vk.conj().T
-    dual = DualWindowResult(S_pinv @ sys.window, S_pinv, SubspaceBasis(Vk, rank_tol))
-    return SystemAnalysis(sys, rank_tol, D, lam, frame, dual)
+    L, P = sys.L, sys.n_freq
+    Z = walnut_fibres(sys.window, sys.a, sys.b)
+    # the SVD of Z_r resolves an eigenvalue lam of S to eps sqrt(lam_max lam),
+    # eigh of Z_r Z_r^H only to eps lam_max; blocks with b > N add zeros
+    V, s, _ = np.linalg.svd(Z, full_matrices=False)
+    lam = P * s**2
+    spectrum = np.sort(np.concatenate([lam.ravel(), np.zeros(L - lam.size)]))
+    frame = _bounds(spectrum, rank_tol, sys.n_time * P)
+    keep = lam > rank_tol * spectrum[-1]
+    inv = keep / np.where(keep, lam, 1.0)
+    blocks = (V * inv[:, None, :]) @ V.conj().swapaxes(1, 2)
+    rows = np.arange(L).reshape(sys.b, P).T  # rows[r, j] = r + j P
+    gamma = (blocks @ sys.window[rows][..., None])[..., 0].T.ravel()
+    S_pinv = np.zeros((L, L), dtype=complex)
+    S_pinv[rows[:, :, None], rows[:, None, :]] = blocks
+    cols = np.zeros((L, P, lam.shape[1]), dtype=complex)
+    cols[rows, np.arange(P)[:, None]] = V
+    span = SubspaceBasis(cols.reshape(L, -1)[:, keep.ravel()], rank_tol)
+    return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, S_pinv, span))
 
 
 def canonical_dual(
@@ -288,8 +327,7 @@ def frame_bounds(
     Gram matrix D^H D shares the nonzero spectrum of S = D D^H, so the N*M
     vectors form a Riesz sequence exactly when S keeps N*M eigenvalues.
     """
-    lam = np.linalg.eigvalsh(frame_operator_direct(sys))
-    return _bounds(lam, rank_tol, sys.n_time * sys.n_freq)
+    return analyze_system(sys, rank_tol).frame
 
 
 def cross_frame_operator(
@@ -335,14 +373,10 @@ def janssen_representation(
     tau, phi = L // f_step, L // t_step  # adjoint steps: time tau, frequency phi
     constant = L / (t_step * f_step)
     S = np.zeros((L, L), dtype=complex)
-    coef = np.empty((f_step, t_step), dtype=complex)
-    for m in range(f_step):
-        for n in range(t_step):
-            shifted = tf_shift(gamma, m * tau, n * phi)
-            c = np.vdot(shifted, g)  # <g, pi(mu) gamma>
-            coef[m, n] = c
-            if abs(c) > coefficient_cutoff:
-                S += c * shift_operator(L, m * tau, n * phi)
+    coef = tf_inner_products(g, gamma, tau, phi)  # <g, pi(m tau, n phi) gamma>
+    for (m, n), c in np.ndenumerate(coef):
+        if abs(c) > coefficient_cutoff:
+            S += c * shift_operator(L, m * tau, n * phi)
     return constant * S, coef, constant
 
 

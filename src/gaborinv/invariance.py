@@ -42,7 +42,9 @@ from .gabor import (
     numerical_rank,
     orthonormal_range,
     periodized_gaussian,
+    tf_inner_products,
     tf_shift,
+    walnut_fibres,
 )
 
 DEFAULT_TOL = 1e-6
@@ -130,12 +132,14 @@ def scan_invariance(
     span = orthonormal_range(gabor_matrix(sys), rank_tol)
     Q = span.columns
 
-    points = [(j * st, k * sf) for j in range(n_t) for k in range(n_f)]
-    cols = np.empty((L, len(points)), dtype=complex)
-    for i, (t, m) in enumerate(points):
-        cols[:, i] = tf_shift(sys.window, t, m)
-    resid = np.linalg.norm(cols - Q @ (Q.conj().T @ cols), axis=0)
-    resid = resid / np.linalg.norm(sys.window)
+    t_pts = np.repeat(np.arange(n_t) * st, n_f)
+    m_pts = np.tile(np.arange(n_f) * sf, n_t)
+    points = list(zip(t_pts.tolist(), m_pts.tolist()))
+    idx = (np.arange(L)[:, None] - t_pts) % L  # column i is pi(t_i, m_i) g
+    cols = sys.window[idx]
+    cols *= np.exp(2j * np.pi * np.arange(L) / L)[m_pts * idx % L]
+    cols -= Q @ (Q.conj().T @ cols)
+    resid = np.linalg.norm(cols, axis=0) / np.linalg.norm(sys.window)
 
     detected = [p for p, r in zip(points, resid) if r < tol]
     lattice_pts = [
@@ -245,12 +249,7 @@ class CriteriaReport:
             "verdict": self.verdict,
             "verdict_consistent": self.verdict_consistent,
             "gamma_l0_residual": self.gamma_l0_residual,
-            "frame_bounds": {
-                "lower": self.frame.lower,
-                "upper": self.frame.upper,
-                "rank": self.frame.rank,
-                "is_riesz_sequence": self.frame.is_riesz_sequence,
-            },
+            "frame_bounds": self.frame.to_json_dict(),
         }
 
 
@@ -261,18 +260,28 @@ def _validate_nu(sys: FiniteGaborSystem, nu: int) -> None:
         raise InvalidNu(f"nu must divide the time step a={sys.a}, got {nu}")
 
 
-def _min_principal_angle(QA: np.ndarray, QB: np.ndarray) -> float:
-    """Smallest principal angle between the spans of two orthonormal bases.
-
-    The Knyazev-Argentati cosine/sine rule of scipy.linalg.subspace_angles,
-    without re-orthonormalising bases that are orthonormal already.
+def _min_principal_angle(QA: np.ndarray, QB: np.ndarray, rank_b: np.ndarray) -> np.ndarray:
+    """Smallest principal angle between batched orthonormal bases, each padded
+    with zero columns (QB[i] after its first rank_b[i]).  It is read from the
+    smallest sine, a singular value of QB - QA QA^H QB and accurate near 0,
+    when its cosine^2 >= 1/2, and from the largest cosine otherwise.
     """
-    C = QA.conj().T @ QB
-    sigma = np.linalg.svd(C, compute_uv=False)
-    B = QB - QA @ C if QA.shape[1] >= QB.shape[1] else QA - QB @ C.conj().T
-    mask = sigma**2 >= 0.5
-    mu = np.arcsin(np.clip(np.linalg.svd(B, compute_uv=False), -1, 1)) if mask.any() else 0.0
-    return float(np.min(np.where(mask, mu, np.arccos(np.clip(sigma[::-1], -1, 1)))))
+    C = QA.conj().swapaxes(1, 2) @ QB
+    cos_max = np.linalg.svd(C, compute_uv=False)[:, 0]
+    sines = np.linalg.svd(QB - QA @ C, compute_uv=False)
+    sin_min = sines[np.arange(len(sines)), np.maximum(rank_b - 1, 0)]
+    return np.where(
+        cos_max**2 >= 0.5, np.arcsin(np.clip(sin_min, 0, 1)), np.arccos(np.clip(cos_max, 0, 1))
+    )
+
+
+def _orthonormal_ranges(A: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Batched `orthonormal_range`: the cut is rank_tol times the largest
+    singular value over all blocks, and the dropped columns are zeroed.
+    """
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    keep = s > rank_tol * s.max(initial=0.0)
+    return U * keep[:, None, :], keep.sum(axis=1)
 
 
 def criteria_engine(
@@ -307,37 +316,34 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
     L, a, b = sys.L, sys.a, sys.b
     gamma = an.dual.gamma
     res_i = membership_residual(an.dual.span, tf_shift(g, a // nu, 0))
-
-    # adjoint systems over (L/b, L/a); column l*b + k holds pi(k L/b, l L/a)
-    Ag = gabor_matrix(FiniteGaborSystem(L, L // b, L // a, g))
-    Agamma = gabor_matrix(FiniteGaborSystem(L, L // b, L // a, gamma))
-    inner = np.abs(Agamma.conj().T @ g).reshape(a, b).T
+    inner = np.abs(tf_inner_products(g, gamma, L // b, L // a))
     res_iv = float(inner[:, np.arange(a) % nu != 0].max())
-    A0 = Ag.reshape(L, a, b)[:, ::nu].reshape(L, -1)  # the slice L_0: l in nu Z
-    constant = a * b / L
-    P = A0 @ Agamma.reshape(L, a, b)[:, ::nu].reshape(L, -1).conj().T / constant
 
-    norm_g = np.linalg.norm(g)
-    res_ii = []
-    for s in range(nu):
-        img = P @ tf_shift(g, 0, s * (L // a))
-        target = g if s == 0 else 0.0
-        res_ii.append(float(np.linalg.norm(img - target) / norm_g))
+    # The rest splits over the a/nu Walnut fibres {r + j a/nu : j < n} of the
+    # slice L_0, the system (L/b, nu L/a).  On a fibre M_{s L/a} is a constant
+    # phase times d_s[j] = exp(2 pi i s j / nu), so L_s has the blocks d_s Q_r,
+    # K the stacked blocks [d_s W_r]_s, and P_s the blocks d_s P_r d_s^*.
+    n = nu * (L // a)
+    W = walnut_fibres(g, L // b, n)
+    P = (L / (nu * b)) * W @ walnut_fibres(gamma, L // b, n).conj().swapaxes(1, 2)
+    d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
+    gf, gammaf = g.reshape(n, -1).T, gamma.reshape(n, -1).T
 
-    # A_s = M_{s L/a} A_0 Phi_s with Phi_s a diagonal of unit phases, so the
-    # slice L_s has the basis M_{s L/a} Q_0 and the rank of A_0; every slice
-    # meets the sum of the others at the same principal angles.
-    mods = [np.exp(2j * np.pi * s * np.arange(L) / a) for s in range(nu)]
-    slice0 = orthonormal_range(A0, rank_tol)
-    Q0 = slice0.columns
-    others = np.hstack([m[:, None] * Q0 for m in mods[1:]])
-    if nu > 2:
-        others = orthonormal_range(others, rank_tol).columns
-    gap = _min_principal_angle(Q0, others) if Q0.size and others.size else float(np.pi / 2)
-    spanK = orthonormal_range(Ag, rank_tol)  # hstack(A_s) up to column order
+    images = np.einsum("rij,srj->sri", P, d[:, None, :] * gf)  # P M_{s L/a} g
+    images[0] -= gf
+    res_ii = [float(np.linalg.norm(x) / np.linalg.norm(g)) for x in images]
 
-    PK = spanK.projector()
-    Ps = [m[:, None] * P * m.conj()[None, :] for m in mods]
+    Q0, rank0 = _orthonormal_ranges(W, rank_tol)
+    others, rank_o = (d[1, :, None] * Q0, rank0) if nu == 2 else _orthonormal_ranges(
+        np.concatenate([d[s, :, None] * Q0 for s in range(1, nu)], axis=2), rank_tol
+    )
+    angles = _min_principal_angle(Q0, others, rank_o)[(rank0 > 0) & (rank_o > 0)]
+    gap = float(angles.min()) if angles.size else float(np.pi / 2)
+    stacked = np.concatenate([d[s, :, None] * W for s in range(nu)], axis=2)
+    QK, rankK = _orthonormal_ranges(stacked, rank_tol)
+    PK = QK @ QK.conj().swapaxes(1, 2)
+
+    Ps = d[:, None, :, None] * P * d.conj()[:, None, None, :]
     proj = {
         "idempotence": max(float(np.linalg.norm(p @ p - p)) for p in Ps),
         "mutual_annihilation": max(
@@ -346,18 +352,17 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
             for r in range(nu)
             if r != s
         ),
-        "sum_equals_PK": float(np.linalg.norm(sum(Ps) - PK)),
-        "vanish_on_K_perp": max(
-            float(np.linalg.norm(p @ (np.eye(L) - PK))) for p in Ps
-        ),
+        "sum_equals_PK": float(np.linalg.norm(Ps.sum(axis=0) - PK)),
+        "vanish_on_K_perp": max(float(np.linalg.norm(p - p @ PK)) for p in Ps),
     }
     projections_ok = all(v < tol for v in proj.values())
+    gamma_l0 = np.linalg.norm(gammaf - np.einsum("rij,rkj,rk->ri", Q0, Q0.conj(), gammaf))
 
-    rank_sum = nu * Q0.shape[1]
+    rank_sum, joint_rank = nu * int(rank0.sum()), int(rankK.sum())
     holds = {
         "i": res_i < tol,
         "ii": max(res_ii) < tol,
-        "iii": rank_sum == spanK.rank,
+        "iii": rank_sum == joint_rank,
         "iv": res_iv < tol,
     }
     agree = len(set(holds.values())) == 1
@@ -368,11 +373,11 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
     return CriteriaReport(
         nu=nu,
         tol=tol,
-        constant=constant,
+        constant=a * b / L,
         res_i=res_i,
         res_ii=tuple(res_ii),
         rank_sum=rank_sum,
-        joint_rank=spanK.rank,
+        joint_rank=joint_rank,
         min_principal_gap=gap,
         res_iv=res_iv,
         projection_residuals=proj,
@@ -380,7 +385,7 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
         holds=holds,
         verdict=verdict,
         verdict_consistent=agree,
-        gamma_l0_residual=membership_residual(slice0, gamma),
+        gamma_l0_residual=float(gamma_l0 / np.linalg.norm(gamma)),
         frame=an.frame,
         adjoint_inner_products=inner,
     )
@@ -484,12 +489,7 @@ class GaussianScenarioReport:
             "c": self.c,
             "nu": self.nu,
             "refinement": self.refinement,
-            "frame_bounds": {
-                "lower": self.frame.lower,
-                "upper": self.frame.upper,
-                "rank": self.frame.rank,
-                "is_riesz_sequence": self.frame.is_riesz_sequence,
-            },
+            "frame_bounds": self.frame.to_json_dict(),
             "criteria": self.criteria.to_json_dict(),
             "scan": self.scan.to_json_dict(),
             "biorthogonality_residual": self.biorthogonality_residual,
@@ -531,10 +531,9 @@ def gaussian_corollary_scenario(
     scan = scan_invariance(sys, refinement, tol, rank_tol)
     table = tuple((k, l, float(v)) for (k, l), v in np.ndenumerate(crit.adjoint_inner_products))
 
-    ips = an.D.conj().T @ an.dual.gamma  # entries <gamma, pi(lambda) g>
-    delta = np.zeros_like(ips)
-    delta[0] = 1.0
-    bio = float(np.linalg.norm(ips - delta, ord=np.inf))
+    ips = tf_inner_products(an.dual.gamma, g, a, b)  # <gamma, pi(k a, l b) g>
+    ips[0, 0] -= 1.0
+    bio = float(np.abs(ips).max())
 
     # conditioning of the system itself: the full Gram spectrum, no truncation,
     # is the top N*M eigenvalues of S (N*M < L because a*b > L)

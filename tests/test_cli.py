@@ -55,6 +55,13 @@ class TestSeparate:
         assert code == 2
         assert "InvalidLattice" in capsys.readouterr().err
 
+    def test_malformed_basis_is_parse_error(self, tmp_path, capsys):
+        code = run(tmp_path, "separate", "--basis", "1,1;1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "argument --basis: not a 2x2 rational basis: '1,1;1'" in err
+        assert "Traceback" not in err and not (tmp_path / "run_manifest.json").exists()
+
 
 class TestOrder:
     def test_found(self, tmp_path, capsys):
@@ -66,6 +73,19 @@ class TestOrder:
         code = run(tmp_path, "order", "--zx", "1/7", "--zy", "0", "--n-max", "5")
         assert code == 3
         assert json.loads(capsys.readouterr().out)["order"] is None
+
+    def test_malformed_basis_is_parse_error(self, tmp_path, capsys):
+        code = run(tmp_path, "order", "--zx", "1/2", "--zy", "1/3", "--basis", "1,x;0,1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "argument --basis: not a 2x2 rational basis: '1,x;0,1'" in err
+        assert "Traceback" not in err and not (tmp_path / "run_manifest.json").exists()
+
+    def test_basis_echoed_in_manifest(self, tmp_path, capsys):
+        code = run(tmp_path, "order", "--zx", "5/12", "--zy", "7/18", "--basis", "1/2,1/3;0,5/4")
+        assert code == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["config"]["basis"] == "1/2,1/3;0,5/4"
 
 
 class TestCriteria:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaborinv.errors import InvalidLattice, InvalidParameter, ZeroWindow
 from gaborinv.gabor import (
     FiniteGaborSystem,
+    analyze_system,
     canonical_dual,
     cross_frame_operator,
     frame_bounds,
@@ -214,6 +217,60 @@ class TestFrameBounds:
         fb = frame_bounds(FiniteGaborSystem(120, 12, 12, g))
         assert fb.is_riesz_sequence
         assert fb.rank == 100
+
+
+@st.composite
+def fibred_systems(draw):
+    """(L, a, b) with a*b below, equal to or above L, and one of three windows:
+    random, a shifted Gaussian (spread spectrum) or random on a short support
+    (rank-deficient blocks)."""
+    L = draw(st.integers(4, 72))
+    relation = draw(st.sampled_from((-1, 0, 1)))
+    divs = [d for d in range(1, L + 1) if L % d == 0]
+    pairs = [(a, b) for a in divs for b in divs if np.sign(a * b - L) == relation]
+    a, b = draw(st.sampled_from(pairs))
+    kind = draw(st.sampled_from(("random", "gaussian", "short")))
+    return FiniteGaborSystem(L, a, b, fibre_window(L, kind, draw(st.integers(0, 2**32 - 1))))
+
+
+def fibre_window(L, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return tf_shift(periodized_gaussian(L, np.pi), *rng.integers(0, L, 2))
+    g = rng.normal(size=L) + 1j * rng.normal(size=L)
+    if kind == "short":
+        g[rng.integers(1, L) :] = 0
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(fibred_systems())
+@example(FiniteGaborSystem(72, 12, 4, fibre_window(72, "random", 1)))  # a*b < L, gcd(a, L/b) = 6
+@example(FiniteGaborSystem(72, 12, 6, fibre_window(72, "gaussian", 2)))  # a*b = L, gcd 12
+@example(FiniteGaborSystem(72, 12, 12, fibre_window(72, "short", 3)))  # a*b > L, gcd 6
+def test_fibred_analysis_matches_dense_eigh(sys):
+    """Walnut-block analysis against eigh of the dense frame operator."""
+    lam, V = np.linalg.eigh(frame_operator_direct(sys))
+    keep = lam > 1e-8 * lam[-1]
+    Vk = V[:, keep]
+    S_pinv = (Vk / lam[keep]) @ Vk.conj().T
+    # eigh is backward stable, with errors of order L eps lambda_max, so what
+    # is read through S^+ differs by that times kappa = lambda_max / A
+    tol = 10 * sys.L * np.finfo(float).eps * lam[-1] / lam[keep][0]
+
+    an = analyze_system(sys)
+    np.testing.assert_allclose(an.eigenvalues, lam, rtol=0, atol=1e-12 * lam[-1])
+    rank = keep.sum()
+    for fb in (frame_bounds(sys), an.frame):
+        assert (fb.rank, fb.is_riesz_sequence) == (rank, rank == sys.n_time * sys.n_freq)
+        assert fb.upper == pytest.approx(lam[-1], rel=1e-12)
+        assert fb.lower == pytest.approx(lam[keep][0], abs=1e-12 * lam[-1])
+
+    dual = canonical_dual(sys)
+    assert np.linalg.norm(dual.gamma - S_pinv @ sys.window) <= tol * np.linalg.norm(dual.gamma)
+    assert np.linalg.norm(dual.S_pinv - S_pinv) <= tol * np.linalg.norm(S_pinv)
+    assert dual.span.rank == rank
+    assert np.linalg.norm(dual.span.projector() - Vk @ Vk.conj().T) <= tol * np.sqrt(rank)
 
 
 class TestCrossAndJanssen:
