@@ -3,8 +3,9 @@
 Point sets are structured specs (lattices, punctured/shifted lattices,
 separable products with excluded residue classes, unions).  Counting is by
 integer-range enumeration -- index ranges are computed in closed form per
-window, never by scanning floating point points -- with a 1e-9 boundary fuzz
-so closed boxes [-R, R]^2 count their boundary points.
+window, never by scanning floating point points -- with a boundary fuzz of
+1e-9 (4 ulps where that is larger) so closed boxes [-R, R]^2 count their
+boundary points.
 
 Also provides the density transformation law under invertible matrices and
 an equidistribution diagnostic for irrational line orbits modulo a lattice.
@@ -21,9 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import InvalidMatrix, InvalidModulus
+from .errors import InvalidMatrix, InvalidModulus, InvalidParameter
 from .lattice import Lattice2D, SeparableLattice
 
 BOUNDARY_FUZZ = 1e-9
@@ -48,11 +48,17 @@ __all__ = [
 ]
 
 
+def _fuzz(v: float) -> float:
+    """The boundary fuzz at v: BOUNDARY_FUZZ, or 4 ulps where rounding exceeds it."""
+    return max(BOUNDARY_FUZZ, 4 * math.ulp(v))
+
+
 def _axis_count(step: float, lo: float, hi: float) -> int:
     """#(step*Z intersect [lo, hi]), boundary included via fuzz."""
     if hi < lo:
         return 0
-    return int(math.floor(hi / step + BOUNDARY_FUZZ) - math.ceil(lo / step - BOUNDARY_FUZZ)) + 1
+    u, v = hi / step, lo / step
+    return int(math.floor(u + _fuzz(u)) - math.ceil(v - _fuzz(v))) + 1
 
 
 def _count_general_lattice(basis: np.ndarray, shift, center, R: float) -> int:
@@ -396,9 +402,10 @@ def interval_count_bounds(beta: float, R: float) -> tuple[float, float, int]:
     (1/beta)*Z in the closed interval [0, R]."""
     if beta <= 0 or R <= 0:
         raise ValueError("beta and R must be positive")
-    exact = int(math.floor(beta * R + BOUNDARY_FUZZ)) + 1
+    exact = int(math.floor(beta * R + _fuzz(beta * R))) + 1
     lo, hi = beta * R - 1.0, beta * R + 1.0
-    assert lo <= exact <= hi, (lo, exact, hi)
+    if not lo <= exact <= hi:
+        raise InvalidParameter(f"beta*R = {beta * R!r} is within the fuzz below a lattice point")
     return lo, hi, exact
 
 
@@ -428,6 +435,8 @@ def equidistribution_diagnostic(
     # float rounding can land exactly on the period; fold it back
     pts[:, 0] %= al
     pts[:, 1] %= be
+
+    from scipy.spatial import cKDTree  # deferred: most of the CLI's import time
 
     tree = cKDTree(pts, boxsize=(al, be))
     gx = (np.arange(cover_grid) + 0.5) * (al / cover_grid)

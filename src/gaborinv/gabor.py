@@ -164,7 +164,6 @@ class FrameBounds(NamedTuple):
 
 class DualWindowResult(NamedTuple):
     gamma: np.ndarray
-    S_pinv: np.ndarray
     span: SubspaceBasis
 
 
@@ -282,11 +281,12 @@ def _bounds(lam: np.ndarray, rank_tol: float, n_vectors: int) -> FrameBounds:
 def analyze_system(
     sys: FiniteGaborSystem, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SystemAnalysis:
-    """Spectrum of S, frame bounds, span, S^+ and dual window, block by block.
+    """Spectrum of S, frame bounds, span and dual window, block by block.
 
-    Eigenvalues above rank_tol * lambda_max (over all blocks) are inverted, the
-    rest dropped; the retained eigenvectors, scattered into L-size columns like
-    S^+, span ran(S), the space the system spans.
+    Eigenvalues above rank_tol * lambda_max (over all blocks) are inverted in
+    gamma = S^+ g, the rest dropped; the retained eigenvectors, scattered into
+    L-size columns, span ran(S), the space the system spans; the invariance
+    scan and criterion (i) read this span.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
@@ -303,12 +303,10 @@ def analyze_system(
     blocks = (V * inv[:, None, :]) @ V.conj().swapaxes(1, 2)
     rows = np.arange(L).reshape(sys.b, P).T  # rows[r, j] = r + j P
     gamma = (blocks @ sys.window[rows][..., None])[..., 0].T.ravel()
-    S_pinv = np.zeros((L, L), dtype=complex)
-    S_pinv[rows[:, :, None], rows[:, None, :]] = blocks
     cols = np.zeros((L, P, lam.shape[1]), dtype=complex)
     cols[rows, np.arange(P)[:, None]] = V
     span = SubspaceBasis(cols.reshape(L, -1)[:, keep.ravel()], rank_tol)
-    return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, S_pinv, span))
+    return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span))
 
 
 def canonical_dual(

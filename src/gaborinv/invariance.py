@@ -38,9 +38,7 @@ from .gabor import (
     analyze_system,
     canonical_dual,
     cross_frame_operator,
-    gabor_matrix,
     numerical_rank,
-    orthonormal_range,
     periodized_gaussian,
     tf_inner_products,
     tf_shift,
@@ -107,6 +105,13 @@ class InvarianceReport:
         }
 
 
+def _validate_refinement(sys: FiniteGaborSystem, refinement: int) -> None:
+    if refinement < 1 or gcd(sys.a, sys.b) % refinement:
+        raise InvalidRefinement(
+            f"refinement must divide gcd(a, b) = {gcd(sys.a, sys.b)}, got {refinement}"
+        )
+
+
 def scan_invariance(
     sys: FiniteGaborSystem,
     refinement: int,
@@ -122,47 +127,38 @@ def scan_invariance(
     "spans_everything"; any residual inside the [tol, 1000*tol] gray band ->
     "inconclusive".
     """
-    if refinement < 1 or sys.a % refinement or sys.b % refinement:
-        raise InvalidRefinement(
-            f"refinement must divide a and b: a={sys.a}, b={sys.b}, got {refinement}"
-        )
-    L = sys.L
-    st, sf = sys.a // refinement, sys.b // refinement
-    n_t, n_f = L // st, L // sf
-    span = orthonormal_range(gabor_matrix(sys), rank_tol)
-    Q = span.columns
+    _validate_refinement(sys, refinement)
+    return _scan(analyze_system(sys, rank_tol), refinement, tol)
 
-    t_pts = np.repeat(np.arange(n_t) * st, n_f)
-    m_pts = np.tile(np.arange(n_f) * sf, n_t)
-    points = list(zip(t_pts.tolist(), m_pts.tolist()))
-    idx = (np.arange(L)[:, None] - t_pts) % L  # column i is pi(t_i, m_i) g
-    cols = sys.window[idx]
-    cols *= np.exp(2j * np.pi * np.arange(L) / L)[m_pts * idx % L]
+
+def _scan(an: SystemAnalysis, refinement: int, tol: float) -> InvarianceReport:
+    # The span V is pi(Lambda)-invariant, so P_V commutes with pi(Lambda) and
+    # the residual of pi(z) g is Lambda-periodic: the grid has only the r^2
+    # classes (i a/r, j b/r), i, j < r, and each grid point reads its class.
+    sys, r, g, Q = an.system, refinement, an.system.window, an.dual.span.columns
+    L, st, sf = sys.L, sys.a // refinement, sys.b // refinement
+    t_cls, m_cls = np.repeat(np.arange(r) * st, r), np.tile(np.arange(r) * sf, r)
+    idx = (np.arange(L)[:, None] - t_cls) % L  # column i is pi(t_i, m_i) g
+    cols = g[idx] * np.exp(2j * np.pi * np.arange(L) / L)[m_cls * idx % L]
     cols -= Q @ (Q.conj().T @ cols)
-    resid = np.linalg.norm(cols, axis=0) / np.linalg.norm(sys.window)
+    table = (np.linalg.norm(cols, axis=0) / np.linalg.norm(g)).reshape(r, r)
 
-    detected = [p for p, r in zip(points, resid) if r < tol]
-    lattice_pts = [
-        p for p in points if p[0] % sys.a == 0 and p[1] % sys.b == 0
-    ]
-    grayband = [
-        r for r in resid if tol <= r <= GAP_FACTOR * tol
-    ]
+    n_t, n_f = L // st, L // sf
+    points = [(i * st, j * sf) for i in range(n_t) for j in range(n_f)]
+    resid = table[np.arange(n_t)[:, None] % r, np.arange(n_f) % r].ravel().tolist()
+    detected = [p for p, v in zip(points, resid) if v < tol]
+    lattice_pts = [p for p in points if p[0] % sys.a == 0 and p[1] % sys.b == 0]
 
-    if grayband:
+    if np.any((table >= tol) & (table <= GAP_FACTOR * tol)):
         verdict, m = "inconclusive", None
-    elif len(detected) == len(points) and span.rank == L:
+    elif np.all(table < tol) and an.dual.span.rank == L:
         verdict, m = "spans_everything", None
     else:
-        g = refinement
-        for (t, mm) in detected:
-            g = gcd(g, (t // st) % refinement)
-            g = gcd(g, (mm // sf) % refinement)
-        m = refinement // g if g else refinement
         verdict = "subset_of_refined_lattice"
+        m = r // gcd(r, *np.argwhere(table < tol).ravel().tolist())
     return InvarianceReport(
         tested_points=tuple(points),
-        residuals=tuple(float(r) for r in resid),
+        residuals=tuple(resid),
         tol=tol,
         invariant_set=tuple(detected),
         verdict=verdict,
@@ -177,22 +173,26 @@ def group_closure_check(
 ) -> bool:
     """Verify the detected set is closed under negation and addition mod L.
 
-    For every pair z, z' in the detected set, z + z' (always again a grid
-    point) must carry residual below 10*tol; likewise -z.  Returns False on
-    the first violation.
+    Works on the classes of the grid points in Z_r x Z_r, r the refinement:
+    a class counts as invariant when every grid point in it has residual
+    below 10*tol.  For every pair of detected classes c, c', the classes
+    -c and c + c' must be invariant.
     """
-    L = sys.L
-    idx = {p: r for p, r in zip(report.tested_points, report.residuals)}
-    det = list(report.invariant_set)
-    for (t1, m1) in det:
-        neg = ((-t1) % L, (-m1) % L)
-        if idx.get(neg, np.inf) >= 10 * tol:
-            return False
-        for (t2, m2) in det:
-            s = ((t1 + t2) % L, (m1 + m2) % L)
-            if idx.get(s, np.inf) >= 10 * tol:
-                return False
-    return True
+    r = report.refinement
+
+    def classes(points) -> set:  # grid point (i a/r, j b/r) -> (i mod r, j mod r)
+        return {(t * r // sys.a % r, m * r // sys.b % r) for t, m in points}
+
+    if not set(report.invariant_set) <= set(report.tested_points):
+        return False
+    failing = [p for p, v in zip(report.tested_points, report.residuals) if v >= 10 * tol]
+    invariant = classes(report.tested_points) - classes(failing)
+    det = classes(report.invariant_set)
+    return all(
+        ((-i) % r, (-j) % r) in invariant
+        and all(((i + k) % r, (j + l) % r) in invariant for k, l in det)
+        for i, j in det
+    )
 
 
 @dataclass(frozen=True)
@@ -522,13 +522,10 @@ def gaussian_corollary_scenario(
     g = periodized_gaussian(L, c)
     sys = FiniteGaborSystem(L, a, b, g)
     _validate_nu(sys, nu)
-    if refinement < 1 or gcd(a, b) % refinement:
-        raise InvalidRefinement(
-            f"refinement must divide gcd(a, b) = {gcd(a, b)}, got {refinement}"
-        )
+    _validate_refinement(sys, refinement)
     an = analyze_system(sys, rank_tol)
     crit = _criteria(an, nu, tol)
-    scan = scan_invariance(sys, refinement, tol, rank_tol)
+    scan = _scan(an, refinement, tol)
     table = tuple((k, l, float(v)) for (k, l), v in np.ndenumerate(crit.adjoint_inner_products))
 
     ips = tf_inner_products(an.dual.gamma, g, a, b)  # <gamma, pi(k a, l b) g>

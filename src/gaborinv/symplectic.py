@@ -105,6 +105,15 @@ def _inv_mod(x: int, L: int) -> int:
     return pow(x % L, -1, L)
 
 
+# the left multiplications of `_factor_words`: name -> (matrix, name of the inverse)
+_REDUCTIONS = {
+    "L": (lambda c: [[1, 0], [c, 1]], "L"),
+    "U": (lambda u: [[1, u], [0, 1]], "U"),
+    "J": (lambda: [[0, -1], [1, 0]], "Jinv"),
+    "Jinv": (lambda: [[0, 1], [-1, 0]], "J"),
+}
+
+
 def _factor_words(B: np.ndarray, L: int) -> list[tuple]:
     """Factor B in SL(2, Z_L) into J's and lower shears.
 
@@ -124,24 +133,9 @@ def _factor_words(B: np.ndarray, L: int) -> list[tuple]:
 
     def lmul(op, *args):
         nonlocal M
-        if op == "L":
-            (c,) = args
-            T = np.array([[1, 0], [c, 1]], dtype=np.int64)
-            inv = ("L", (-c) % L)
-        elif op == "U":
-            (u,) = args
-            T = np.array([[1, u], [0, 1]], dtype=np.int64)
-            inv = ("U", (-u) % L)
-        elif op == "J":
-            T = np.array([[0, -1], [1, 0]], dtype=np.int64)
-            inv = ("Jinv",)
-        elif op == "Jinv":
-            T = np.array([[0, 1], [-1, 0]], dtype=np.int64)
-            inv = ("J",)
-        else:
-            raise AssertionError(op)
-        M = (T @ M) % L
-        word.append(inv)
+        matrix, inverse = _REDUCTIONS[op]
+        M = (np.array(matrix(*args), dtype=np.int64) @ M) % L
+        word.append((inverse, *((-x) % L for x in args)))
 
     # make the bottom-left entry invertible mod L
     if gcd(int(M[1, 0]), L) != 1:
@@ -165,7 +159,7 @@ def _factor_words(B: np.ndarray, L: int) -> list[tuple]:
     lmul("L", (-w) % L)
     lmul("U", winv % L)
     if not np.array_equal(M, np.eye(2, dtype=np.int64)):
-        raise AssertionError(f"factorization failed, residue {M}")
+        raise NotSymplectic(f"factorization failed, residue {M.tolist()}")
 
     out: list[tuple] = []
     for op in word:

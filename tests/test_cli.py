@@ -211,6 +211,14 @@ def _console_script_target():
         return tomllib.load(fh)["project"]["scripts"]["gaborinv"]
 
 
+def _child_env() -> dict:
+    """The environment of a child process that imports the same gaborinv package as this suite."""
+    src_dir = Path(gaborinv.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_dir), env.get("PYTHONPATH")]))
+    return env
+
+
 def _check_reduce_run(proc):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["d"] == 2
@@ -220,12 +228,6 @@ class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         """The declared entry point, started as the installed wrapper starts it."""
         module, _, attr = _console_script_target().partition(":")
-        # The child imports the same gaborinv package as this suite.
-        src_dir = Path(gaborinv.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(src_dir), env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [
                 sys.executable, "-c",
@@ -235,7 +237,7 @@ class TestConsoleScript:
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env=env,
+            env=_child_env(),
         )
         _check_reduce_run(proc)
 
@@ -250,17 +252,42 @@ class TestConsoleScript:
 
 
 class TestDeterminism:
-    def test_criteria_byte_identical(self, tmp_path, capsys):
-        args = [
-            "criteria", "--L", "120", "--a", "12", "--b", "12",
-            "--nu", "2", "--window", "gaussian",
-        ]
+    @pytest.mark.parametrize(
+        "args, files",
+        [
+            (
+                ["criteria", "--L", "120", "--a", "12", "--b", "12", "--nu", "2", "--window", "gaussian"],
+                ("criteria_result.json", "orthogonality_table.csv"),
+            ),
+            (
+                ["scan", "--L", "120", "--a", "12", "--b", "12", "--window", "gaussian", "--refinement", "4"],
+                ("scan_result.json",),
+            ),
+            (
+                ["gaussian", "--L", "120", "--a", "12", "--b", "12", "--refinement", "4"],
+                ("gaussian_result.json", "orthogonality_table.csv"),
+            ),
+        ],
+        ids=["criteria", "scan", "gaussian"],
+    )
+    def test_rerun_byte_identical(self, tmp_path, capsys, args, files):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         assert main(args + ["--output-dir", str(d1)]) == 0
         assert main(args + ["--output-dir", str(d2)]) == 0
         capsys.readouterr()
-        for name in ("criteria_result.json", "orthogonality_table.csv"):
+        for name in files:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
         m1 = json.loads((d1 / "run_manifest.json").read_text())
         m2 = json.loads((d2 / "run_manifest.json").read_text())
         assert m1["config"] == m2["config"] or m1["config"]["output_dir"] != m2["config"]["output_dir"]
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    """scipy.spatial, most of the import time, loads only for the equidistribution diagnostic."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gaborinv.cli; print('scipy.spatial' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.stdout.strip() == "False", proc.stderr

@@ -21,7 +21,7 @@ from gaborinv.density import (
     pointset_from_json,
     pointset_to_json,
 )
-from gaborinv.errors import InvalidMatrix, InvalidModulus
+from gaborinv.errors import InvalidMatrix, InvalidModulus, InvalidParameter
 from gaborinv.lattice import SeparableLattice
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -96,6 +96,13 @@ class TestCountInBox:
 
     def test_boundary_points_count_as_inside(self):
         assert count_in_box(LatticePoints(np.eye(2)), (0, 0), 1.0) == 9
+
+    def test_boundary_columns_at_large_radius(self):
+        # near 1e9 the rounding of R / (1/7) is 1e-7, far above the 1e-9 fuzz
+        spec = LatticePoints(np.diag([1 / 7, 0.7]))
+        for k in range(980_000_000, 980_000_200):
+            expected = (2 * k + 1) * (2 * (10 * k // 49) + 1)
+            assert spec.count_in_box((0, 0), k * (1 / 7)) == expected, k
 
 
 class TestLowerDensity:
@@ -221,6 +228,11 @@ class TestIntervalCounts:
         lo, hi, got = interval_count_bounds(beta, R)
         assert (lo, hi) == (beta * R - 1, beta * R + 1)
         assert got == exact == 11
+
+    def test_radius_inside_the_fuzz_is_a_typed_error(self):
+        # the fuzz counts the point 10, beyond the upper bound beta*R + 1
+        with pytest.raises(InvalidParameter):
+            interval_count_bounds(1.0, 10 - 5e-10)
 
 
 class TestEquidistribution:

@@ -193,7 +193,7 @@ class TestCanonicalDual:
         sys = FiniteGaborSystem(60, 6, 10, g)
         S = frame_operator_direct(sys)
         dual = canonical_dual(sys)
-        assert np.linalg.norm(S @ dual.S_pinv @ g - g) < 1e-8
+        assert np.linalg.norm(S @ dual.gamma - g) < 1e-8
 
     def test_zero_window_rejected(self):
         sys = FiniteGaborSystem(8, 4, 4, np.zeros(8))
@@ -268,7 +268,6 @@ def test_fibred_analysis_matches_dense_eigh(sys):
 
     dual = canonical_dual(sys)
     assert np.linalg.norm(dual.gamma - S_pinv @ sys.window) <= tol * np.linalg.norm(dual.gamma)
-    assert np.linalg.norm(dual.S_pinv - S_pinv) <= tol * np.linalg.norm(S_pinv)
     assert dual.span.rank == rank
     assert np.linalg.norm(dual.span.projector() - Vk @ Vk.conj().T) <= tol * np.sqrt(rank)
 

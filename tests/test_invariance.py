@@ -1,7 +1,12 @@
 """Invariance scans, the duality criteria engine, and the Gaussian scenario."""
 
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_gabor import fibred_systems
 
 from gaborinv.errors import (
     DegenerateInput,
@@ -10,15 +15,18 @@ from gaborinv.errors import (
     NotFrameSequence,
     NotUndersampled,
     ZeroInput,
+    ZeroWindow,
 )
 from gaborinv.gabor import (
     FiniteGaborSystem,
+    frame_operator_direct,
     gabor_matrix,
     orthonormal_range,
     periodized_gaussian,
     tf_shift,
 )
 from gaborinv.invariance import (
+    GAP_FACTOR,
     criteria_engine,
     dft_vector_relation,
     gaussian_corollary_scenario,
@@ -111,6 +119,56 @@ class TestScan:
     def test_refinement_must_divide(self):
         with pytest.raises(InvalidRefinement):
             scan_invariance(gaussian_system(), refinement=5)
+
+    def test_zero_window_rejected(self):
+        with pytest.raises(ZeroWindow):
+            scan_invariance(FiniteGaborSystem(8, 4, 4, np.zeros(8)), refinement=2)
+
+
+@st.composite
+def scanned_systems(draw):
+    sys = draw(fibred_systems())
+    g = gcd(sys.a, sys.b)
+    return sys, draw(st.sampled_from([r for r in range(1, g + 1) if g % r == 0]))
+
+
+def dense_scan(sys, refinement, tol=1e-6, rank_tol=1e-8):
+    """Every grid point's residual against the span of eigh(S), cut at
+    rank_tol * lambda_max, and the verdict read from them."""
+    L, a, b = sys.L, sys.a, sys.b
+    lam, V = np.linalg.eigh(frame_operator_direct(sys))
+    keep = lam > rank_tol * lam[-1]
+    Q = V[:, keep]
+    points = [(t, m) for t in range(0, L, a // refinement) for m in range(0, L, b // refinement)]
+    cols = np.stack([tf_shift(sys.window, t, m) for t, m in points], axis=1)
+    resid = np.linalg.norm(cols - Q @ (Q.conj().T @ cols), axis=0) / np.linalg.norm(sys.window)
+    detected = [p for p, v in zip(points, resid) if v < tol]
+    if np.any((resid >= tol) & (resid <= GAP_FACTOR * tol)):
+        verdict, m = "inconclusive", None
+    elif len(detected) == len(points) and keep.sum() == L:
+        verdict, m = "spans_everything", None
+    else:
+        verdict = "subset_of_refined_lattice"
+        m = next(
+            m for m in range(1, refinement + 1)
+            if refinement % m == 0 and all(t * m % a == 0 and f * m % b == 0 for t, f in detected)
+        )
+    return points, resid, detected, verdict, m, lam[-1] / lam[keep][0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scanned_systems())
+def test_scan_matches_dense_oracle(case):
+    """The r^2-class residual table against a residual per grid point."""
+    sys, r = case
+    points, resid, detected, verdict, m, kappa = dense_scan(sys, r)
+    rep = scan_invariance(sys, r)
+    assert rep.tested_points == tuple(points)
+    err = 10 * sys.L * np.finfo(float).eps * kappa
+    np.testing.assert_allclose(rep.residuals, resid, rtol=0, atol=err)
+    # a residual within a factor 10 of a threshold may fall either side of it
+    if all(v < c / 10 or v > 10 * c for v in resid for c in (rep.tol, GAP_FACTOR * rep.tol)):
+        assert (rep.invariant_set, rep.verdict, rep.verdict_m) == (tuple(detected), verdict, m)
 
 
 class TestGroupClosure:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaborinv import symplectic
 from gaborinv.errors import NotSymplectic, UnsupportedLength, UnsupportedTransport
 from gaborinv.gabor import (
     FiniteGaborSystem,
@@ -57,6 +58,12 @@ class TestConstruction:
         # det = 2**60 + 1 = 2 (mod 3); as a float it rounds to 2**60 = 1 (mod 3)
         with pytest.raises(NotSymplectic):
             metaplectic_from_generators([[2**30, 1], [-1, 2**30]], 3)
+
+    def test_failed_factorization_is_a_typed_error(self, monkeypatch):
+        # a wrong generator leaves a residue; the final check must raise, not assert
+        monkeypatch.setitem(symplectic._REDUCTIONS, "U", (lambda u: [[1, 0], [0, 1]], "U"))
+        with pytest.raises(NotSymplectic):
+            metaplectic_from_generators([[2, 1], [1, 1]], 7)
 
     def test_even_length_rejected_for_shears(self):
         with pytest.raises(UnsupportedLength):
