@@ -179,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_window(args) -> np.ndarray:
-    """The --window signal; ArgumentTypeError for a bad name or unreadable file."""
+    """The --window signal; ArgumentTypeError for a bad name, file or row."""
     name = args.window
     if name.startswith("@"):
         try:
             return serialize.load_signal_csv(name[1:])
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise argparse.ArgumentTypeError(f"cannot read window file: {exc}") from exc
     if name not in ("gaussian", "gaussian-sum", "periodic-gaussian"):
         raise argparse.ArgumentTypeError(f"unknown window {name!r}")
@@ -217,6 +217,15 @@ def _finish(args, payload: dict, constants: dict, outdir: Path) -> str:
     return text
 
 
+def _write_orthogonality_table(outdir: Path, inner: np.ndarray) -> None:
+    """|<pi(k L/b, l L/a) gamma, g>| as rows k, l, value."""
+    with open(outdir / "orthogonality_table.csv", "w", newline="") as fh:
+        cw = csv.writer(fh)
+        cw.writerow(["k", "l", "abs_inner_product"])
+        for (k, l), v in np.ndenumerate(inner):
+            cw.writerow([k, l, repr(float(v))])
+
+
 def _cmd_reduce(args, outdir: Path) -> int:
     res = lattice.reduce_invariant_shift(args.a, args.b, args.r, args.s, args.m)
     _finish(args, res.to_json_dict(), {}, outdir)
@@ -246,11 +255,7 @@ def _cmd_criteria(args, outdir: Path) -> int:
     w = _build_window(args)
     sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
     rep = invariance.criteria_engine(sys_, args.nu, args.tol, args.rank_tol)
-    with open(outdir / "orthogonality_table.csv", "w", newline="") as fh:
-        cw = csv.writer(fh)
-        cw.writerow(["k", "l", "abs_inner_product"])
-        for (k, l), v in np.ndenumerate(rep.adjoint_inner_products):
-            cw.writerow([k, l, repr(float(v))])
+    _write_orthogonality_table(outdir, rep.adjoint_inner_products)
     _finish(args, rep.to_json_dict(), {"cross_frame_constant": rep.constant}, outdir)
     return 0 if rep.verdict_consistent else VERDICT_NEGATIVE
 
@@ -301,11 +306,7 @@ def _cmd_gaussian(args, outdir: Path) -> int:
     rep = invariance.gaussian_corollary_scenario(
         args.L, args.a, args.b, args.c, args.nu, args.refinement, args.tol, args.rank_tol
     )
-    with open(outdir / "orthogonality_table.csv", "w", newline="") as fh:
-        cw = csv.writer(fh)
-        cw.writerow(["k", "l", "abs_inner_product"])
-        for k, l, v in rep.orthogonality_table:
-            cw.writerow([k, l, repr(v)])
+    _write_orthogonality_table(outdir, rep.criteria.adjoint_inner_products)
     _finish(
         args,
         rep.to_json_dict(),

@@ -15,7 +15,9 @@ corresponds to a*b/L.
 S = D D^H couples n only with n + j L/b (Walnut 1992; Zibulski & Zeevi 1997):
 on each fibre {r + j L/b : j < b} it is the b x b block (L/b) Z_r Z_r^H with
 Z_r[j, k] = g[r + j L/b - k a], so S is factored as L/b blocks, never as an
-L x L matrix.  Matrices are never mutated and all functions are pure.
+L x L matrix.  The Walnut and Janssen forms are scattered from these blocks
+and from the inner-product table, and the windows pi(t_i, m_i) f are one
+gather (`tf_shifts`).  Matrices are never mutated and all functions are pure.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "DualWindowResult",
     "SystemAnalysis",
     "tf_shift",
+    "tf_shifts",
     "shift_operator",
     "gabor_matrix",
     "frame_operator_direct",
@@ -59,6 +62,13 @@ def tf_shift(f: np.ndarray, t: int, m: int) -> np.ndarray:
     L = f.shape[0]
     n = np.arange(L)
     return np.roll(np.exp(2j * np.pi * (m % L) * n / L) * f, t % L)
+
+
+def tf_shifts(f: np.ndarray, t, m) -> np.ndarray:
+    """Columns pi(t_i, m_i) f for integer arrays t, m (broadcast), one gather."""
+    L = f.shape[0]
+    idx = (np.arange(L)[:, None] - t) % L
+    return f[idx] * np.exp(2j * np.pi * np.arange(L) / L)[np.asarray(m) * idx % L]
 
 
 def shift_operator(L: int, t: int, m: int) -> np.ndarray:
@@ -196,22 +206,16 @@ def frame_operator_walnut(
 
     G_q[n] = sum_{k=0}^{N-1} g[n - k a] conj(g[n - q L/b - k a]); the result
     equals `frame_operator_direct` up to rounding (the scale L/b is the
-    finite counterpart of 1/beta).
+    finite counterpart of 1/beta).  S is scattered from its Walnut blocks
+    (L/b) Z_r Z_r^H, and G_q[n] = S[n, n - q L/b] / (L/b) is read back.
     """
-    L, a, b, g = sys.L, sys.a, sys.b, sys.window
-    N = L // a
-    step = L // b
-    G = np.empty((b, L), dtype=complex)
-    shifts = np.stack([np.roll(g, k * a) for k in range(N)])  # (N, L)
-    for q in range(b):
-        G[q] = np.einsum("kn,kn->n", shifts, np.conj(np.roll(shifts, q * step, axis=1)))
+    L, b, P, n = sys.L, sys.b, sys.n_freq, np.arange(sys.L)
+    Z = walnut_fibres(sys.window, sys.a, b)
+    rows = n.reshape(b, P).T  # rows[r, j] = r + j P
     S = np.zeros((L, L), dtype=complex)
-    eye = np.eye(L)
-    for q in range(b):
-        # diag(G_q) @ T_{q step}; rolling rows down by s realizes T_s
-        S += G[q][:, None] * np.roll(eye, q * step, axis=0)
-    scale = L / b
-    return scale * S, WalnutCoefficients(G=G, scale=scale)
+    S[rows[:, :, None], rows[:, None, :]] = P * Z @ Z.conj().swapaxes(1, 2)
+    G = S[n, (n - np.arange(b)[:, None] * P) % L] / P
+    return S, WalnutCoefficients(G=G, scale=float(P))
 
 
 def orthonormal_range(
@@ -225,19 +229,13 @@ def orthonormal_range(
     return SubspaceBasis(U[:, :r], rank_tol)
 
 
-def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
-
-
 def walnut_fibres(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
     """Z[r, j, k] = g[r + j P - k t_step] with P = L/f_step, one index gather.
 
     The frame operator of the system (t_step, f_step) restricted to the fibre
     {r + j P : j < f_step} is P * Z[r] Z[r]^H, and it vanishes between fibres.
-    The fibre of a signal x is x.reshape(f_step, P).T[r].
+    The fibre of a signal x is x.reshape(f_step, P).T[r].  A stack of
+    windows g[:, i] gives Z[r, j, k, i], the fibres of the union of their systems.
     """
     L = g.shape[0]
     r, j, k = np.ogrid[: L // f_step, :f_step, : L // t_step]
@@ -345,11 +343,7 @@ def cross_frame_operator(
 
 
 def janssen_representation(
-    gamma: np.ndarray,
-    g: np.ndarray,
-    t_step: int,
-    f_step: int,
-    coefficient_cutoff: float = 0.0,
+    gamma: np.ndarray, g: np.ndarray, t_step: int, f_step: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Expand S_{gamma,g} over the adjoint lattice (L/f_step, L/t_step).
 
@@ -358,8 +352,9 @@ def janssen_representation(
         S = constant * sum_{m,n} <g, pi(m L/f_step, n L/t_step) gamma> pi(...),
 
     constant = L/(t_step*f_step), the finite counterpart of alpha*beta/nu.
-    The (f_step, t_step) coefficient array is returned for decay inspection;
-    terms with |coefficient| <= coefficient_cutoff are skipped.
+    The (f_step, t_step) coefficient array is returned for decay inspection.
+    The terms with time shift m L/f_step fill the diagonal n -> n + m L/f_step
+    of S, whose entries are the coefficients' row m times a phase table.
     """
     gamma = np.asarray(gamma, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -370,12 +365,13 @@ def janssen_representation(
         )
     tau, phi = L // f_step, L // t_step  # adjoint steps: time tau, frequency phi
     constant = L / (t_step * f_step)
-    S = np.zeros((L, L), dtype=complex)
     coef = tf_inner_products(g, gamma, tau, phi)  # <g, pi(m tau, n phi) gamma>
-    for (m, n), c in np.ndenumerate(coef):
-        if abs(c) > coefficient_cutoff:
-            S += c * shift_operator(L, m * tau, n * phi)
-    return constant * S, coef, constant
+    n = np.arange(L)
+    # pi(m tau, k phi)[n + m tau, n] = exp(2 pi i k n / t_step)
+    phases = np.exp(2j * np.pi * (np.arange(t_step)[:, None] * n % t_step) / t_step)
+    S = np.zeros((L, L), dtype=complex)
+    S[(n + np.arange(f_step)[:, None] * tau) % L, n] = constant * (coef @ phases)
+    return S, coef, constant
 
 
 def periodized_gaussian(L: int, c: float) -> np.ndarray:
@@ -418,9 +414,7 @@ def support_space(
         raise InvalidLattice(f"time step must divide L: L={L}, a={a}")
     if not np.any(g):
         raise ZeroWindow("window is zero")
-    h = np.zeros(L)
-    for k in range(L // a):
-        h += np.abs(np.roll(g, k * a)) ** 2
+    h = np.tile((np.abs(g) ** 2).reshape(L // a, a).sum(axis=0), L // a)
     idx = np.nonzero(h > tol * h.max())[0]
     cols = np.zeros((L, idx.size), dtype=complex)
     cols[idx, np.arange(idx.size)] = 1.0

@@ -36,12 +36,10 @@ from .gabor import (
     SubspaceBasis,
     SystemAnalysis,
     analyze_system,
-    canonical_dual,
-    cross_frame_operator,
-    numerical_rank,
     periodized_gaussian,
     tf_inner_products,
     tf_shift,
+    tf_shifts,
     walnut_fibres,
 )
 
@@ -137,9 +135,7 @@ def _scan(an: SystemAnalysis, refinement: int, tol: float) -> InvarianceReport:
     # classes (i a/r, j b/r), i, j < r, and each grid point reads its class.
     sys, r, g, Q = an.system, refinement, an.system.window, an.dual.span.columns
     L, st, sf = sys.L, sys.a // refinement, sys.b // refinement
-    t_cls, m_cls = np.repeat(np.arange(r) * st, r), np.tile(np.arange(r) * sf, r)
-    idx = (np.arange(L)[:, None] - t_cls) % L  # column i is pi(t_i, m_i) g
-    cols = g[idx] * np.exp(2j * np.pi * np.arange(L) / L)[m_cls * idx % L]
+    cols = tf_shifts(g, np.repeat(np.arange(r) * st, r), np.tile(np.arange(r) * sf, r))
     cols -= Q @ (Q.conj().T @ cols)
     table = (np.linalg.norm(cols, axis=0) / np.linalg.norm(g)).reshape(r, r)
 
@@ -311,6 +307,23 @@ def criteria_engine(
     return _criteria(analyze_system(sys, rank_tol), nu, tol)
 
 
+def _slice_blocks(an: SystemAnalysis, nu: int):
+    """W, the blocks of P, the phases d and the fibres of P M_{s L/a} g on the
+    a/nu Walnut fibres {r + j a/nu : j < n} of the slice L_0, the system
+    (L/b, nu L/a).  On a fibre M_{s L/a} is the constant phase e^{2 pi i s r/a}
+    (left out of the fibres of P M_{s L/a} g) times d_s[j] = exp(2 pi i s j / nu),
+    so L_s has the blocks d_s Q_r, K [d_s W_r]_s, and P_s d_s P_r d_s^*.
+    """
+    sys, g = an.system, an.system.window
+    L, a, b = sys.L, sys.a, sys.b
+    n = nu * (L // a)
+    W = walnut_fibres(g, L // b, n)
+    P = (L / (nu * b)) * W @ walnut_fibres(an.dual.gamma, L // b, n).conj().swapaxes(1, 2)
+    d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
+    images = np.einsum("rij,srj->sri", P, d[:, None, :] * g.reshape(n, -1).T)
+    return W, P, d, images
+
+
 def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
     sys, g, rank_tol = an.system, an.system.window, an.rank_tol
     L, a, b = sys.L, sys.a, sys.b
@@ -319,17 +332,9 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
     inner = np.abs(tf_inner_products(g, gamma, L // b, L // a))
     res_iv = float(inner[:, np.arange(a) % nu != 0].max())
 
-    # The rest splits over the a/nu Walnut fibres {r + j a/nu : j < n} of the
-    # slice L_0, the system (L/b, nu L/a).  On a fibre M_{s L/a} is a constant
-    # phase times d_s[j] = exp(2 pi i s j / nu), so L_s has the blocks d_s Q_r,
-    # K the stacked blocks [d_s W_r]_s, and P_s the blocks d_s P_r d_s^*.
-    n = nu * (L // a)
-    W = walnut_fibres(g, L // b, n)
-    P = (L / (nu * b)) * W @ walnut_fibres(gamma, L // b, n).conj().swapaxes(1, 2)
-    d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
-    gf, gammaf = g.reshape(n, -1).T, gamma.reshape(n, -1).T
-
-    images = np.einsum("rij,srj->sri", P, d[:, None, :] * gf)  # P M_{s L/a} g
+    # the rest is read from the Walnut blocks of the slice L_0
+    W, P, d, images = _slice_blocks(an, nu)
+    gf, gammaf = g.reshape(d.shape[1], -1).T, gamma.reshape(d.shape[1], -1).T
     images[0] -= gf
     res_ii = [float(np.linalg.norm(x) / np.linalg.norm(g)) for x in images]
 
@@ -401,29 +406,14 @@ def dft_vector_relation(
     identity is unconditional -- it holds whether or not the criteria do.
     """
     _validate_nu(sys, nu)
-    L, a, b = sys.L, sys.a, sys.b
-    g = sys.window
-    dual = canonical_dual(sys, rank_tol)
-    gamma, spanG = dual.gamma, dual.span
-    constant = a * b / L
-    P = cross_frame_operator(gamma, g, L // b, nu * (L // a)) / constant
-    PG = spanG.projector()
-
-    v = []
-    u = []
-    for s in range(nu):
-        x = P @ tf_shift(g, 0, s * (L // a))
-        v.append(tf_shift(x, 0, (-s * (L // a)) % L))
-        y = PG @ tf_shift(g, s * (a // nu), 0)
-        u.append(tf_shift(y, (-s * (a // nu)) % L, 0))
-    omega = np.exp(2j * np.pi / nu)
-    Fu = [
-        sum(omega ** (s * r) * u[r] for r in range(nu)) / np.sqrt(nu)
-        for s in range(nu)
-    ]
-    num = np.sqrt(sum(np.linalg.norm(Fu[s] - np.sqrt(nu) * v[s]) ** 2 for s in range(nu)))
-    den = np.sqrt(sum(np.linalg.norm(x) ** 2 for x in u))
-    return float(num / den)
+    an = analyze_system(sys, rank_tol)
+    L, shifts = sys.L, np.arange(nu) * (sys.a // nu)
+    _, _, d, images = _slice_blocks(an, nu)
+    v = (d.conj()[:, None, :] * images).swapaxes(1, 2).reshape(nu, L)
+    y = an.dual.span.project(tf_shifts(sys.window, shifts, 0))
+    u = y[(np.arange(L)[:, None] + shifts) % L, np.arange(nu)].T
+    Fu = np.sqrt(nu) * np.fft.ifft(u, axis=0)
+    return float(np.linalg.norm(Fu - np.sqrt(nu) * v) / np.linalg.norm(u))
 
 
 def small_shift_completeness(
@@ -434,21 +424,25 @@ def small_shift_completeness(
 ) -> bool:
     """Does the group generated by two independent shifts span everything?
 
-    Builds the subgroup {j v1 + k v2 mod L} and tests whether
-    {pi(z) g : z in subgroup} has full rank L.
+    H = {j v1 + k v2 mod L} contains dZ_L x dZ_L, d = gcd(det, L), so the
+    pi(z) g, z in H, span what the system (d, d) spans with the windows pi(c) g
+    for the n_cls = d / gcd(det/d, v1, v2, d) classes c = j v1 + k v2 of H mod d,
+    j below the order o1 of v1 mod d and k < n_cls/o1.  The Walnut blocks of
+    that union must keep L singular values above rank_tol * s_max.
     """
-    v1 = (int(v1[0]), int(v1[1]))
-    v2 = (int(v2[0]), int(v2[1]))
-    if v1[0] * v2[1] - v1[1] * v2[0] == 0:
-        raise DegenerateInput(f"shift vectors {v1}, {v2} are collinear")
+    (x1, y1), (x2, y2) = (int(v1[0]), int(v1[1])), (int(v2[0]), int(v2[1]))
+    det = x1 * y2 - y1 * x2
+    if det == 0:
+        raise DegenerateInput(f"shift vectors {(x1, y1)}, {(x2, y2)} are collinear")
     L = sys.L
-    pts = set()
-    for j in range(L):
-        base = ((j * v1[0]) % L, (j * v1[1]) % L)
-        for k in range(L):
-            pts.add(((base[0] + k * v2[0]) % L, (base[1] + k * v2[1]) % L))
-    cols = np.array([tf_shift(sys.window, t, m) for (t, m) in sorted(pts)]).T
-    return numerical_rank(cols, rank_tol) == L
+    d = gcd(det, L)
+    n_cls = d // gcd(det // d, x1, y1, x2, y2, d)
+    o1 = d // gcd(x1, y1, d)
+    V = np.array([[x1 % d, x2 % d], [y1 % d, y2 % d]])
+    t, m = V @ np.stack(np.divmod(np.arange(n_cls), n_cls // o1)) % d
+    Z = walnut_fibres(tf_shifts(sys.window, t, m), d, d)
+    s = np.linalg.svd(Z.reshape(L // d, d, -1), compute_uv=False)
+    return int(np.sum(s > rank_tol * s.max())) == L
 
 
 @dataclass(frozen=True)

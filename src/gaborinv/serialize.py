@@ -46,7 +46,13 @@ def save_signal_csv(path: PathLike, signal: np.ndarray) -> None:
 def load_signal_csv(path: PathLike) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    data = sorted((int(r[0]), float(r[1]), float(r[2])) for r in rows[1:])
+    data = []
+    for i, r in enumerate(rows[1:], start=2):
+        try:
+            data.append((int(r[0]), float(r[1]), float(r[2])))
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: row {i} needs index, real, imag, got {r}") from exc
+    data.sort()
     return np.array([re + 1j * im for _, re, im in data])
 
 

@@ -25,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NotSymplectic, UnsupportedLength, UnsupportedTransport
-from .gabor import FiniteGaborSystem, shift_operator, tf_shift
+from .gabor import FiniteGaborSystem, shift_operator, tf_shifts
 
 __all__ = [
     "MetaplecticOperator",
@@ -226,8 +226,7 @@ class GeneralGaborSystem:
     window: np.ndarray
 
     def system_matrix(self) -> np.ndarray:
-        cols = [tf_shift(self.window, t, m) for (t, m) in self.points]
-        return np.array(cols).T
+        return tf_shifts(self.window, *np.array(self.points).T)
 
 
 def transport_system(op: MetaplecticOperator, sys: FiniteGaborSystem):
@@ -242,16 +241,11 @@ def transport_system(op: MetaplecticOperator, sys: FiniteGaborSystem):
             f"operator length {op.L} != system length {sys.L}"
         )
     L = sys.L
-    pts = set()
-    for k in range(sys.n_time):
-        for l in range(sys.n_freq):
-            v = op.matrix @ np.array([k * sys.a, l * sys.b], dtype=np.int64)
-            pts.add((int(v[0]) % L, int(v[1]) % L))
+    k, l = np.divmod(np.arange(sys.n_time * sys.n_freq), sys.n_freq)
+    t, m = (op.matrix @ np.stack([k * sys.a, l * sys.b]) % L).tolist()
+    pts = set(zip(t, m))
     new_window = op.unitary @ sys.window
-    gt = gcd(L, *(p[0] for p in pts))
-    gf = gcd(L, *(p[1] for p in pts))
-    at = gt if gt > 0 else L
-    bf = gf if gf > 0 else L
+    at, bf = gcd(L, *t), gcd(L, *m)
     if len(pts) == (L // at) * (L // bf):
         return FiniteGaborSystem(L, at, bf, new_window)
     return GeneralGaborSystem(L, tuple(sorted(pts)), new_window)

@@ -130,9 +130,14 @@ class TestCriteria:
 
     @pytest.mark.parametrize(
         "window, message",
-        [("bogus", "unknown window 'bogus'"), ("@{}/missing.csv", "No such file or directory")],
+        [
+            ("bogus", "unknown window 'bogus'"),
+            ("@{}/missing.csv", "No such file or directory"),
+            ("@{}/one_column.csv", "row 2 needs index, real, imag"),
+        ],
     )
     def test_bad_window_is_parse_error(self, tmp_path, capsys, window, message):
+        (tmp_path / "one_column.csv").write_text("index\n0\n1\n")
         code = run(
             tmp_path, "criteria", "--L", "16", "--a", "4", "--b", "4",
             "--nu", "2", "--window", window.format(tmp_path),

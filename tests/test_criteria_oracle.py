@@ -19,7 +19,6 @@ from gaborinv.cli import _build_window
 from gaborinv.gabor import (
     FiniteGaborSystem,
     cross_frame_operator,
-    numerical_rank,
     orthonormal_range,
     periodized_gaussian,
     shift_operator,
@@ -37,6 +36,11 @@ WINDOWS = ("gaussian", "gaussian-sum", "periodic-gaussian")  # the CLI's builtin
 
 def builtin_window(L, a, nu, name):
     return _build_window(SimpleNamespace(window=name, L=L, a=a, nu=nu, c=math.pi))
+
+
+def numerical_rank(A, rank_tol):
+    s = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
 
 
 def divisors(n):

@@ -250,7 +250,13 @@ def fibre_window(L, kind, seed):
 @example(FiniteGaborSystem(72, 12, 12, fibre_window(72, "short", 3)))  # a*b > L, gcd 6
 def test_fibred_analysis_matches_dense_eigh(sys):
     """Walnut-block analysis against eigh of the dense frame operator."""
-    lam, V = np.linalg.eigh(frame_operator_direct(sys))
+    S = frame_operator_direct(sys)
+    S_walnut, coeffs = frame_operator_walnut(sys)
+    np.testing.assert_allclose(S_walnut, S, rtol=0, atol=1e-13 * np.abs(S).max())
+    n, P = np.arange(sys.L), sys.n_freq
+    G = S[n, (n - np.arange(sys.b)[:, None] * P) % sys.L] / P  # S[n, n - q L/b] = (L/b) G_q[n]
+    np.testing.assert_allclose(coeffs.G, G, rtol=0, atol=1e-13 * np.abs(G).max())
+    lam, V = np.linalg.eigh(S)
     keep = lam > 1e-8 * lam[-1]
     Vk = V[:, keep]
     S_pinv = (Vk / lam[keep]) @ Vk.conj().T

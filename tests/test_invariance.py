@@ -1,12 +1,13 @@
 """Invariance scans, the duality criteria engine, and the Gaussian scenario."""
 
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_gabor import fibred_systems
+from test_gabor import fibred_systems, fibre_window
 
 from gaborinv.errors import (
     DegenerateInput,
@@ -19,6 +20,8 @@ from gaborinv.errors import (
 )
 from gaborinv.gabor import (
     FiniteGaborSystem,
+    canonical_dual,
+    cross_frame_operator,
     frame_operator_direct,
     gabor_matrix,
     orthonormal_range,
@@ -285,8 +288,6 @@ class TestDftVectorRelation:
     def test_swap_sign_substitution_positive_case(self):
         # when v = (g, 0), the inverse DFT forces u = (g, g): every
         # conjugated projection T_{-r a/nu} P_G T_{r a/nu} reproduces g
-        from gaborinv.gabor import canonical_dual
-
         L, a, b, nu = 144, 12, 8, 2
         sys = FiniteGaborSystem(L, a, b, shifted_sum_window(L, a, nu))
         dual = canonical_dual(sys)
@@ -295,6 +296,101 @@ class TestDftVectorRelation:
         for r in range(nu):
             u_r = tf_shift(PG @ tf_shift(g, r * (a // nu), 0), (-r * (a // nu)) % L, 0)
             assert np.linalg.norm(u_r - g) < 1e-8
+
+
+def dense_dft_vector_relation(sys, nu, rank_tol=1e-8):
+    """The identity F_omega u = sqrt(nu) v with P and P_G as dense L x L
+    matrices and every vector built by its own tf_shift."""
+    L, a, b = sys.L, sys.a, sys.b
+    g = sys.window
+    dual = canonical_dual(sys, rank_tol)
+    gamma, spanG = dual.gamma, dual.span
+    constant = a * b / L
+    P = cross_frame_operator(gamma, g, L // b, nu * (L // a)) / constant
+    PG = spanG.projector()
+
+    v = []
+    u = []
+    for s in range(nu):
+        x = P @ tf_shift(g, 0, s * (L // a))
+        v.append(tf_shift(x, 0, (-s * (L // a)) % L))
+        y = PG @ tf_shift(g, s * (a // nu), 0)
+        u.append(tf_shift(y, (-s * (a // nu)) % L, 0))
+    omega = np.exp(2j * np.pi / nu)
+    Fu = [
+        sum(omega ** (s * r) * u[r] for r in range(nu)) / np.sqrt(nu)
+        for s in range(nu)
+    ]
+    num = np.sqrt(sum(np.linalg.norm(Fu[s] - np.sqrt(nu) * v[s]) ** 2 for s in range(nu)))
+    den = np.sqrt(sum(np.linalg.norm(x) ** 2 for x in u))
+    return float(num / den)
+
+
+@st.composite
+def systems_with_nu(draw):
+    sys = draw(fibred_systems().filter(lambda s: s.a > 1))
+    return sys, draw(st.sampled_from([nu for nu in range(2, sys.a + 1) if sys.a % nu == 0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems_with_nu())
+def test_dft_vector_relation_matches_dense_oracle(case):
+    """The identity holds for every system, so both residuals are rounding:
+    of order L eps kappa, the errors of S^+ read through P and P_G."""
+    sys, nu = case
+    lam = np.linalg.eigvalsh(frame_operator_direct(sys))
+    kappa = lam[-1] / lam[lam > 1e-8 * lam[-1]][0]
+    err = 10 * sys.L * np.finfo(float).eps * kappa
+    assert dense_dft_vector_relation(sys, nu) <= err
+    assert dft_vector_relation(sys, nu) <= err
+
+
+def dense_completeness_spectrum(sys, v1, v2):
+    """Singular values of the L x |H| matrix of the pi(z) g, z in the group H
+    that v1 and v2 generate, each built by its own tf_shift."""
+    L = sys.L
+    pts = set()
+    for j in range(L):
+        base = ((j * v1[0]) % L, (j * v1[1]) % L)
+        for k in range(L):
+            pts.add(((base[0] + k * v2[0]) % L, (base[1] + k * v2[1]) % L))
+    cols = np.array([tf_shift(sys.window, t, m) for (t, m) in sorted(pts)]).T
+    return np.linalg.svd(cols, compute_uv=False)
+
+
+@st.composite
+def shift_pairs(draw):
+    """A random, short-support or periodic window at L <= 36 and two shifts,
+    often on a coarse sublattice, so both verdicts occur."""
+    L = draw(st.integers(4, 36))
+    kind = draw(st.sampled_from(("random", "short", "periodic")))
+    g = fibre_window(L, "random" if kind == "periodic" else kind, draw(st.integers(0, 2**32 - 1)))
+    if kind == "periodic":
+        p = draw(st.sampled_from([p for p in range(1, L + 1) if L % p == 0]))
+        g = np.tile(g[:p], L // p)
+    step = draw(st.sampled_from([s for s in range(1, L + 1) if L % s == 0]))
+    v1 = (step * draw(st.integers(-L, L)), step * draw(st.integers(-L, L)))
+    v2 = (step * draw(st.integers(-L, L)), step * draw(st.integers(-L, L)))
+    assume(v1[0] * v2[1] != v1[1] * v2[0])
+    return FiniteGaborSystem(L, L, L, g), v1, v2
+
+
+def parity_window(L, seed):
+    """Random window whose odd samples are 1e-12 of the even ones."""
+    return fibre_window(L, "random", seed) * np.where(np.arange(L) % 2, 1e-12, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shift_pairs())
+# d = 4, L/d = 2: the odd fibre block falls wholly below the global cut
+@example((FiniteGaborSystem(8, 8, 8, parity_window(8, 4)), (2, 0), (0, 2)))
+def test_small_shift_completeness_matches_dense_oracle(case):
+    sys, v1, v2 = case
+    s = dense_completeness_spectrum(sys, v1, v2)
+    cut = 1e-8 * s[0]
+    # a singular value within a factor 10 of the cut may fall either side of it
+    if np.all((s < cut / 10) | (s > 10 * cut)):
+        assert small_shift_completeness(sys, v1, v2) == (np.sum(s > cut) == sys.L)
 
 
 class TestSmallShiftCompleteness:
@@ -314,6 +410,17 @@ class TestSmallShiftCompleteness:
         g[: L // 2] = 1.0 + np.arange(L // 2)
         sys = FiniteGaborSystem(L, 8, 8, g)
         assert not small_shift_completeness(sys, (8, 0), (0, 8))
+
+    def test_all_shifts_stay_small(self):
+        # H is all of Z_L^2: its L^2 columns of length L alone take 13.5 MiB
+        sys = gaussian_system(96, 12, 12)
+        tracemalloc.start()
+        try:
+            assert small_shift_completeness(sys, (1, 0), (0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestGaussianScenario:
