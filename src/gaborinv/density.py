@@ -61,14 +61,13 @@ def _axis_count(step: float, lo: float, hi: float) -> int:
     return int(math.floor(u + _fuzz(u)) - math.ceil(v - _fuzz(v))) + 1
 
 
-def _count_general_lattice(basis: np.ndarray, shift, center, R: float) -> int:
-    """Count basis@k + shift inside center + [-R, R]^2.
+def _count_general_lattice(basis: np.ndarray, center, R: float) -> int:
+    """Count basis@k inside center + [-R, R]^2.
 
     Enumerates k1 over the bounding range of the pulled-back box and counts
     the admissible k2 per k1 from the two closed-form interval constraints.
     """
-    cx = center[0] - shift[0]
-    cy = center[1] - shift[1]
+    cx, cy = center
     binv = np.linalg.inv(basis)
     corners = np.array(
         [[cx - R, cx - R, cx + R, cx + R], [cy - R, cy + R, cy - R, cy + R]]
@@ -79,11 +78,12 @@ def _count_general_lattice(basis: np.ndarray, shift, center, R: float) -> int:
     hi = np.full(k1.shape, np.inf)
     ok = np.ones(k1.shape, dtype=bool)
     for p, q, c in ((basis[0, 0], basis[0, 1], cx), (basis[1, 0], basis[1, 1], cy)):
+        fz = _fuzz(abs(c) + R)
         if q == 0.0:
-            ok &= (p * k1 >= c - R - BOUNDARY_FUZZ) & (p * k1 <= c + R + BOUNDARY_FUZZ)
+            ok &= (p * k1 >= c - R - fz) & (p * k1 <= c + R + fz)
         else:
-            u = (c - R - BOUNDARY_FUZZ - p * k1) / q
-            v = (c + R + BOUNDARY_FUZZ - p * k1) / q
+            u = (c - R - fz - p * k1) / q
+            v = (c + R + fz - p * k1) / q
             lo = np.maximum(lo, np.minimum(u, v))
             hi = np.minimum(hi, np.maximum(u, v))
     counts = np.where(ok & (hi >= lo), np.floor(hi) - np.ceil(lo) + 1, 0.0)
@@ -136,7 +136,7 @@ class LatticePoints(PointSet):
             nx = _axis_count(abs(b[0, 0]), center[0] - R, center[0] + R)
             ny = _axis_count(abs(b[1, 1]), center[1] - R, center[1] + R)
             return nx * ny
-        return _count_general_lattice(b, (0.0, 0.0), center, R)
+        return _count_general_lattice(b, center, R)
 
     def analytic_density(self):
         return 1.0 / abs(np.linalg.det(self.basis))

@@ -15,14 +15,15 @@ corresponds to a*b/L.
 S = D D^H couples n only with n + j L/b (Walnut 1992; Zibulski & Zeevi 1997):
 on each fibre {r + j L/b : j < b} it is the b x b block (L/b) Z_r Z_r^H with
 Z_r[j, k] = g[r + j L/b - k a], so S is factored as L/b blocks, never as an
-L x L matrix.  The Walnut and Janssen forms are scattered from these blocks
-and from the inner-product table, and the windows pi(t_i, m_i) f are one
-gather (`tf_shifts`).  Matrices are never mutated and all functions are pure.
+L x L matrix; the span of the system stays in these blocks (`SubspaceBasis`).
+The Walnut and Janssen forms are scattered from these blocks and from the
+inner-product table, and the windows pi(t_i, m_i) f are one gather
+(`tf_shifts`).  Matrices are never mutated and all functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -136,30 +137,46 @@ class WalnutCoefficients:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal columns spanning a subspace, with the rank tolerance used."""
+    """Orthonormal basis of a subspace of C^L, kept block by block.
 
-    columns: np.ndarray  # (L, r)
+    `blocks` is an (F, n, k) stack with L = F n: row j of block r is signal
+    index r + j F, the layout of `walnut_fibres`, so block r spans the part
+    of the subspace on the fibre {r + j F : j < n}.  The first `ranks[r]`
+    columns of block r are orthonormal and the rest are zero.  A dense
+    L x k basis is the case F = 1.
+    """
+
+    blocks: np.ndarray  # (F, n, k)
     rank_tol: float
+    ranks: np.ndarray = field(init=False, repr=False, compare=False)  # (F,)
 
     def __post_init__(self):
-        q = np.asarray(self.columns, dtype=complex)
-        object.__setattr__(self, "columns", q)
-        if q.size:
-            gram = q.conj().T @ q
-            if np.linalg.norm(gram - np.eye(q.shape[1])) > 1e-10 * max(
-                1.0, np.sqrt(q.shape[1])
-            ):
-                raise ValueError("columns are not orthonormal")
+        q = np.asarray(self.blocks, dtype=complex)
+        gram = q.conj().swapaxes(1, 2) @ q
+        ranks = np.count_nonzero(gram.diagonal(axis1=1, axis2=2).real > 0.5, axis=1)
+        kept = np.arange(q.shape[2]) < ranks[:, None]
+        if np.linalg.norm(gram - kept[:, None, :] * np.eye(q.shape[2])) > 1e-10 * max(
+            1.0, np.sqrt(ranks.sum())
+        ):
+            raise ValueError("blocks are not orthonormal")
+        object.__setattr__(self, "blocks", q)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def rank(self) -> int:
-        return self.columns.shape[1]
+        return int(self.ranks.sum())
 
     def project(self, f: np.ndarray) -> np.ndarray:
-        return self.columns @ (self.columns.conj().T @ f)
+        """Orthogonal projection of a signal or of the columns of an (L, m) array."""
+        F, n, _ = self.blocks.shape
+        x = f.reshape(n, F, -1).swapaxes(0, 1)
+        y = self.blocks @ (self.blocks.conj().swapaxes(1, 2) @ x)
+        return y.swapaxes(0, 1).reshape(f.shape)
 
     def projector(self) -> np.ndarray:
-        return self.columns @ self.columns.conj().T
+        """The dense L x L projection matrix."""
+        F, n, _ = self.blocks.shape
+        return self.project(np.eye(F * n, dtype=complex))
 
 
 class FrameBounds(NamedTuple):
@@ -221,12 +238,13 @@ def frame_operator_walnut(
 def orthonormal_range(
     A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SubspaceBasis:
-    """Orthonormal basis of the numerical column space of A."""
+    """Orthonormal basis of the column space of A, an (L, c) matrix or an (F, n, c)
+    stack in the layout of `SubspaceBasis`: one cut, s > rank_tol * s_max over
+    all blocks.
+    """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return SubspaceBasis(np.zeros((A.shape[0], 0), dtype=complex), rank_tol)
-    r = int(np.sum(s > rank_tol * s[0]))
-    return SubspaceBasis(U[:, :r], rank_tol)
+    keep = s > rank_tol * s.max(initial=0.0)
+    return SubspaceBasis((U * keep[..., None, :]).reshape(-1, *U.shape[-2:]), rank_tol)
 
 
 def walnut_fibres(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
@@ -282,9 +300,9 @@ def analyze_system(
     """Spectrum of S, frame bounds, span and dual window, block by block.
 
     Eigenvalues above rank_tol * lambda_max (over all blocks) are inverted in
-    gamma = S^+ g, the rest dropped; the retained eigenvectors, scattered into
-    L-size columns, span ran(S), the space the system spans; the invariance
-    scan and criterion (i) read this span.
+    gamma = S^+ g, the rest dropped; the retained eigenvectors, kept in their
+    L/b blocks, span ran(S), the space the system spans; the invariance scan,
+    criterion (i) and the DFT-vector identity read this span.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
@@ -299,11 +317,8 @@ def analyze_system(
     keep = lam > rank_tol * spectrum[-1]
     inv = keep / np.where(keep, lam, 1.0)
     blocks = (V * inv[:, None, :]) @ V.conj().swapaxes(1, 2)
-    rows = np.arange(L).reshape(sys.b, P).T  # rows[r, j] = r + j P
-    gamma = (blocks @ sys.window[rows][..., None])[..., 0].T.ravel()
-    cols = np.zeros((L, P, lam.shape[1]), dtype=complex)
-    cols[rows, np.arange(P)[:, None]] = V
-    span = SubspaceBasis(cols.reshape(L, -1)[:, keep.ravel()], rank_tol)
+    gamma = (blocks @ sys.window.reshape(sys.b, P).T[..., None])[..., 0].T.ravel()
+    span = SubspaceBasis(V * keep[:, None, :], rank_tol)
     return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span))
 
 
@@ -406,7 +421,7 @@ def support_space(
 
     h is the q = 0 Walnut coefficient of the system with time step a; under
     full modulation invariance the span of the system is exactly the set of
-    signals supported on E.  Returns the basis and h itself.
+    signals supported on E.  Returns the basis (L blocks of one entry) and h.
     """
     g = np.asarray(window, dtype=complex)
     L = g.shape[0]
@@ -415,7 +430,4 @@ def support_space(
     if not np.any(g):
         raise ZeroWindow("window is zero")
     h = np.tile((np.abs(g) ** 2).reshape(L // a, a).sum(axis=0), L // a)
-    idx = np.nonzero(h > tol * h.max())[0]
-    cols = np.zeros((L, idx.size), dtype=complex)
-    cols[idx, np.arange(idx.size)] = 1.0
-    return SubspaceBasis(cols, tol), h
+    return SubspaceBasis((h > tol * h.max())[:, None, None], tol), h

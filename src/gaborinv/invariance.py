@@ -36,6 +36,7 @@ from .gabor import (
     SubspaceBasis,
     SystemAnalysis,
     analyze_system,
+    orthonormal_range,
     periodized_gaussian,
     tf_inner_products,
     tf_shift,
@@ -133,10 +134,10 @@ def _scan(an: SystemAnalysis, refinement: int, tol: float) -> InvarianceReport:
     # The span V is pi(Lambda)-invariant, so P_V commutes with pi(Lambda) and
     # the residual of pi(z) g is Lambda-periodic: the grid has only the r^2
     # classes (i a/r, j b/r), i, j < r, and each grid point reads its class.
-    sys, r, g, Q = an.system, refinement, an.system.window, an.dual.span.columns
+    sys, r, g = an.system, refinement, an.system.window
     L, st, sf = sys.L, sys.a // refinement, sys.b // refinement
     cols = tf_shifts(g, np.repeat(np.arange(r) * st, r), np.tile(np.arange(r) * sf, r))
-    cols -= Q @ (Q.conj().T @ cols)
+    cols -= an.dual.span.project(cols)
     table = (np.linalg.norm(cols, axis=0) / np.linalg.norm(g)).reshape(r, r)
 
     n_t, n_f = L // st, L // sf
@@ -256,28 +257,20 @@ def _validate_nu(sys: FiniteGaborSystem, nu: int) -> None:
         raise InvalidNu(f"nu must divide the time step a={sys.a}, got {nu}")
 
 
-def _min_principal_angle(QA: np.ndarray, QB: np.ndarray, rank_b: np.ndarray) -> np.ndarray:
-    """Smallest principal angle between batched orthonormal bases, each padded
-    with zero columns (QB[i] after its first rank_b[i]).  It is read from the
-    smallest sine, a singular value of QB - QA QA^H QB and accurate near 0,
-    when its cosine^2 >= 1/2, and from the largest cosine otherwise.
+def _min_principal_angle(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
+    """Smallest principal angle between A and B on each of their common
+    blocks.  It is read from the smallest sine, a singular value of
+    QB - QA QA^H QB and accurate near 0, when its cosine^2 >= 1/2, and from
+    the largest cosine otherwise.
     """
+    QA, QB = A.blocks, B.blocks
     C = QA.conj().swapaxes(1, 2) @ QB
     cos_max = np.linalg.svd(C, compute_uv=False)[:, 0]
     sines = np.linalg.svd(QB - QA @ C, compute_uv=False)
-    sin_min = sines[np.arange(len(sines)), np.maximum(rank_b - 1, 0)]
+    sin_min = sines[np.arange(len(sines)), np.maximum(B.ranks - 1, 0)]
     return np.where(
         cos_max**2 >= 0.5, np.arcsin(np.clip(sin_min, 0, 1)), np.arccos(np.clip(cos_max, 0, 1))
     )
-
-
-def _orthonormal_ranges(A: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Batched `orthonormal_range`: the cut is rank_tol times the largest
-    singular value over all blocks, and the dropped columns are zeroed.
-    """
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    keep = s > rank_tol * s.max(initial=0.0)
-    return U * keep[:, None, :], keep.sum(axis=1)
 
 
 def criteria_engine(
@@ -334,19 +327,17 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
 
     # the rest is read from the Walnut blocks of the slice L_0
     W, P, d, images = _slice_blocks(an, nu)
-    gf, gammaf = g.reshape(d.shape[1], -1).T, gamma.reshape(d.shape[1], -1).T
-    images[0] -= gf
+    images[0] -= g.reshape(d.shape[1], -1).T
     res_ii = [float(np.linalg.norm(x) / np.linalg.norm(g)) for x in images]
 
-    Q0, rank0 = _orthonormal_ranges(W, rank_tol)
-    others, rank_o = (d[1, :, None] * Q0, rank0) if nu == 2 else _orthonormal_ranges(
-        np.concatenate([d[s, :, None] * Q0 for s in range(1, nu)], axis=2), rank_tol
+    Q0 = orthonormal_range(W, rank_tol)
+    others = orthonormal_range(
+        np.concatenate([d[s, :, None] * Q0.blocks for s in range(1, nu)], axis=2), rank_tol
     )
-    angles = _min_principal_angle(Q0, others, rank_o)[(rank0 > 0) & (rank_o > 0)]
+    angles = _min_principal_angle(Q0, others)[(Q0.ranks > 0) & (others.ranks > 0)]
     gap = float(angles.min()) if angles.size else float(np.pi / 2)
-    stacked = np.concatenate([d[s, :, None] * W for s in range(nu)], axis=2)
-    QK, rankK = _orthonormal_ranges(stacked, rank_tol)
-    PK = QK @ QK.conj().swapaxes(1, 2)
+    K = orthonormal_range(np.concatenate([d[s, :, None] * W for s in range(nu)], axis=2), rank_tol)
+    PK = K.blocks @ K.blocks.conj().swapaxes(1, 2)
 
     Ps = d[:, None, :, None] * P * d.conj()[:, None, None, :]
     proj = {
@@ -361,9 +352,7 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
         "vanish_on_K_perp": max(float(np.linalg.norm(p - p @ PK)) for p in Ps),
     }
     projections_ok = all(v < tol for v in proj.values())
-    gamma_l0 = np.linalg.norm(gammaf - np.einsum("rij,rkj,rk->ri", Q0, Q0.conj(), gammaf))
-
-    rank_sum, joint_rank = nu * int(rank0.sum()), int(rankK.sum())
+    rank_sum, joint_rank = nu * Q0.rank, K.rank
     holds = {
         "i": res_i < tol,
         "ii": max(res_ii) < tol,
@@ -390,7 +379,7 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
         holds=holds,
         verdict=verdict,
         verdict_consistent=agree,
-        gamma_l0_residual=float(gamma_l0 / np.linalg.norm(gamma)),
+        gamma_l0_residual=membership_residual(Q0, gamma),
         frame=an.frame,
         adjoint_inner_products=inner,
     )
@@ -458,7 +447,6 @@ class GaussianScenarioReport:
     frame: FrameBounds
     criteria: CriteriaReport
     scan: InvarianceReport
-    orthogonality_table: tuple  # ((k, l, |<pi gamma, g>|), ...)
     biorthogonality_residual: float
     condition_number: float
     poorly_conditioned: bool
@@ -507,9 +495,9 @@ def gaussian_corollary_scenario(
 
     Requires a*b > L (the finite analogue of lattice density below one).
     Expected behavior: a Riesz sequence whose invariant set is exactly the
-    lattice, with all four criteria failing consistently; the adjoint-grid
-    orthogonality table records |<pi(k L/b, l L/a) gamma, g>|, which in the
-    finite negative case does not vanish off the allowed columns.
+    lattice, with all four criteria failing consistently; the adjoint inner
+    products |<pi(k L/b, l L/a) gamma, g>| of the criteria report do not
+    vanish off the allowed columns in the finite negative case.
     """
     if a * b <= L:
         raise NotUndersampled(f"need a*b > L, got a*b = {a * b} <= L = {L}")
@@ -520,7 +508,6 @@ def gaussian_corollary_scenario(
     an = analyze_system(sys, rank_tol)
     crit = _criteria(an, nu, tol)
     scan = _scan(an, refinement, tol)
-    table = tuple((k, l, float(v)) for (k, l), v in np.ndenumerate(crit.adjoint_inner_products))
 
     ips = tf_inner_products(an.dual.gamma, g, a, b)  # <gamma, pi(k a, l b) g>
     ips[0, 0] -= 1.0
@@ -540,7 +527,6 @@ def gaussian_corollary_scenario(
         frame=an.frame,
         criteria=crit,
         scan=scan,
-        orthogonality_table=table,
         biorthogonality_residual=bio,
         condition_number=float(cond),
         poorly_conditioned=bool(cond > CONDITIONING_LIMIT),

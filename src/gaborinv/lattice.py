@@ -59,9 +59,6 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_fraction_str = rational_str
-
-
 class RationalMatrix2x2:
     """Immutable 2x2 matrix with exact rational entries.
 
@@ -222,15 +219,15 @@ class ReductionResult:
 
     def to_json_dict(self) -> dict:
         out = {
-            "B": [[_fraction_str(v) for v in row] for row in self.B.entries],
-            "det_B": _fraction_str(self.B.det()),
-            "alpha": _fraction_str(self.alpha),
-            "beta": _fraction_str(self.beta),
+            "B": [[rational_str(v) for v in row] for row in self.B.entries],
+            "det_B": rational_str(self.B.det()),
+            "alpha": rational_str(self.alpha),
+            "beta": rational_str(self.beta),
             "d": self.d,
             "m": self.m,
             "fourier_swap": self.fourier_swap,
             "case": self.case,
-            "reduced_shift": [_fraction_str(v) for v in self.reduced_shift()],
+            "reduced_shift": [rational_str(v) for v in self.reduced_shift()],
         }
         if self.rho is not None:
             out["bezout"] = {
@@ -436,7 +433,7 @@ def coset_decomposition(
 def lattice_to_json(lat: Lattice2D) -> str:
     """Serialize as {"basis": [["p/q", ...], ...]} with canonical rationals."""
     payload = {
-        "basis": [[_fraction_str(v) for v in row] for row in lat.basis.entries]
+        "basis": [[rational_str(v) for v in row] for row in lat.basis.entries]
     }
     return json.dumps(payload, sort_keys=True)
 

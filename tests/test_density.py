@@ -104,6 +104,17 @@ class TestCountInBox:
             expected = (2 * k + 1) * (2 * (10 * k // 49) + 1)
             assert spec.count_in_box((0, 0), k * (1 / 7)) == expected, k
 
+    def test_sheared_basis_matches_diagonal_at_large_radius(self):
+        # both bases give the point set 300Z x 0.1Z; near R = 2e7 the rounding
+        # of the sheared row's bounds exceeds the 1e-9 fuzz
+        sheared = LatticePoints(np.array([[300.0, 0.0], [0.1, 0.1]]))
+        diagonal = LatticePoints(np.diag([300.0, 0.1]))
+        radii = [(200_000_000 + k) * 0.1 for k in range(100)]
+        wrong = [
+            R for R in radii if sheared.count_in_box((0, 0), R) != diagonal.count_in_box((0, 0), R)
+        ]
+        assert wrong == []
+
 
 class TestLowerDensity:
     def test_unit_lattice_window_bounds(self):

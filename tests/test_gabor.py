@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gaborinv.errors import InvalidLattice, InvalidParameter, ZeroWindow
 from gaborinv.gabor import (
     FiniteGaborSystem,
+    SubspaceBasis,
     analyze_system,
     canonical_dual,
     cross_frame_operator,
@@ -357,6 +358,22 @@ class TestPeriodizedGaussian:
     def test_rejects_bad_width(self):
         with pytest.raises(InvalidParameter):
             periodized_gaussian(32, 0.0)
+
+
+class TestSubspaceBasis:
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [[[1.0, 1.0], [0.0, 1.0]]],  # dense, F = 1: non-orthogonal columns
+            [[[2.0], [0.0]]],  # dense: a column of norm 2
+            [[[0.0, 1.0], [0.0, 0.0]]],  # dense: a dropped column before a kept one
+            [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.6], [0.0, 0.8]]],  # F = 2: block 1
+            [[[1.0]], [[0.5]]],  # F = 2, n = 1: an entry of modulus 1/2
+        ],
+    )
+    def test_rejects_non_orthonormal_blocks(self, blocks):
+        with pytest.raises(ValueError):
+            SubspaceBasis(np.array(blocks), 1e-8)
 
 
 class TestSupportSpace:

@@ -152,9 +152,10 @@ class TestTransport:
         else:
             Dout = out.system_matrix()
         span_out = orthonormal_range(Dout)
-        mapped = op.unitary @ span_in.columns
+        mapped = op.unitary @ span_in.blocks[0][:, : span_in.rank]
         # principal angles via the projected Gram: equality of subspaces
-        s = np.linalg.svd(span_out.columns.conj().T @ mapped, compute_uv=False)
+        q_out = span_out.blocks[0][:, : span_out.rank]
+        s = np.linalg.svd(q_out.conj().T @ mapped, compute_uv=False)
         assert span_out.rank == span_in.rank
         assert np.all(s > 1 - 1e-8)
 
