@@ -5,11 +5,16 @@ reductions, and a finite-dimensional Gabor model on C^L (`gabor`,
 `symplectic`, `invariance`) for the operator-theoretic characterizations,
 plus Beurling-density estimators and equidistribution diagnostics
 (`density`).
+
+`errors` and `lattice` load with the package; the numeric names and
+submodules load on first use (PEP 562), so the exact commands never import
+numpy.
 """
 
 __version__ = "0.1.0"
 
-from . import density, errors, gabor, invariance, lattice, serialize, symplectic
+import importlib
+
 from .errors import GaborError
 from .lattice import (
     Lattice2D,
@@ -23,36 +28,47 @@ from .lattice import (
     separate,
 )
 from .lattice import density as lattice_density  # the submodule owns the bare name
-from .gabor import (
-    FiniteGaborSystem,
-    canonical_dual,
-    cross_frame_operator,
-    frame_bounds,
-    frame_operator_direct,
-    frame_operator_walnut,
-    gabor_matrix,
-    janssen_representation,
-    periodized_gaussian,
-    support_space,
-    tf_shift,
-)
-from .symplectic import (
-    MetaplecticOperator,
-    covariance_residual,
-    metaplectic_from_generators,
-    transport_system,
-)
-from .invariance import (
-    CriteriaReport,
-    InvarianceReport,
-    criteria_engine,
-    dft_vector_relation,
-    gaussian_corollary_scenario,
-    group_closure_check,
-    membership_residual,
-    scan_invariance,
-    small_shift_completeness,
-)
+
+_SUBMODULES = ("density", "gabor", "invariance", "serialize", "symplectic")
+_LAZY = {  # name -> the submodule that defines it
+    "FiniteGaborSystem": "gabor",
+    "canonical_dual": "gabor",
+    "cross_frame_operator": "gabor",
+    "frame_bounds": "gabor",
+    "frame_operator_direct": "gabor",
+    "frame_operator_walnut": "gabor",
+    "gabor_matrix": "gabor",
+    "janssen_representation": "gabor",
+    "periodized_gaussian": "gabor",
+    "support_space": "gabor",
+    "tf_shift": "gabor",
+    "MetaplecticOperator": "symplectic",
+    "covariance_residual": "symplectic",
+    "metaplectic_from_generators": "symplectic",
+    "transport_system": "symplectic",
+    "CriteriaReport": "invariance",
+    "InvarianceReport": "invariance",
+    "criteria_engine": "invariance",
+    "dft_vector_relation": "invariance",
+    "gaussian_corollary_scenario": "invariance",
+    "group_closure_check": "invariance",
+    "membership_residual": "invariance",
+    "scan_invariance": "invariance",
+    "small_shift_completeness": "invariance",
+}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES, *_LAZY})
+
 
 __all__ = [
     "GaborError",
@@ -66,29 +82,6 @@ __all__ = [
     "order_in_lattice",
     "reduce_invariant_shift",
     "separate",
-    "FiniteGaborSystem",
-    "canonical_dual",
-    "cross_frame_operator",
-    "frame_bounds",
-    "frame_operator_direct",
-    "frame_operator_walnut",
-    "gabor_matrix",
-    "janssen_representation",
-    "periodized_gaussian",
-    "support_space",
-    "tf_shift",
-    "MetaplecticOperator",
-    "covariance_residual",
-    "metaplectic_from_generators",
-    "transport_system",
-    "CriteriaReport",
-    "InvarianceReport",
-    "criteria_engine",
-    "dft_vector_relation",
-    "gaussian_corollary_scenario",
-    "group_closure_check",
-    "membership_residual",
-    "scan_invariance",
-    "small_shift_completeness",
+    *_LAZY,
     "__version__",
 ]

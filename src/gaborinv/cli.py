@@ -17,13 +17,13 @@ import math
 import sys as _sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__, lattice, serialize
+from .errors import DEFAULT_RANK_TOL, DEFAULT_TOL, GaborError, NotFrameSequence
 
-from . import __version__
-from . import density as density_mod
-from . import gabor, invariance, lattice, serialize
-from .errors import GaborError, NotFrameSequence
+if TYPE_CHECKING:
+    import numpy as np
 
 PARSE_ERROR, PRECONDITION_ERROR, VERDICT_NEGATIVE = 1, 2, 3
 
@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="gaussian | gaussian-sum | periodic-gaussian | @file.csv",
         )
         sp.add_argument("--c", type=_real, default=math.pi, help="Gaussian width")
-        sp.add_argument("--tol", type=_real, default=invariance.DEFAULT_TOL)
-        sp.add_argument("--rank-tol", type=_real, default=gabor.DEFAULT_RANK_TOL)
+        sp.add_argument("--tol", type=_real, default=DEFAULT_TOL)
+        sp.add_argument("--rank-tol", type=_real, default=DEFAULT_RANK_TOL)
 
     sp = sub.add_parser("criteria", help="the four duality criteria")
     window_flags(sp)
@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=_real, default=math.pi)
     sp.add_argument("--nu", type=int, default=2)
     sp.add_argument("--refinement", type=int, required=True)
-    sp.add_argument("--tol", type=_real, default=invariance.DEFAULT_TOL)
-    sp.add_argument("--rank-tol", type=_real, default=gabor.DEFAULT_RANK_TOL)
+    sp.add_argument("--tol", type=_real, default=DEFAULT_TOL)
+    sp.add_argument("--rank-tol", type=_real, default=DEFAULT_RANK_TOL)
     common(sp)
 
     sp = sub.add_parser("equidistribution", help="orbit density diagnostic")
@@ -180,6 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_window(args) -> np.ndarray:
     """The --window signal; ArgumentTypeError for a bad name, file or row."""
+    import numpy as np
+
+    from . import gabor
+
     name = args.window
     if name.startswith("@"):
         try:
@@ -222,8 +226,8 @@ def _write_orthogonality_table(outdir: Path, inner: np.ndarray) -> None:
     with open(outdir / "orthogonality_table.csv", "w", newline="") as fh:
         cw = csv.writer(fh)
         cw.writerow(["k", "l", "abs_inner_product"])
-        for (k, l), v in np.ndenumerate(inner):
-            cw.writerow([k, l, repr(float(v))])
+        for k, row in enumerate(inner.tolist()):
+            cw.writerows([k, l, repr(v)] for l, v in enumerate(row))
 
 
 def _cmd_reduce(args, outdir: Path) -> int:
@@ -252,6 +256,8 @@ def _cmd_order(args, outdir: Path) -> int:
 
 
 def _cmd_criteria(args, outdir: Path) -> int:
+    from . import gabor, invariance
+
     w = _build_window(args)
     sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
     rep = invariance.criteria_engine(sys_, args.nu, args.tol, args.rank_tol)
@@ -261,6 +267,8 @@ def _cmd_criteria(args, outdir: Path) -> int:
 
 
 def _cmd_scan(args, outdir: Path) -> int:
+    from . import gabor, invariance
+
     w = _build_window(args)
     sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
     rep = invariance.scan_invariance(sys_, args.refinement, args.tol, args.rank_tol)
@@ -268,24 +276,17 @@ def _cmd_scan(args, outdir: Path) -> int:
     return 0 if rep.verdict != "inconclusive" else VERDICT_NEGATIVE
 
 
-def _omega_components(args):
-    al, be, nu = args.alpha, args.beta, args.nu
-    full = density_mod.omega_spec(al, be, nu)
-    return {
-        "lattice_part": full.members[0],
-        "product_part": full.members[1],
-        "union": full,
-    }
-
-
 def _cmd_density(args, outdir: Path) -> int:
+    from . import density
+
     if args.which == "lattice":
-        specs = {"lattice": density_mod.LatticePoints(np.diag([args.alpha, args.beta]))}
+        specs = {"lattice": density.LatticePoints([[args.alpha, 0.0], [0.0, args.beta]])}
     else:
-        specs = _omega_components(args)
+        full = density.omega_spec(args.alpha, args.beta, args.nu)
+        specs = {"lattice_part": full.members[0], "product_part": full.members[1], "union": full}
     payload = {}
     for name, spec in specs.items():
-        ests = density_mod.lower_density_empirical(spec, args.R, args.probe_grid)
+        ests = density.lower_density_empirical(spec, args.R, args.probe_grid)
         rows = [
             {"R": e.R, "theta": e.theta, "analytic": e.analytic, "gap": e.gap}
             for e in ests
@@ -303,6 +304,8 @@ def _cmd_density(args, outdir: Path) -> int:
 
 
 def _cmd_gaussian(args, outdir: Path) -> int:
+    from . import invariance
+
     rep = invariance.gaussian_corollary_scenario(
         args.L, args.a, args.b, args.c, args.nu, args.refinement, args.tol, args.rank_tol
     )
@@ -317,14 +320,18 @@ def _cmd_gaussian(args, outdir: Path) -> int:
 
 
 def _cmd_equidistribution(args, outdir: Path) -> int:
+    from . import density
+
     sep = lattice.SeparableLattice(args.alpha, args.beta)
-    cov, disc = density_mod.equidistribution_diagnostic(args.z, sep, args.t_step, args.n)
+    cov, disc = density.equidistribution_diagnostic(args.z, sep, args.t_step, args.n)
     payload = {"covering_radius": cov, "discrepancy": disc, "n_samples": args.n}
     _finish(args, payload, {}, outdir)
     return 0
 
 
 def _cmd_dual_window(args, outdir: Path) -> int:
+    from . import gabor
+
     w = _build_window(args)
     sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
     an = gabor.analyze_system(sys_, args.rank_tol)

@@ -53,16 +53,23 @@ def _fuzz(v: float) -> float:
     return max(BOUNDARY_FUZZ, 4 * math.ulp(v))
 
 
+def _axis_range(step: float, lo: float, hi: float) -> tuple[int, int]:
+    """First and last k with k*step in [lo, hi], boundary included via fuzz;
+    (1, 0) when hi < lo."""
+    if hi < lo:
+        return 1, 0
+    u, v = hi / step, lo / step
+    return math.ceil(v - _fuzz(v)), math.floor(u + _fuzz(u))
+
+
 def _axis_count(step: float, lo: float, hi: float) -> int:
     """#(step*Z intersect [lo, hi]), boundary included via fuzz."""
-    if hi < lo:
-        return 0
-    u, v = hi / step, lo / step
-    return int(math.floor(u + _fuzz(u)) - math.ceil(v - _fuzz(v))) + 1
+    first, last = _axis_range(step, lo, hi)
+    return last - first + 1
 
 
-def _count_general_lattice(basis: np.ndarray, center, R: float) -> int:
-    """Count basis@k inside center + [-R, R]^2.
+def _count_general_lattice(basis: np.ndarray, center, R: float) -> tuple[int, bool]:
+    """Count basis@k inside center + [-R, R]^2, and whether k = 0 is counted.
 
     Enumerates k1 over the bounding range of the pulled-back box and counts
     the admissible k2 per k1 from the two closed-form interval constraints.
@@ -86,8 +93,10 @@ def _count_general_lattice(basis: np.ndarray, center, R: float) -> int:
             v = (c + R + fz - p * k1) / q
             lo = np.maximum(lo, np.minimum(u, v))
             hi = np.minimum(hi, np.maximum(u, v))
-    counts = np.where(ok & (hi >= lo), np.floor(hi) - np.ceil(lo) + 1, 0.0)
-    return int(counts.sum())
+    first, last = np.where(ok, np.ceil(lo), np.inf), np.floor(hi)
+    i = -int(k1[0])  # the row k1 = 0
+    origin = 0 <= i < k1.size and first[i] <= 0 <= last[i]
+    return int(np.maximum(last - first + 1, 0.0).sum()), bool(origin)
 
 
 class PointSet:
@@ -131,11 +140,15 @@ class LatticePoints(PointSet):
         object.__setattr__(self, "basis", b)
 
     def count_in_box(self, center, R):
+        return self._count(center, R)[0]
+
+    def _count(self, center, R) -> tuple[int, bool]:
+        """The count in center + [-R, R]^2 and whether it includes the origin."""
         b = self.basis
         if b[0, 1] == 0.0 and b[1, 0] == 0.0:
-            nx = _axis_count(abs(b[0, 0]), center[0] - R, center[0] + R)
-            ny = _axis_count(abs(b[1, 1]), center[1] - R, center[1] + R)
-            return nx * ny
+            x0, x1 = _axis_range(abs(b[0, 0]), center[0] - R, center[0] + R)
+            y0, y1 = _axis_range(abs(b[1, 1]), center[1] - R, center[1] + R)
+            return (x1 - x0 + 1) * (y1 - y0 + 1), x0 <= 0 <= x1 and y0 <= 0 <= y1
         return _count_general_lattice(b, center, R)
 
     def analytic_density(self):
@@ -197,11 +210,9 @@ class PuncturedLattice(PointSet):
         object.__setattr__(self, "basis", _basis_array(self.basis))
 
     def count_in_box(self, center, R):
-        full = LatticePoints(self.basis).count_in_box(center, R)
-        origin_in = (
-            abs(center[0]) <= R + BOUNDARY_FUZZ and abs(center[1]) <= R + BOUNDARY_FUZZ
-        )
-        return full - (1 if origin_in else 0)
+        # the origin leaves the count only if the lattice count, with its fuzz, took it
+        full, origin_in = LatticePoints(self.basis)._count(center, R)
+        return full - origin_in
 
     def analytic_density(self):
         # one removed point does not change the density

@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types and default tolerances shared across the toolkit.
 
 Every precondition named in a module contract maps to one class here, so
 callers (and the CLI) can report the violated precondition by name.
 """
+
+DEFAULT_TOL = 1e-6  # residual threshold of the invariance verdicts
+DEFAULT_RANK_TOL = 1e-8  # spectral cut, relative to the largest singular value
 
 
 class GaborError(Exception):
@@ -80,3 +83,9 @@ class UnsupportedLength(GaborError):
 
 class UnsupportedTransport(GaborError):
     """Operator and system live on different signal lengths."""
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """InvalidParameter unless 0 < value < 1, which NaN fails."""
+    if not 0 < value < 1:
+        raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")

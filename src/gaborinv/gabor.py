@@ -28,9 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidLattice, InvalidParameter, ZeroWindow
-
-DEFAULT_RANK_TOL = 1e-8
+from .errors import DEFAULT_RANK_TOL, InvalidLattice, InvalidParameter, ZeroWindow, check_tolerance
 
 __all__ = [
     "FiniteGaborSystem",
@@ -304,8 +302,7 @@ def analyze_system(
     L/b blocks, span ran(S), the space the system spans; the invariance scan,
     criterion (i) and the DFT-vector identity read this span.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    check_tolerance("rank_tol", rank_tol)
     L, P = sys.L, sys.n_freq
     Z = walnut_fibres(sys.window, sys.a, sys.b)
     # the SVD of Z_r resolves an eigenvalue lam of S to eps sqrt(lam_max lam),
@@ -397,8 +394,8 @@ def periodized_gaussian(L: int, c: float) -> np.ndarray:
     """
     if L < 4:
         raise InvalidParameter(f"L must be >= 4, got {L}")
-    if c <= 0:
-        raise InvalidParameter(f"Gaussian width c must be positive, got {c}")
+    if not 0 < c < np.inf:  # a NaN or infinite width never meets the stopping test
+        raise InvalidParameter(f"Gaussian width c must be finite and positive, got {c}")
     n = np.arange(L)
     centered = ((n + L // 2) % L) - L // 2
     g = np.exp(-c * (centered / np.sqrt(L)) ** 2)

@@ -22,12 +22,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DEFAULT_TOL,
     DegenerateInput,
     InvalidNu,
     InvalidRefinement,
     NotFrameSequence,
     NotUndersampled,
     ZeroInput,
+    check_tolerance,
 )
 from .gabor import (
     DEFAULT_RANK_TOL,
@@ -44,7 +46,6 @@ from .gabor import (
     walnut_fibres,
 )
 
-DEFAULT_TOL = 1e-6
 GAP_FACTOR = 1e3
 CONDITIONING_LIMIT = 1e8
 
@@ -126,6 +127,7 @@ def scan_invariance(
     "spans_everything"; any residual inside the [tol, 1000*tol] gray band ->
     "inconclusive".
     """
+    check_tolerance("tol", tol)
     _validate_refinement(sys, refinement)
     return _scan(analyze_system(sys, rank_tol), refinement, tol)
 
@@ -175,6 +177,7 @@ def group_closure_check(
     below 10*tol.  For every pair of detected classes c, c', the classes
     -c and c + c' must be invariant.
     """
+    check_tolerance("tol", tol)
     r = report.refinement
 
     def classes(points) -> set:  # grid point (i a/r, j b/r) -> (i mod r, j mod r)
@@ -294,6 +297,7 @@ def criteria_engine(
     onto K, vanishing on K^perp).  The normalization constant a*b/L (the
     finite alpha*beta) is recorded in the report.
     """
+    check_tolerance("tol", tol)
     _validate_nu(sys, nu)
     if not np.any(sys.window):
         raise NotFrameSequence("zero window spans nothing")
@@ -419,6 +423,7 @@ def small_shift_completeness(
     j below the order o1 of v1 mod d and k < n_cls/o1.  The Walnut blocks of
     that union must keep L singular values above rank_tol * s_max.
     """
+    check_tolerance("rank_tol", rank_tol)
     (x1, y1), (x2, y2) = (int(v1[0]), int(v1[1])), (int(v2[0]), int(v2[1]))
     det = x1 * y2 - y1 * x2
     if det == 0:
@@ -501,6 +506,7 @@ def gaussian_corollary_scenario(
     """
     if a * b <= L:
         raise NotUndersampled(f"need a*b > L, got a*b = {a * b} <= L = {L}")
+    check_tolerance("tol", tol)
     g = periodized_gaussian(L, c)
     sys = FiniteGaborSystem(L, a, b, g)
     _validate_nu(sys, nu)

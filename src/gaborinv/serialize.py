@@ -15,9 +15,10 @@ import csv
 import json
 import struct
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 OPERATOR_MAGIC = b"GABOROP1"
 
@@ -35,15 +36,16 @@ __all__ = [
 
 
 def save_signal_csv(path: PathLike, signal: np.ndarray) -> None:
-    signal = np.asarray(signal, dtype=complex)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "real", "imag"])
-        for i, v in enumerate(signal):
-            w.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+        for i, v in enumerate(map(complex, signal)):
+            w.writerow([i, repr(v.real), repr(v.imag)])
 
 
 def load_signal_csv(path: PathLike) -> np.ndarray:
+    import numpy as np
+
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     data = []
@@ -53,23 +55,26 @@ def load_signal_csv(path: PathLike) -> np.ndarray:
         except (IndexError, ValueError) as exc:
             raise ValueError(f"{path}: row {i} needs index, real, imag, got {r}") from exc
     data.sort()
+    if [k for k, _, _ in data] != list(range(len(data))):
+        raise ValueError(f"{path}: the indices must be 0..{len(data) - 1}, each once")
     return np.array([re + 1j * im for _, re, im in data])
 
 
 def save_operator_csv(path: PathLike, A: np.ndarray) -> None:
     """Dense CSV with interleaved re/im columns per matrix entry."""
-    A = np.asarray(A, dtype=complex)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         for row in A:
             flat = []
-            for v in row:
-                flat.append(repr(float(v.real)))
-                flat.append(repr(float(v.imag)))
+            for v in map(complex, row):
+                flat.append(repr(v.real))
+                flat.append(repr(v.imag))
             w.writerow(flat)
 
 
 def load_operator_csv(path: PathLike) -> np.ndarray:
+    import numpy as np
+
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     out = []
@@ -80,6 +85,8 @@ def load_operator_csv(path: PathLike) -> np.ndarray:
 
 
 def save_operator_binary(path: PathLike, A: np.ndarray) -> None:
+    import numpy as np
+
     A = np.ascontiguousarray(A, dtype=complex)
     inter = np.empty(A.shape + (2,), dtype="<f8")
     inter[..., 0] = A.real
@@ -91,6 +98,8 @@ def save_operator_binary(path: PathLike, A: np.ndarray) -> None:
 
 
 def load_operator_binary(path: PathLike) -> np.ndarray:
+    import numpy as np
+
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != OPERATOR_MAGIC:
@@ -101,6 +110,8 @@ def load_operator_binary(path: PathLike) -> np.ndarray:
 
 
 def _json_default(o):
+    import numpy as np  # a numpy scalar is the one non-JSON type written
+
     if isinstance(o, np.generic):
         return o.item()
     raise TypeError(f"not JSON serializable: {type(o)}")

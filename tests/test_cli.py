@@ -134,10 +134,14 @@ class TestCriteria:
             ("bogus", "unknown window 'bogus'"),
             ("@{}/missing.csv", "No such file or directory"),
             ("@{}/one_column.csv", "row 2 needs index, real, imag"),
+            ("@{}/dup.csv", "the indices must be 0..7, each once"),
         ],
     )
     def test_bad_window_is_parse_error(self, tmp_path, capsys, window, message):
         (tmp_path / "one_column.csv").write_text("index\n0\n1\n")
+        # index 0 twice and index 3 missing: eight rows, but not a length-8 window
+        rows = "".join(f"{i},1.0,0.0\n" for i in (0, 0, 1, 2, 4, 5, 6, 7))
+        (tmp_path / "dup.csv").write_text("index,real,imag\n" + rows)
         code = run(
             tmp_path, "criteria", "--L", "16", "--a", "4", "--b", "4",
             "--nu", "2", "--window", window.format(tmp_path),
@@ -192,6 +196,25 @@ class TestScanDensityGaussianEquid:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["covering_radius"] < 0.05
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scan", "--refinement", "2", "--c", "inf"],
+            ["gaussian", "--refinement", "2", "--c", "nan"],
+            ["scan", "--refinement", "2", "--tol", "nan"],
+            ["criteria", "--nu", "2", "--tol", "-1"],
+            ["criteria", "--nu", "2", "--rank-tol", "1"],
+            ["scan", "--refinement", "2", "--rank-tol", "2"],
+            ["dual-window", "--rank-tol", "inf"],
+            ["dual-window", "--rank-tol", "nan"],
+        ],
+    )
+    def test_out_of_range_parameter_exit_2(self, tmp_path, capsys, args):
+        code = run(tmp_path, args[0], "--L", "12", "--a", "4", "--b", "4", *args[1:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidParameter:") and "Traceback" not in err
 
     def test_dual_window_writes_signal(self, tmp_path, capsys):
         code = run(
@@ -285,6 +308,58 @@ class TestDeterminism:
         m1 = json.loads((d1 / "run_manifest.json").read_text())
         m2 = json.loads((d2 / "run_manifest.json").read_text())
         assert m1["config"] == m2["config"] or m1["config"]["output_dir"] != m2["config"]["output_dir"]
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    """reduce, order and separate run on the exact layer alone."""
+    script = f"""
+import sys
+from gaborinv.cli import main
+
+def numeric():
+    names = ("numpy", "gaborinv.gabor", "gaborinv.invariance", "gaborinv.density", "gaborinv.symplectic")
+    return [n for n in names if n in sys.modules]
+
+after_import = numeric()
+out = ["--output-dir", {str(tmp_path)!r}]
+codes = [
+    main([*{REDUCE_ARGS!r}, *out]),
+    main(["order", "--zx", "1/2", "--zy", "1/3", "--basis", "1,1/2;0,2", *out]),
+    main(["separate", "--basis", "1,1/2;0,2", *out]),
+]
+print(after_import, codes, numeric())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.stdout.splitlines()[-1] == "[] [0, 0, 0] []", proc.stderr
+
+
+def test_package_names_resolve_to_their_submodules():
+    listed = dir(gaborinv)
+    for name in gaborinv.__all__:
+        obj = getattr(gaborinv, name)
+        assert name in listed
+        if name != "__version__":
+            assert getattr(sys.modules[obj.__module__], obj.__name__) is obj, name
+    with pytest.raises(AttributeError):
+        gaborinv.no_such_name
+
+
+def test_tolerance_flag_defaults_are_the_library_defaults():
+    from gaborinv import gabor, invariance
+    from gaborinv.cli import build_parser
+
+    system = ["--L", "12", "--a", "4", "--b", "4"]
+    for argv in (
+        ["criteria", *system, "--nu", "2"],
+        ["scan", *system, "--refinement", "2"],
+        ["gaussian", *system, "--refinement", "2"],
+        ["dual-window", *system],
+    ):
+        args = build_parser().parse_args(argv)
+        assert args.tol == invariance.DEFAULT_TOL
+        assert args.rank_tol == gabor.DEFAULT_RANK_TOL
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():

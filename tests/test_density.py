@@ -51,6 +51,17 @@ class TestCountInBox:
     def test_punctured(self):
         assert count_in_box(PuncturedLattice(np.eye(2)), (0, 0), 1.5) == 8
 
+    @pytest.mark.parametrize("k, removed", [(1, 1), (2, 1), (3, 1), (2**21, 0)])
+    def test_punctured_origin_uses_the_count_fuzz(self, k, removed):
+        # at |c| + R = 2**23 the sheared rows' fuzz is 4 ulps = 7.5e-9, above
+        # 1e-9: the full count takes the origin up to 4 ulps(R) off the edge.
+        # The wide first column keeps the count to a dozen k1 rows.
+        B = np.array([[2.0**20, 0.5], [0.0, 1.0]])
+        R = 2.0**22
+        center = (0.0, R + k * math.ulp(R))
+        full = count_in_box(LatticePoints(B), center, R)
+        assert count_in_box(PuncturedLattice(B), center, R) == full - removed
+
     def test_excluded_residues_against_oracle(self):
         # (1/beta)Z x (1/alpha)(Z \ 2Z) with alpha = beta = 1
         spec = ExcludedResidueProduct(1.0, 1.0, 2)

@@ -359,6 +359,20 @@ class TestPeriodizedGaussian:
         with pytest.raises(InvalidParameter):
             periodized_gaussian(32, 0.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_width(self, c):
+        # every term of a NaN or infinite width is NaN, so the series never stops
+        with pytest.raises(InvalidParameter):
+            periodized_gaussian(32, c)
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, -1.0, 1.0, 2.0, np.inf, np.nan])
+def test_analyze_system_rejects_rank_tol_outside_unit_interval(rank_tol):
+    # rank_tol >= 1 keeps no eigenvalue, so the frame bounds have nothing to read
+    sys = FiniteGaborSystem(12, 4, 4, periodized_gaussian(12, np.pi))
+    with pytest.raises(InvalidParameter):
+        analyze_system(sys, rank_tol)
+
 
 class TestSubspaceBasis:
     @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from test_gabor import fibred_systems, fibre_window
 from gaborinv.errors import (
     DegenerateInput,
     InvalidNu,
+    InvalidParameter,
     InvalidRefinement,
     NotFrameSequence,
     NotUndersampled,
@@ -123,6 +124,20 @@ class TestScan:
     def test_refinement_must_divide(self):
         with pytest.raises(InvalidRefinement):
             scan_invariance(gaussian_system(), refinement=5)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, 1.0, np.inf])
+    def test_tol_outside_unit_interval_rejected(self, tol):
+        # a NaN tol detects no point at all, a negative one fails every criterion
+        sys = gaussian_system(12, 4, 4)
+        runs = (
+            lambda: scan_invariance(sys, 2, tol),
+            lambda: criteria_engine(sys, 2, tol),
+            lambda: gaussian_corollary_scenario(12, 4, 4, np.pi, 2, 2, tol),
+            lambda: group_closure_check(scan_invariance(sys, 2), sys, tol),
+        )
+        for run in runs:
+            with pytest.raises(InvalidParameter):
+                run()
 
     def test_zero_window_rejected(self):
         with pytest.raises(ZeroWindow):
@@ -411,6 +426,12 @@ class TestSmallShiftCompleteness:
         L = 60
         sys = FiniteGaborSystem(L, 12, 12, periodized_gaussian(L, np.pi))
         assert small_shift_completeness(sys, (1, 0), (0, 1))
+
+    @pytest.mark.parametrize("rank_tol", [0.0, 1.0, 2.0, np.inf, np.nan])
+    def test_rank_tol_outside_unit_interval_rejected(self, rank_tol):
+        # rank_tol >= 1 keeps no singular value and reported "incomplete"
+        with pytest.raises(InvalidParameter):
+            small_shift_completeness(gaussian_system(12, 4, 4), (1, 0), (0, 1), rank_tol)
 
     def test_collinear_rejected(self):
         sys = gaussian_system()
