@@ -338,17 +338,21 @@ def frame_bounds(
     return analyze_system(sys, rank_tol).frame
 
 
-def cross_frame_operator(
-    gamma: np.ndarray, g: np.ndarray, t_step: int, f_step: int
-) -> np.ndarray:
-    """S_{gamma,g} f = sum_{k,l} <f, pi(k t_step, l f_step) gamma> pi(...) g."""
+def _window_pair(gamma, g, t_step: int, f_step: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Both windows as complex arrays and their length L, whose divisors the steps must be."""
     gamma = np.asarray(gamma, dtype=complex)
     g = np.asarray(g, dtype=complex)
     L = g.shape[0]
     if t_step < 1 or f_step < 1 or L % t_step or L % f_step:
-        raise InvalidLattice(
-            f"steps must divide L: L={L}, t_step={t_step}, f_step={f_step}"
-        )
+        raise InvalidLattice(f"steps must divide L: L={L}, t_step={t_step}, f_step={f_step}")
+    return gamma, g, L
+
+
+def cross_frame_operator(
+    gamma: np.ndarray, g: np.ndarray, t_step: int, f_step: int
+) -> np.ndarray:
+    """S_{gamma,g} f = sum_{k,l} <f, pi(k t_step, l f_step) gamma> pi(...) g."""
+    gamma, g, L = _window_pair(gamma, g, t_step, f_step)
     Dg = gabor_matrix(FiniteGaborSystem(L, t_step, f_step, g))
     Dgam = gabor_matrix(FiniteGaborSystem(L, t_step, f_step, gamma))
     return Dg @ Dgam.conj().T
@@ -368,13 +372,7 @@ def janssen_representation(
     The terms with time shift m L/f_step fill the diagonal n -> n + m L/f_step
     of S, whose entries are the coefficients' row m times a phase table.
     """
-    gamma = np.asarray(gamma, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    L = g.shape[0]
-    if t_step < 1 or f_step < 1 or L % t_step or L % f_step:
-        raise InvalidLattice(
-            f"steps must divide L: L={L}, t_step={t_step}, f_step={f_step}"
-        )
+    gamma, g, L = _window_pair(gamma, g, t_step, f_step)
     tau, phi = L // f_step, L // t_step  # adjoint steps: time tau, frequency phi
     constant = L / (t_step * f_step)
     coef = tf_inner_products(g, gamma, tau, phi)  # <g, pi(m tau, n phi) gamma>

@@ -15,6 +15,12 @@ built from two generators:
 Odd L keeps the chirp phases single valued (no metaplectic double cover);
 matrices that factor through J alone (DFT powers) are accepted for every L,
 since their covariance carries no half-integer phases.
+
+B is reduced mod L in exact integers and factored into one word of DFTs and
+chirps (Feichtinger, Hazewinkel, Kaiblinger, Matusiak & Neuhauser 2008;
+Kaiblinger & Neuhauser 2009).  U_B is that word applied to the identity:
+each DFT is one inverse FFT per row and each chirp one phase vector, so no
+dense generator matrix is formed.
 """
 
 from __future__ import annotations
@@ -36,6 +42,15 @@ __all__ = [
     "rho_operator",
 ]
 
+_DFT = ("dft",)
+_I = ((1, 0), (0, 1))
+_J = ((0, -1), (1, 0))
+
+
+def _rho_phase(L: int, t: int, m: int) -> complex:
+    """The scalar e^{pi i t m (L+1)/L} of rho(t, m), its exponent reduced mod 2L."""
+    return np.exp(1j * np.pi * (t * m * (L + 1) % (2 * L)) / L)
+
 
 def rho_operator(L: int, t: int, m: int) -> np.ndarray:
     """Symmetrized shift rho(t, m) = e^{pi i t m (L+1)/L} pi(t, m).
@@ -44,15 +59,24 @@ def rho_operator(L: int, t: int, m: int) -> np.ndarray:
     arguments; for even L it is periodic only up to sign, which the per-point
     phase minimization in `covariance_residual` absorbs.
     """
-    phase = np.exp(1j * np.pi * t * m * (L + 1) / L)
-    return phase * shift_operator(L, t, m)
+    return _rho_phase(L, t, m) * shift_operator(L, t, m)
 
 
-def _mat2(entries) -> np.ndarray:
-    B = np.asarray(entries, dtype=np.int64)
-    if B.shape != (2, 2):
-        raise ValueError("B must be a 2x2 integer matrix")
-    return B
+def _mat2(entries) -> tuple:
+    """The entries of a 2x2 integer matrix as exact Python ints."""
+    try:
+        B = np.asarray(entries, dtype=object)
+        exact = [int(v) for v in B.flat] if B.shape == (2, 2) else None
+        if exact is None or any(e != v for e, v in zip(exact, B.flat)):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("B must be a 2x2 integer matrix") from None
+    return tuple(exact[:2]), tuple(exact[2:])
+
+
+def _mul(A, M, L: int) -> tuple:
+    """A M mod L for 2x2 integer matrices."""
+    return tuple(tuple(sum(a * m for a, m in zip(row, col)) % L for col in zip(*M)) for row in A)
 
 
 @dataclass(frozen=True)
@@ -75,146 +99,115 @@ class MetaplecticOperator:
         return out
 
 
-def _dft_plus(L: int) -> np.ndarray:
-    n = np.arange(L)
-    return np.exp(2j * np.pi * np.outer(n, n) / L) / np.sqrt(L)
-
-
-def _chirp(L: int, c: int) -> np.ndarray:
-    n = np.arange(L)
-    half = (L + 1) // 2  # multiplicative inverse of 2 mod odd L
-    return np.diag(np.exp(2j * np.pi * ((c * n * n * half) % L) / L))
-
-
-_J = np.array([[0, -1], [1, 0]], dtype=np.int64)
-
-
-def _is_power_of_j(B: np.ndarray, L: int) -> int | None:
-    P = np.eye(2, dtype=np.int64)
+def _j_power(B: tuple, L: int) -> int | None:
+    """k with B = J^k mod L (B already reduced), or None."""
+    P = _mul(_I, _I, L)  # I mod L: the zero matrix when L = 1
     for k in range(4):
-        if np.array_equal(B % L, P % L):
+        if B == P:
             return k
-        P = _J @ P
+        P = _mul(_J, P, L)
     return None
 
 
-def _inv_mod(x: int, L: int) -> int:
-    g = gcd(x % L, L)
-    if g != 1:
-        raise ValueError(f"{x} is not invertible mod {L}")
-    return pow(x % L, -1, L)
-
-
-# the left multiplications of `_factor_words`: name -> (matrix, name of the inverse)
+# the left multiplications of `_factor_words`: name -> (matrix, its inverse as
+# a factor word), using J^{-1} = J^3 and U_u^{-1} = U_{-u} = J L_u J^{-1}
 _REDUCTIONS = {
-    "L": (lambda c: [[1, 0], [c, 1]], "L"),
-    "U": (lambda u: [[1, u], [0, 1]], "U"),
-    "J": (lambda: [[0, -1], [1, 0]], "Jinv"),
-    "Jinv": (lambda: [[0, 1], [-1, 0]], "J"),
+    "L": (lambda c: ((1, 0), (c, 1)), lambda c: [("chirp", -c)]),
+    "U": (lambda u: ((1, u), (0, 1)), lambda u: [_DFT, ("chirp", u), _DFT, _DFT, _DFT]),
+    "J": (lambda: _J, lambda: [_DFT] * 3),
+    "Jinv": (lambda: ((0, 1), (-1, 0)), lambda: [_DFT]),
 }
 
 
-def _factor_words(B: np.ndarray, L: int) -> list[tuple]:
-    """Factor B in SL(2, Z_L) into J's and lower shears.
+def _factor_words(B: tuple, L: int) -> list[tuple]:
+    """Factor B in SL(2, Z_L) (entries reduced mod L) into DFTs and chirps.
 
-    Reduces B to the identity by left multiplications with J^{±1} and
+    Reduces B to the identity by left multiplications with J^{+-1} and
     elementary shears; if O_k ... O_1 B = I then B = O_1^{-1} ... O_k^{-1},
-    so the inverses are emitted in application order.  Upper shears are
-    rewritten via U_u = J L_{-u} J^{-1}.
+    so the inverse words are emitted in application order.  Chirps need odd
+    L; DFT powers are factored for every L.
     """
-    k = _is_power_of_j(B, L)
+    k = _j_power(B, L)
     if k is not None:
-        return [("J",)] * k
-    if B[0, 0] % L == 1 and B[0, 1] % L == 0 and B[1, 1] % L == 1:
-        return [("L", int(B[1, 0] % L))]
+        return [_DFT] * k
+    if L % 2 == 0:
+        raise UnsupportedLength(f"even L = {L} supports only DFT powers (chirps need odd L)")
+    (a, b), (c, d) = B
+    if a == 1 and b == 0 and d == 1:
+        return [("chirp", c)]
 
     word: list[tuple] = []  # inverses of the applied reductions, product order
-    M = B % L
+    M = B
 
     def lmul(op, *args):
         nonlocal M
         matrix, inverse = _REDUCTIONS[op]
-        M = (np.array(matrix(*args), dtype=np.int64) @ M) % L
-        word.append((inverse, *((-x) % L for x in args)))
+        M = _mul(matrix(*args), M, L)
+        word.extend(f if f == _DFT else ("chirp", f[1] % L) for f in inverse(*args))
 
-    # make the bottom-left entry invertible mod L
-    if gcd(int(M[1, 0]), L) != 1:
-        a, c = int(M[0, 0]), int(M[1, 0])
-        for t in range(L):
-            if gcd((c + t * a) % L, L) == 1:
-                lmul("L", t)
-                break
-        else:  # pragma: no cover - det = 1 guarantees a valid t exists
-            raise NotSymplectic("cannot find an invertible pivot")
+    # make the bottom-left entry invertible mod L (det = 1 guarantees some t)
+    if gcd(M[1][0], L) != 1:
+        lmul("L", next(t for t in range(L) if gcd(M[1][0] + t * M[0][0], L) == 1))
     # clear the top-left entry, rotate, clear the new top-right entry
-    cinv = _inv_mod(int(M[1, 0]), L)
-    lmul("U", (-int(M[0, 0]) * cinv) % L)
+    lmul("U", (-M[0][0] * pow(M[1][0], -1, L)) % L)
     lmul("Jinv")
-    w = int(M[0, 0])
-    lmul("U", (-int(M[0, 1]) * w) % L)  # v = d'*w so that v*w^{-1} = d'
+    w = M[0][0]
+    lmul("U", (-M[0][1] * w) % L)  # v = d'*w so that v*w^{-1} = d'
     # M is now diag(w, w^{-1}); U_{w^{-1}} L_{-w} U_{w^{-1}} J = diag(w^{-1}, w)
-    winv = _inv_mod(w, L)
+    winv = pow(w, -1, L)
     lmul("J")
-    lmul("U", winv % L)
+    lmul("U", winv)
     lmul("L", (-w) % L)
-    lmul("U", winv % L)
-    if not np.array_equal(M, np.eye(2, dtype=np.int64)):
-        raise NotSymplectic(f"factorization failed, residue {M.tolist()}")
-
-    out: list[tuple] = []
-    for op in word:
-        if op == ("J",):
-            out.append(("J",))
-        elif op == ("Jinv",):
-            out.extend([("J",)] * 3)
-        elif op[0] == "L":
-            out.append(("L", op[1] % L))
-        else:  # U_u = J L_{-u} J^3
-            out.append(("J",))
-            out.append(("L", (-op[1]) % L))
-            out.extend([("J",)] * 3)
-    return out
+    lmul("U", winv)
+    if M != _I:
+        raise NotSymplectic(f"factorization failed, residue {[list(r) for r in M]}")
+    return [f for f in word if f != ("chirp", 0)]
 
 
 def metaplectic_from_generators(B, L: int) -> MetaplecticOperator:
     """Build U_B for an integer matrix with det B = 1 mod L.
 
     L must be odd whenever the factorization needs chirps; pure DFT powers
-    (B = J^k mod L) are available for every L.
+    (B = J^k mod L) are available for every L.  The factor word is applied
+    to the identity from the right: a DFT is an inverse FFT of every row
+    and a chirp scales the columns by one phase vector.
     """
-    B = _mat2(B)
+    (x, y), (c, w) = _mat2(B)
     if L < 1:
         raise UnsupportedLength("L must be positive")
-    (x, y), (c, w) = B.tolist()  # Python ints: the determinant is exact
     det = x * w - y * c
     if det % L != 1 % L:
         raise NotSymplectic(f"det B = {det} != 1 (mod {L})")
-    jpow = _is_power_of_j(B, L)
-    if L % 2 == 0 and jpow is None:
-        raise UnsupportedLength(
-            f"even L = {L} supports only DFT powers (chirps need odd L)"
-        )
-    words = _factor_words(B, L)
-    factors = tuple(
-        ("dft",) if w[0] == "J" else ("chirp", w[1]) for w in words if w[0] != "L" or w[1] % L != 0
-    )
+    B = ((x % L, y % L), (c % L, w % L))
+    factors = tuple(_factor_words(B, L))
+    n2, half = np.arange(L) ** 2 % L, (L + 1) // 2  # half = 2^{-1} mod odd L
     U = np.eye(L, dtype=complex)
-    W = _dft_plus(L)
-    for f in factors:
-        U = U @ (W if f[0] == "dft" else _chirp(L, f[1]))
-    return MetaplecticOperator(matrix=B % L, unitary=U, L=L, factors=factors)
+    for f in factors:  # U <- U F; W is symmetric, so U W is the inverse FFT of each row
+        if f == _DFT:
+            U = np.fft.ifft(U, axis=1, norm="ortho")  # W[m, n] = L^{-1/2} w^{+mn}
+        else:
+            U *= np.exp(2j * np.pi * (n2 * (f[1] * half % L) % L) / L)
+    return MetaplecticOperator(matrix=np.array(B, dtype=np.int64), unitary=U, L=L, factors=factors)
 
 
 def covariance_residual(op: MetaplecticOperator, z) -> float:
-    """min over |tau| = 1 of ||U rho(z) - tau rho(Bz) U||_F / ||U||_F."""
-    t, m = int(z[0]), int(z[1])
-    L = op.L
-    Bz = op.matrix @ np.array([t, m], dtype=np.int64)
-    X = op.unitary @ rho_operator(L, t % L, m % L)
-    Y = rho_operator(L, int(Bz[0]) % L, int(Bz[1]) % L) @ op.unitary
+    """min over |tau| = 1 of ||U rho(z) - tau rho(Bz) U||_F / ||U||_F.
+
+    With pi(t, m) = T_t M_m, U rho(t, m) is U with its columns rolled back by
+    t and scaled by the modulation, and rho(s, r) U is the modulated U with
+    its rows rolled forward by s; no rho matrix is formed.
+    """
+    L, U = op.L, op.unitary
+    t, m = int(z[0]) % L, int(z[1]) % L
+    (p, q), (u, v) = op.matrix.tolist()
+    s, r = (p * t + q * m) % L, (u * t + v * m) % L
+    n = np.arange(L)
+    wave = np.exp(2j * np.pi * n / L)
+    X = np.roll(U, -t, axis=1) * (_rho_phase(L, t, m) * wave[m * n % L])
+    Y = np.roll((_rho_phase(L, s, r) * wave[r * n % L])[:, None] * U, s, axis=0)
     c = np.vdot(Y, X)  # Frobenius inner product <X, Y>
     tau = c / abs(c) if abs(c) > 0 else 1.0
-    return float(np.linalg.norm(X - tau * Y) / np.linalg.norm(op.unitary))
+    return float(np.linalg.norm(X - tau * Y) / np.linalg.norm(U))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaborinv import symplectic
 from gaborinv.errors import NotSymplectic, UnsupportedLength, UnsupportedTransport
@@ -61,9 +63,21 @@ class TestConstruction:
 
     def test_failed_factorization_is_a_typed_error(self, monkeypatch):
         # a wrong generator leaves a residue; the final check must raise, not assert
-        monkeypatch.setitem(symplectic._REDUCTIONS, "U", (lambda u: [[1, 0], [0, 1]], "U"))
-        with pytest.raises(NotSymplectic):
+        _, inverse_word = symplectic._REDUCTIONS["U"]
+        monkeypatch.setitem(symplectic._REDUCTIONS, "U", (lambda u: ((1, 0), (0, 1)), inverse_word))
+        with pytest.raises(NotSymplectic, match="residue"):
             metaplectic_from_generators([[2, 1], [1, 1]], 7)
+
+    def test_rejects_non_integral_entries(self):
+        # an int64 cast truncated 1.5 to 1 and accepted the identity
+        with pytest.raises(ValueError, match="integer matrix"):
+            metaplectic_from_generators([[1.5, 0], [0, 1]], 7)
+
+    def test_entries_beyond_int64_are_reduced_exactly(self):
+        # 2**63 = 1 (mod 7): an int64 cast raised OverflowError
+        op = metaplectic_from_generators([[2**63, 1], [-1, 0]], 7)
+        assert op.matrix.tolist() == [[1, 1], [6, 0]]
+        assert max_residual(op) < 1e-10
 
     def test_even_length_rejected_for_shears(self):
         with pytest.raises(UnsupportedLength):
@@ -102,6 +116,15 @@ class TestCovariance:
                 M %= L
             op = metaplectic_from_generators(M, L)
             assert max_residual(op) < 1e-10
+
+    def test_shift_beyond_int64_is_reduced_exactly(self):
+        # B z in int64 wrapped for z = (2**62, 2**62) and gave a residual of 1.414
+        op = metaplectic_from_generators([[2, 1], [3, 2]], 7)
+        z = (2**62, 2**62)
+        assert covariance_residual(op, z) < 1e-10
+        assert covariance_residual(op, z) == pytest.approx(
+            covariance_residual(op, (z[0] % 7, z[1] % 7)), abs=1e-15
+        )
 
     def test_wrong_phase_convention_fails(self):
         # chirp missing the (L+1)/2 half-inverse: e^{i pi c n^2 / L}
@@ -201,3 +224,75 @@ class TestTransport:
         op = metaplectic_from_generators(J, 5)
         with pytest.raises(UnsupportedTransport):
             transport_system(op, sys)
+
+
+# -- oracles: the factor word and the dense generator products -------------------
+
+# factors of the earlier dense implementation; "F" is the DFT, an integer c the chirp c
+PINNED_FACTORS = [
+    (COMPOSITE, 5, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F"),
+    (COMPOSITE, 7, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F"),
+    (COMPOSITE, 9, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F"),
+    (COMPOSITE, 15, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F"),
+    ([[2, 1], [3, 2]], 121, "F 80 F F F F F 115 F F F F F F F 81 F F F 3 F 81 F F F"),
+    ([[2, 1], [3, 2]], 225, "223 F 64 F F F F F 197 F F F F F F F 193 F F F 7 F 193 F F F"),
+    ([[2, 3], [7, 11]], 15, "F 4 F F F F F 13 F F F F F F F 13 F F F 7 F 13 F F F"),
+]
+
+
+@pytest.mark.parametrize("B, L, word", PINNED_FACTORS)
+def test_factors_are_pinned(B, L, word):
+    expected = tuple(("dft",) if w == "F" else ("chirp", int(w)) for w in word.split())
+    op = metaplectic_from_generators(B, L)
+    assert repr(op.factors) == repr(expected)
+    assert op.factorization_trace() == [
+        {"type": "dft"} if f == ("dft",) else {"type": "chirp", "c": f[1]} for f in expected
+    ]
+
+
+def dense_generator(L, f):
+    """The module docstring's generators: W[m, n] = L^{-1/2} w^{mn}, chirp diag(w^{c n^2 (L+1)/2})."""
+    n = np.arange(L)
+    if f == ("dft",):
+        return np.exp(2j * np.pi * np.outer(n, n) / L) / np.sqrt(L)
+    return np.diag(np.exp(2j * np.pi * (f[1] * n * n * ((L + 1) // 2) % L) / L))
+
+
+def dense_residual(op, B, z):
+    """||U rho(z) - tau rho(Bz) U||_F / ||U||_F from dense rho matrices."""
+    L, U = op.L, op.unitary
+    t, m = z[0] % L, z[1] % L
+    s, r = (B[0][0] * z[0] + B[0][1] * z[1]) % L, (B[1][0] * z[0] + B[1][1] * z[1]) % L
+    X = U @ rho_operator(L, t, m)
+    Y = rho_operator(L, s, r) @ U
+    c = np.vdot(Y, X)
+    return np.linalg.norm(X - c / abs(c) * Y) / np.linalg.norm(U)
+
+
+@st.composite
+def sl2_mod_l(draw):
+    """(B, L): an integer lift of a random B in SL(2, Z_L) at odd L <= 45, or of J^k at even L."""
+    big = st.integers(-(2**70), 2**70)
+    if draw(st.booleans()):
+        L = draw(st.integers(1, 22)) * 2
+        B = np.linalg.matrix_power(np.array(J), draw(st.integers(0, 3))).tolist()
+    else:
+        L = draw(st.integers(0, 22)) * 2 + 1
+        a, b, c = (draw(big) for _ in range(3))
+        d = [d for d in range(L) if (a * d - b * c) % L == 1 % L]
+        assume(d)
+        B = [[a, b], [c, d[0]]]
+    B[1][1] += L * draw(big)
+    return B, L
+
+
+@settings(max_examples=60, deadline=None)
+@given(sl2_mod_l(), st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)))
+def test_unitary_and_residual_match_dense_generators(BL, z):
+    B, L = BL
+    op = metaplectic_from_generators(B, L)
+    U = np.eye(L, dtype=complex)
+    for f in op.factors:
+        U = U @ dense_generator(L, f)
+    assert np.abs(op.unitary - U).max() < 1e-12
+    assert abs(covariance_residual(op, z) - dense_residual(op, B, z)) < 1e-12
