@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, lattice, serialize
-from .errors import DEFAULT_RANK_TOL, DEFAULT_TOL, GaborError, NotFrameSequence
+from .errors import DEFAULT_RANK_TOL, DEFAULT_TOL, GaborError, InvalidNu, NotFrameSequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -196,8 +196,8 @@ def _build_window(args) -> np.ndarray:
     if name == "gaussian":
         return g0
     nu = getattr(args, "nu", 2)
-    if args.a % nu:
-        raise NotFrameSequence(f"builtin window needs nu | a, got nu={nu}, a={args.a}")
+    if nu < 1 or args.a % nu:
+        raise InvalidNu(f"builtin window needs nu | a, got nu={nu}, a={args.a}")
     step = args.a // nu
     copies = nu if name == "gaussian-sum" else args.L // step
     w = sum(gabor.tf_shift(g0, j * step, 0) for j in range(copies))

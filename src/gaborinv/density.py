@@ -1,11 +1,17 @@
 """Lower Beurling density: exact box counts, windowed estimators, diagnostics.
 
-Point sets are structured specs (lattices, punctured/shifted lattices,
-separable products with excluded residue classes, unions).  Counting is by
-integer-range enumeration -- index ranges are computed in closed form per
-window, never by scanning floating point points -- with a boundary fuzz of
-1e-9 (4 ulps where that is larger) so closed boxes [-R, R]^2 count their
-boundary points.
+Every point set is a signed sum of lattices.  A set holds `terms`, a tuple
+of (sign, basis, shift, punctured), and stands for the points counted as
+sign * #(basis @ Z^2 + shift), less the point k = 0 of a punctured term.
+A lattice is one term; the product t*Z x f*(Z \\ nu*Z) is the full product
+less its nu-subsampled rows; a union concatenates its members' terms.  Box
+counts, the probing cell and the image under an invertible matrix are each
+one rule over the terms.
+
+Counting is by integer-range enumeration -- index ranges are computed in
+closed form per window, never by scanning floating point points -- with a
+boundary fuzz of 1e-9 (4 ulps where that is larger) so closed boxes
+[-R, R]^2 count their boundary points.
 
 Also provides the density transformation law under invertible matrices and
 an equidistribution diagnostic for irrational line orbits modulo a lattice.
@@ -47,10 +53,18 @@ __all__ = [
     "pointset_to_json",
 ]
 
+_ORIGIN = (0.0, 0.0)
+
 
 def _fuzz(v: float) -> float:
     """The boundary fuzz at v: BOUNDARY_FUZZ, or 4 ulps where rounding exceeds it."""
     return max(BOUNDARY_FUZZ, 4 * math.ulp(v))
+
+
+def _check_radius(R: float) -> None:
+    """InvalidParameter unless 0 < R < inf, which NaN fails."""
+    if not 0 < R < math.inf:
+        raise InvalidParameter(f"R must lie in (0, inf), got {R!r}")
 
 
 def _axis_range(step: float, lo: float, hi: float) -> tuple[int, int]:
@@ -60,12 +74,6 @@ def _axis_range(step: float, lo: float, hi: float) -> tuple[int, int]:
         return 1, 0
     u, v = hi / step, lo / step
     return math.ceil(v - _fuzz(v)), math.floor(u + _fuzz(u))
-
-
-def _axis_count(step: float, lo: float, hi: float) -> int:
-    """#(step*Z intersect [lo, hi]), boundary included via fuzz."""
-    first, last = _axis_range(step, lo, hi)
-    return last - first + 1
 
 
 def _count_general_lattice(basis: np.ndarray, center, R: float) -> tuple[int, bool]:
@@ -99,32 +107,81 @@ def _count_general_lattice(basis: np.ndarray, center, R: float) -> tuple[int, bo
     return int(np.maximum(last - first + 1, 0.0).sum()), bool(origin)
 
 
-class PointSet:
-    """Base class for structured point-set specs."""
-
-    def count_in_box(self, center, R: float) -> int:
-        raise NotImplementedError
-
-    def analytic_density(self) -> Optional[float]:
-        return None
-
-    def period_cell(self) -> tuple[float, float]:
-        """Translation periods (one fundamental cell) used for probing."""
-        raise NotImplementedError
-
-    def transformed(self, B: np.ndarray) -> "PointSet":
-        raise NotImplementedError
-
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
+def _lattice_count(basis: np.ndarray, center, R: float) -> tuple[int, bool]:
+    """The count of basis @ Z^2 in center + [-R, R]^2 and whether it includes k = 0."""
+    (p, q), (u, v) = basis.tolist()
+    if q == 0.0 and u == 0.0:
+        x0, x1 = _axis_range(abs(p), center[0] - R, center[0] + R)
+        y0, y1 = _axis_range(abs(v), center[1] - R, center[1] + R)
+        return (x1 - x0 + 1) * (y1 - y0 + 1), x0 <= 0 <= x1 and y0 <= 0 <= y1
+    return _count_general_lattice(basis, center, R)
 
 
 def _basis_array(lat) -> np.ndarray:
+    """A float 2x2 basis; InvalidMatrix when an entry is not finite or it is singular."""
     if isinstance(lat, Lattice2D):
-        return np.array([[float(v) for v in row] for row in lat.basis.entries])
-    if isinstance(lat, SeparableLattice):
-        return np.diag([float(lat.alpha), float(lat.beta)])
-    return np.asarray(lat, dtype=float)
+        b = np.array([[float(v) for v in row] for row in lat.basis.entries])
+    elif isinstance(lat, SeparableLattice):
+        b = np.diag([float(lat.alpha), float(lat.beta)])
+    else:
+        b = np.array(lat, dtype=float)  # a copy: the caller's array may change later
+    if not np.isfinite(b).all():
+        raise InvalidMatrix("lattice basis entries must be finite")
+    if abs(np.linalg.det(b)) < 1e-14:
+        raise InvalidMatrix("lattice basis is singular")
+    return b
+
+
+@dataclass(frozen=True)
+class PointSet:
+    """A signed sum of lattices: `terms` holds (sign, basis, shift, punctured)
+    tuples, built once by each set's constructor."""
+
+    terms: tuple = field(init=False, repr=False, compare=False)
+
+    def _set(self, terms: tuple, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "terms", terms)
+
+    def count_in_box(self, center, R: float) -> int:
+        """The signed count of the terms in center + [-R, R]^2."""
+        total = 0
+        for sign, basis, shift, punctured in self.terms:
+            n, origin = _lattice_count(basis, (center[0] - shift[0], center[1] - shift[1]), R)
+            # k = 0 leaves a punctured count only if the count, with its fuzz, took it
+            total += sign * (n - (punctured and origin))
+        return total
+
+    def analytic_density(self) -> float:
+        return float(sum(sign / abs(np.linalg.det(b)) for sign, b, _, _ in self.terms))
+
+    def period_cell(self) -> tuple[float, float]:
+        """Translation periods used for probing: the largest row sums
+        |b_i1| + |b_i2| over the terms (one fundamental cell for nested terms;
+        a probing heuristic for incommensurable unions)."""
+        rows = np.max([np.abs(b).sum(axis=1) for _, b, _, _ in self.terms], axis=0)
+        return float(rows[0]), float(rows[1])
+
+    def transformed(self, B: np.ndarray) -> "PointSet":
+        """The image B @ self: every term mapped to (sign, B basis, B shift, punctured)."""
+        B = np.asarray(B, float)
+        return _Terms(
+            tuple(
+                (s, _basis_array(B @ b), tuple((B @ shift).tolist()), p)
+                for s, b, shift, p in self.terms
+            )
+        )
+
+    def to_json_dict(self) -> dict:
+        raise NotImplementedError("a transformed point set has no JSON form")
+
+
+@dataclass(frozen=True)
+class _Terms(PointSet):
+    """A signed sum of lattices with no named form: the image under `transformed`."""
+
+    terms: tuple
 
 
 @dataclass(frozen=True)
@@ -135,33 +192,7 @@ class LatticePoints(PointSet):
 
     def __post_init__(self):
         b = _basis_array(self.basis)
-        if abs(np.linalg.det(b)) < 1e-14:
-            raise InvalidMatrix("lattice basis is singular")
-        object.__setattr__(self, "basis", b)
-
-    def count_in_box(self, center, R):
-        return self._count(center, R)[0]
-
-    def _count(self, center, R) -> tuple[int, bool]:
-        """The count in center + [-R, R]^2 and whether it includes the origin."""
-        b = self.basis
-        if b[0, 1] == 0.0 and b[1, 0] == 0.0:
-            x0, x1 = _axis_range(abs(b[0, 0]), center[0] - R, center[0] + R)
-            y0, y1 = _axis_range(abs(b[1, 1]), center[1] - R, center[1] + R)
-            return (x1 - x0 + 1) * (y1 - y0 + 1), x0 <= 0 <= x1 and y0 <= 0 <= y1
-        return _count_general_lattice(b, center, R)
-
-    def analytic_density(self):
-        return 1.0 / abs(np.linalg.det(self.basis))
-
-    def period_cell(self):
-        return (
-            abs(self.basis[0, 0]) + abs(self.basis[0, 1]),
-            abs(self.basis[1, 0]) + abs(self.basis[1, 1]),
-        )
-
-    def transformed(self, B):
-        return LatticePoints(np.asarray(B, float) @ self.basis)
+        self._set(((1, b, _ORIGIN, False),), basis=b)
 
     def to_json_dict(self):
         return {"variant": "lattice", "basis": self.basis.tolist()}
@@ -175,22 +206,8 @@ class ShiftedLattice(PointSet):
     shift: tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _basis_array(self.basis))
-        object.__setattr__(self, "shift", (float(self.shift[0]), float(self.shift[1])))
-
-    def count_in_box(self, center, R):
-        c = (center[0] - self.shift[0], center[1] - self.shift[1])
-        return LatticePoints(self.basis).count_in_box(c, R)
-
-    def analytic_density(self):
-        return 1.0 / abs(np.linalg.det(self.basis))
-
-    def period_cell(self):
-        return LatticePoints(self.basis).period_cell()
-
-    def transformed(self, B):
-        B = np.asarray(B, float)
-        return ShiftedLattice(B @ self.basis, tuple(B @ np.array(self.shift)))
+        b, shift = _basis_array(self.basis), (float(self.shift[0]), float(self.shift[1]))
+        self._set(((1, b, shift, False),), basis=b, shift=shift)
 
     def to_json_dict(self):
         return {
@@ -207,22 +224,8 @@ class PuncturedLattice(PointSet):
     basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _basis_array(self.basis))
-
-    def count_in_box(self, center, R):
-        # the origin leaves the count only if the lattice count, with its fuzz, took it
-        full, origin_in = LatticePoints(self.basis)._count(center, R)
-        return full - origin_in
-
-    def analytic_density(self):
-        # one removed point does not change the density
-        return 1.0 / abs(np.linalg.det(self.basis))
-
-    def period_cell(self):
-        return LatticePoints(self.basis).period_cell()
-
-    def transformed(self, B):
-        return PuncturedLattice(np.asarray(B, float) @ self.basis)
+        b = _basis_array(self.basis)
+        self._set(((1, b, _ORIGIN, True),), basis=b)
 
     def to_json_dict(self):
         return {"variant": "punctured_lattice", "basis": self.basis.tolist()}
@@ -241,24 +244,12 @@ class ExcludedResidueProduct(PointSet):
             raise InvalidModulus(f"nu must be >= 2, got {self.nu}")
         if self.t_step <= 0 or self.f_step <= 0:
             raise InvalidMatrix("steps must be positive")
-
-    def count_in_box(self, center, R):
-        nx = _axis_count(self.t_step, center[0] - R, center[0] + R)
-        ny_all = _axis_count(self.f_step, center[1] - R, center[1] + R)
-        ny_sub = _axis_count(self.nu * self.f_step, center[1] - R, center[1] + R)
-        return nx * (ny_all - ny_sub)
+        full = _basis_array(np.diag([self.t_step, self.f_step]))
+        sub = _basis_array(np.diag([self.t_step, self.nu * self.f_step]))
+        self._set(((1, full, _ORIGIN, False), (-1, sub, _ORIGIN, False)))
 
     def analytic_density(self):
-        return (1.0 / self.t_step) * (1.0 / self.f_step) * (1.0 - 1.0 / self.nu)
-
-    def period_cell(self):
-        return (self.t_step, self.nu * self.f_step)
-
-    def transformed(self, B):
-        B = np.asarray(B, float)
-        full = LatticePoints(B @ np.diag([self.t_step, self.f_step]))
-        sub = LatticePoints(B @ np.diag([self.t_step, self.nu * self.f_step]))
-        return _LatticeDifference(full, sub)
+        return float((1.0 / self.t_step) * (1.0 / self.f_step) * (1.0 - 1.0 / self.nu))
 
     def to_json_dict(self):
         return {
@@ -270,27 +261,6 @@ class ExcludedResidueProduct(PointSet):
 
 
 @dataclass(frozen=True)
-class _LatticeDifference(PointSet):
-    """full \\ sub for nested lattices; produced by transforming products."""
-
-    full: LatticePoints
-    sub: LatticePoints
-
-    def count_in_box(self, center, R):
-        return self.full.count_in_box(center, R) - self.sub.count_in_box(center, R)
-
-    def analytic_density(self):
-        return self.full.analytic_density() - self.sub.analytic_density()
-
-    def period_cell(self):
-        return self.sub.period_cell()
-
-    def transformed(self, B):
-        B = np.asarray(B, float)
-        return _LatticeDifference(self.full.transformed(B), self.sub.transformed(B))
-
-
-@dataclass(frozen=True)
 class UnionSet(PointSet):
     """Union of member sets.  Counts are additive; members are expected to be
     disjoint (overlapping points are counted once per member containing them).
@@ -299,25 +269,11 @@ class UnionSet(PointSet):
     members: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-
-    def count_in_box(self, center, R):
-        return sum(m.count_in_box(center, R) for m in self.members)
+        members = tuple(self.members)
+        self._set(tuple(t for m in members for t in m.terms), members=members)
 
     def analytic_density(self):
-        vals = [m.analytic_density() for m in self.members]
-        if any(v is None for v in vals):
-            return None
-        return float(sum(vals))
-
-    def period_cell(self):
-        # commensurable members share the max cell; otherwise this is a
-        # probing heuristic only
-        cells = [m.period_cell() for m in self.members]
-        return (max(c[0] for c in cells), max(c[1] for c in cells))
-
-    def transformed(self, B):
-        return UnionSet(tuple(m.transformed(B) for m in self.members))
+        return float(sum(m.analytic_density() for m in self.members))
 
     def to_json_dict(self):
         return {"variant": "union", "members": [m.to_json_dict() for m in self.members]}
@@ -335,9 +291,8 @@ def omega_spec(alpha: float, beta: float, nu: int) -> UnionSet:
 
 
 def count_in_box(spec: PointSet, center: Sequence[float], R: float) -> int:
-    """Exact number of spec points in center + [-R, R]^2."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    """Exact number of spec points in center + [-R, R]^2, 0 < R < inf."""
+    _check_radius(R)
     return spec.count_in_box((float(center[0]), float(center[1])), float(R))
 
 
@@ -359,7 +314,7 @@ class DensityEstimate:
 def lower_density_empirical(
     spec: PointSet, R_list: Sequence[float], probe_grid: int = 32
 ) -> list[DensityEstimate]:
-    """Estimate theta_R = inf_x #(spec in x + [-R,R]^2) / (2R)^2 per R.
+    """Estimate theta_R = inf_x #(spec in x + [-R,R]^2) / (2R)^2 per R, 0 < R < inf.
 
     The infimum is approximated over a probe_grid x probe_grid set of window
     centers covering one period cell (sufficient for periodic specs).
@@ -370,8 +325,7 @@ def lower_density_empirical(
     analytic = spec.analytic_density()
     out = []
     for R in R_list:
-        if R <= 0:
-            raise ValueError("all R must be positive")
+        _check_radius(R)
         best = min(
             spec.count_in_box((i * p1 / probe_grid, j * p2 / probe_grid), R)
             for i in range(probe_grid)

@@ -55,6 +55,22 @@ __all__ = [
 ]
 
 
+def _exact_ints(values, shape: tuple, message: str) -> list[int]:
+    """The entries of an array of the given shape as exact Python ints.
+
+    ValueError(message) when the shape differs or an entry is not integral:
+    1.5 is rejected, never truncated, and entries beyond int64 stay exact.
+    """
+    try:
+        A = np.asarray(values, dtype=object)
+        exact = [int(v) for v in A.flat] if A.shape == shape else None
+        if exact is None or any(e != v for e, v in zip(exact, A.flat)):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    return exact
+
+
 def tf_shift(f: np.ndarray, t: int, m: int) -> np.ndarray:
     """Apply pi(t, m) = T_t M_m to a length-L signal (indices mod L)."""
     f = np.asarray(f)

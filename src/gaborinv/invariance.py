@@ -37,6 +37,7 @@ from .gabor import (
     FrameBounds,
     SubspaceBasis,
     SystemAnalysis,
+    _exact_ints,
     analyze_system,
     orthonormal_range,
     periodized_gaussian,
@@ -424,7 +425,7 @@ def small_shift_completeness(
     that union must keep L singular values above rank_tol * s_max.
     """
     check_tolerance("rank_tol", rank_tol)
-    (x1, y1), (x2, y2) = (int(v1[0]), int(v1[1])), (int(v2[0]), int(v2[1]))
+    x1, y1, x2, y2 = _exact_ints((v1, v2), (2, 2), "v1 and v2 must be integer pairs")
     det = x1 * y2 - y1 * x2
     if det == 0:
         raise DegenerateInput(f"shift vectors {(x1, y1)}, {(x2, y2)} are collinear")

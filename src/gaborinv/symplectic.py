@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NotSymplectic, UnsupportedLength, UnsupportedTransport
-from .gabor import FiniteGaborSystem, shift_operator, tf_shifts
+from .gabor import FiniteGaborSystem, _exact_ints, shift_operator, tf_shifts
 
 __all__ = [
     "MetaplecticOperator",
@@ -64,13 +64,7 @@ def rho_operator(L: int, t: int, m: int) -> np.ndarray:
 
 def _mat2(entries) -> tuple:
     """The entries of a 2x2 integer matrix as exact Python ints."""
-    try:
-        B = np.asarray(entries, dtype=object)
-        exact = [int(v) for v in B.flat] if B.shape == (2, 2) else None
-        if exact is None or any(e != v for e, v in zip(exact, B.flat)):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("B must be a 2x2 integer matrix") from None
+    exact = _exact_ints(entries, (2, 2), "B must be a 2x2 integer matrix")
     return tuple(exact[:2]), tuple(exact[2:])
 
 
@@ -198,7 +192,7 @@ def covariance_residual(op: MetaplecticOperator, z) -> float:
     its rows rolled forward by s; no rho matrix is formed.
     """
     L, U = op.L, op.unitary
-    t, m = int(z[0]) % L, int(z[1]) % L
+    t, m = (v % L for v in _exact_ints(z, (2,), "z must be an integer pair"))
     (p, q), (u, v) = op.matrix.tolist()
     s, r = (p * t + q * m) % L, (u * t + v * m) % L
     n = np.arange(L)

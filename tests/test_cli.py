@@ -107,10 +107,12 @@ class TestCriteria:
         assert code == 0  # verdict_consistent even though all fail
         assert json.loads(capsys.readouterr().out)["verdict"] == "all_fail"
 
-    def test_nu_not_dividing_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("window", ["gaussian", "gaussian-sum", "periodic-gaussian"])
+    def test_nu_not_dividing_exit_2(self, tmp_path, capsys, window):
+        # the builtin sums shift by a/nu; the plain Gaussian reaches the criteria's check
         code = run(
             tmp_path, "criteria", "--L", "120", "--a", "12", "--b", "12",
-            "--nu", "5", "--window", "gaussian",
+            "--nu", "5", "--window", window,
         )
         assert code == 2
         assert "InvalidNu" in capsys.readouterr().err
@@ -173,6 +175,50 @@ class TestScanDensityGaussianEquid:
         assert text.splitlines()[0] == "R,theta,analytic,gap"
         assert (tmp_path / "density_product_part.csv").exists()
         assert (tmp_path / "density_union.csv").exists()
+
+    @pytest.mark.parametrize("nu", ["4", "0"])
+    def test_scan_builtin_window_nu_not_dividing_exit_2(self, tmp_path, capsys, nu):
+        # nu = 0 divided a by zero while the window was built
+        code = run(
+            tmp_path, "scan", "--L", "120", "--a", "6", "--b", "12",
+            "--nu", nu, "--window", "gaussian-sum", "--refinement", "2",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("InvalidNu:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--set", "omega", "--alpha", "3/2", "--beta", "5/7", "--nu", "2"],
+            ["--set", "lattice", "--alpha", "1.3", "--beta", "pi"],
+        ],
+        ids=["omega", "lattice"],
+    )
+    def test_density_csv_cells_are_plain_floats(self, tmp_path, capsys, args):
+        # numpy 2 scalars printed as np.float64(...) in the analytic and gap cells
+        assert run(tmp_path, "density", *args, "--R", "20,40", "--probe-grid", "4") == 0
+        files = sorted(tmp_path.glob("density_*.csv"))
+        assert files
+        for path in files:
+            for row in path.read_text().splitlines()[1:]:
+                for cell in row.split(","):
+                    if cell != "None":
+                        float(cell)  # ValueError on "np.float64(0.93...)"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--R", "inf"], "R must lie in (0, inf)"),
+            (["--R", "nan"], "R must lie in (0, inf)"),
+            (["--R", "5", "--alpha", "0"], "InvalidMatrix: lattice basis is singular"),
+            (["--R", "5", "--set", "lattice", "--alpha", "inf"], "InvalidMatrix: lattice basis entries must be finite"),
+        ],
+        ids=["R-inf", "R-nan", "alpha-0", "lattice-alpha-inf"],
+    )
+    def test_density_precondition_exit_2(self, tmp_path, capsys, args, message):
+        assert run(tmp_path, "density", *args) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_gaussian_pipeline(self, tmp_path, capsys):
         code = run(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaborinv.density import (
     ExcludedResidueProduct,
@@ -42,6 +44,89 @@ def brute_count_product_excluded(t_step, f_step, nu, center, R):
             if cy - R - 1e-9 <= j * f_step <= cy + R + 1e-9:
                 count += 1
     return count
+
+
+# -- an enumeration oracle: each set as the lattices it is drawn from ---------------
+# A piece is (basis, shift, keep): the points basis @ k + shift for the integer
+# k = (k1, k2) with keep(k1, k2).  No signed sums and no closed-form ranges.
+
+def lattice_points(basis, shift=(0.0, 0.0)):
+    return [(np.asarray(basis, float), shift, lambda k1, k2: np.ones(k1.shape, bool))]
+
+
+def punctured_points(basis):
+    return [(np.asarray(basis, float), (0.0, 0.0), lambda k1, k2: (k1 != 0) | (k2 != 0))]
+
+
+def product_points(t, f, nu):
+    return [(np.diag([t, f]), (0.0, 0.0), lambda k1, k2: k2 % nu != 0)]
+
+
+def oracle_count(pieces, center, R, M=np.eye(2)):
+    """#{M p : p in pieces} in center + [-R, R]^2, each point tested directly.
+
+    The library counts points up to a fuzz of 1e-9 in coordinates (times the
+    step on a diagonal axis, at most 30 here); None when a point's excess over
+    R lies between 1e-11 and 1e-7, where that fuzz or its rounding decides.
+    """
+    c = np.asarray(center, float)
+    corners = c[:, None] + R * np.array([[-1, -1, 1, 1], [-1, 1, -1, 1]])
+    total = 0
+    for basis, shift, keep in pieces:
+        A, s = M @ basis, M @ np.asarray(shift, float)
+        k = np.linalg.solve(A, corners - s[:, None])
+        lo, hi = np.floor(k.min(axis=1)) - 2, np.ceil(k.max(axis=1)) + 2
+        k1, k2 = np.meshgrid(np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1), indexing="ij")
+        k1, k2 = k1.ravel(), k2.ravel()
+        excess = np.abs(A @ np.stack([k1, k2]) + (s - c)[:, None]).max(axis=0) - R
+        if np.any((excess > 1e-11) & (excess < 1e-7)):
+            return None
+        total += int(np.sum((excess <= 1e-11) & keep(k1, k2)))
+    return total
+
+
+def sheared(d1, d2, s1, s2):
+    """diag(d1, d2) @ [[1 + s1 s2, s1], [s2, 1]]: determinant d1 d2."""
+    return np.diag([d1, d2]) @ np.array([[1 + s1 * s2, s1], [s2, 1.0]])
+
+
+steps = st.floats(0.25, 3.0)
+shears = st.floats(-1.0, 1.0)
+diagonal_bases = st.tuples(steps, st.sampled_from([-1.0, 1.0]), steps).map(
+    lambda v: np.diag([v[0] * v[1], v[2]])
+)
+bases = st.one_of(diagonal_bases, st.builds(sheared, steps, steps, shears, shears))
+maps = st.builds(sheared, st.floats(0.5, 2.0), st.floats(0.5, 2.0), shears, shears)
+pairs = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    basis=bases,
+    shift=pairs,
+    product=st.tuples(steps, steps, st.integers(2, 5)),
+    center=pairs,
+    R=st.floats(0.25, 6.0),
+    B=maps,
+)
+def test_every_set_and_its_image_count_what_enumeration_gives(basis, shift, product, center, R, B):
+    sets = [
+        (LatticePoints(basis), lattice_points(basis)),
+        (ShiftedLattice(basis, shift), lattice_points(basis, shift)),
+        (PuncturedLattice(basis), punctured_points(basis)),
+        (ExcludedResidueProduct(*product), product_points(*product)),
+    ]
+    sets.append(
+        (
+            UnionSet((sets[1][0], sets[2][0], sets[3][0])),
+            sets[1][1] + sets[2][1] + sets[3][1],
+        )
+    )
+    for spec, pieces in sets:
+        want, want_moved = oracle_count(pieces, center, R), oracle_count(pieces, center, R, B)
+        assume(want is not None and want_moved is not None)
+        assert count_in_box(spec, center, R) == want, spec
+        assert spec.transformed(B).count_in_box(center, R) == want_moved, spec
 
 
 class TestCountInBox:
@@ -125,6 +210,73 @@ class TestCountInBox:
             R for R in radii if sheared.count_in_box((0, 0), R) != diagonal.count_in_box((0, 0), R)
         ]
         assert wrong == []
+
+
+class TestSetFormulas:
+    B = np.array([[1.1, -0.3], [0.2, 0.9]])
+    PRODUCT = ExcludedResidueProduct(1.4, 2 / 3, 3)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LatticePoints(B), ShiftedLattice(B, (0.3, -0.2)), PuncturedLattice(B)],
+        ids=["lattice", "shifted", "punctured"],
+    )
+    def test_lattice_cell_and_density(self, spec):
+        # the row sums |b_i1| + |b_i2|, and 1/|det|: one removed point or a shift changes neither
+        assert spec.period_cell() == (1.1 + 0.3, 0.2 + 0.9)
+        assert spec.analytic_density() == 1.0 / abs(np.linalg.det(self.B))
+        assert type(spec.analytic_density()) is float
+
+    def test_product_cell_and_density(self):
+        assert self.PRODUCT.period_cell() == (1.4, 3 * (2 / 3))
+        assert self.PRODUCT.analytic_density() == (1.0 / 1.4) * (1.0 / (2 / 3)) * (1.0 - 1.0 / 3)
+
+    def test_union_cell_and_density(self):
+        member = PuncturedLattice(self.B)
+        union = UnionSet((member, self.PRODUCT))
+        assert union.period_cell() == (max(1.1 + 0.3, 1.4), max(0.2 + 0.9, 3 * (2 / 3)))
+        assert union.analytic_density() == member.analytic_density() + self.PRODUCT.analytic_density()
+        assert type(union.analytic_density()) is float
+
+    def test_transformed_sets_have_no_json_form(self):
+        with pytest.raises(NotImplementedError):
+            pointset_to_json(LatticePoints(self.B).transformed(np.eye(2)))
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize(
+        "make",
+        [LatticePoints, PuncturedLattice, lambda b: ShiftedLattice(b, (0.5, 0.5))],
+        ids=["lattice", "punctured", "shifted"],
+    )
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            ([[1.0, 2.0], [0.5, 1.0]], "singular"),
+            ([[math.inf, 0.0], [0.0, 1.0]], "finite"),
+            ([[math.nan, 0.0], [0.0, 1.0]], "finite"),
+        ],
+        ids=["singular", "inf", "nan"],
+    )
+    def test_every_lattice_class_checks_its_basis(self, make, basis, message):
+        # the shifted and punctured classes used to fail only when they counted
+        with pytest.raises(InvalidMatrix, match=message):
+            make(np.array(basis))
+
+    def test_basis_is_copied(self):
+        # the set kept the caller's array, so zeroing it later made the checked basis singular
+        basis = np.eye(2)
+        spec = LatticePoints(basis)
+        basis[0, 0] = 0.0
+        assert count_in_box(spec, (0.0, 0.0), 1.5) == 9
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, R):
+        spec = omega_spec(1.5, 5 / 7, 2)
+        with pytest.raises(InvalidParameter, match="R must lie in"):
+            count_in_box(spec, (0.0, 0.0), R)
+        with pytest.raises(InvalidParameter, match="R must lie in"):
+            lower_density_empirical(spec, [5.0, R], probe_grid=2)
 
 
 class TestLowerDensity:
@@ -226,9 +378,12 @@ class TestTransformLaw:
         spec = ExcludedResidueProduct(1.0, 1.0, 2)
         B = np.array([[1.0, 0.5], [0.0, 1.0]])
         moved = spec.transformed(B)
-        # shear preserves counts of the full/sub split row by row
-        assert moved.count_in_box((0, 0), 3.0) > 0
+        # the shear maps (i, j), j odd, to (i + j/2, j): the rows j = -3, -1, 1, 3
+        # of [-3, 3]^2 hold 6 points each
+        assert moved.count_in_box((0, 0), 3.0) == 24
+        assert moved.count_in_box((0, 0), 3.0) == oracle_count(product_points(1.0, 1.0, 2), (0, 0), 3.0, B)
         assert moved.analytic_density() == pytest.approx(spec.analytic_density())
+        assert moved.period_cell() == (2.0, 2.0)  # the rows of B @ diag(1, 2)
 
     def test_singular_rejected(self):
         with pytest.raises(InvalidMatrix):

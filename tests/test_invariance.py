@@ -438,6 +438,18 @@ class TestSmallShiftCompleteness:
         with pytest.raises(DegenerateInput):
             small_shift_completeness(sys, (1, 0), (2, 0))
 
+    @pytest.mark.parametrize(
+        "v1, v2",
+        [
+            ((1.5, 0), (0, 1.9)),  # truncated to (1, 0), (0, 1): "complete"
+            ((0.5, 0), (0, 0.5)),  # truncated to (0, 0), (0, 0): "collinear"
+        ],
+    )
+    def test_non_integral_shifts_rejected(self, v1, v2):
+        sys = FiniteGaborSystem(60, 12, 12, periodized_gaussian(60, np.pi))
+        with pytest.raises(ValueError, match="integer pairs"):
+            small_shift_completeness(sys, v1, v2)
+
     def test_coarse_sublattice_with_deficient_window_fails(self):
         L = 16
         g = np.zeros(L, dtype=complex)

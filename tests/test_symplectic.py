@@ -126,6 +126,12 @@ class TestCovariance:
             covariance_residual(op, (z[0] % 7, z[1] % 7)), abs=1e-15
         )
 
+    def test_non_integral_shift_rejected(self):
+        # int() truncated (1.5, 0.7) to (1, 0) and returned its residual, 7.6e-16
+        op = metaplectic_from_generators([[2, 1], [3, 2]], 7)
+        with pytest.raises(ValueError, match="integer pair"):
+            covariance_residual(op, (1.5, 0.7))
+
     def test_wrong_phase_convention_fails(self):
         # chirp missing the (L+1)/2 half-inverse: e^{i pi c n^2 / L}
         L = 7
