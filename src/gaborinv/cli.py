@@ -210,7 +210,7 @@ def _manifest(args, constants: dict) -> dict:
             return ";".join(",".join(lattice.rational_str(x) for x in row) for row in v.entries)
         return str(v) if isinstance(v, Fraction) else v
 
-    config = {k: echo(v) for k, v in sorted(vars(args).items()) if k not in ("func",)}
+    config = {k: echo(v) for k, v in sorted(vars(args).items())}
     return {"version": __version__, "config": config, "constants": constants}
 
 

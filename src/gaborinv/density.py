@@ -97,8 +97,10 @@ def _count_general_lattice(basis: np.ndarray, center, R: float) -> tuple[int, bo
         if q == 0.0:
             ok &= (p * k1 >= c - R - fz) & (p * k1 <= c + R + fz)
         else:
-            u = (c - R - fz - p * k1) / q
-            v = (c + R + fz - p * k1) / q
+            # a subnormal q overflows to +-inf, which is the exact limit of the interval
+            with np.errstate(over="ignore"):
+                u = (c - R - fz - p * k1) / q
+                v = (c + R + fz - p * k1) / q
             lo = np.maximum(lo, np.minimum(u, v))
             hi = np.minimum(hi, np.maximum(u, v))
     first, last = np.where(ok, np.ceil(lo), np.inf), np.floor(hi)
@@ -396,7 +398,13 @@ def equidistribution_diagnostic(
         raise ValueError("n_samples must be >= 1")
     al, be = float(lat.alpha), float(lat.beta)
     j = np.arange(1, n_samples + 1, dtype=float)
-    pts = np.stack([(j * t_step * zx) % al, (j * t_step * zy) % be], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead of warned
+        x, y = j * t_step * zx, j * t_step * zy
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidParameter(
+            f"every sample j*t_step*z must be finite, got t_step={t_step}, z=({zx}, {zy})"
+        )
+    pts = np.stack([x % al, y % be], axis=1)
     # float rounding can land exactly on the period; fold it back
     pts[:, 0] %= al
     pts[:, 1] %= be

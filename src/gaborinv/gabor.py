@@ -410,6 +410,10 @@ def periodized_gaussian(L: int, c: float) -> np.ndarray:
         raise InvalidParameter(f"L must be >= 4, got {L}")
     if not 0 < c < np.inf:  # a NaN or infinite width never meets the stopping test
         raise InvalidParameter(f"Gaussian width c must be finite and positive, got {c}")
+    if c * L < np.pi**2 / np.log(1e17):
+        # Poisson summation: the periodization varies by a relative 2 exp(-pi^2/(c L)),
+        # below the 1e-17 stopping rule of the loop, which would need ~(c L)^(-1/2) terms
+        return np.full(L, 1 / np.sqrt(L))
     n = np.arange(L)
     centered = ((n + L // 2) % L) - L // 2
     g = np.exp(-c * (centered / np.sqrt(L)) ** 2)

@@ -16,11 +16,15 @@ Odd L keeps the chirp phases single valued (no metaplectic double cover);
 matrices that factor through J alone (DFT powers) are accepted for every L,
 since their covariance carries no half-integer phases.
 
-B is reduced mod L in exact integers and factored into one word of DFTs and
-chirps (Feichtinger, Hazewinkel, Kaiblinger, Matusiak & Neuhauser 2008;
-Kaiblinger & Neuhauser 2009).  U_B is that word applied to the identity:
-each DFT is one inverse FFT per row and each chirp one phase vector, so no
-dense generator matrix is formed.
+B is reduced mod L in exact integers and written in one closed normal form
+(Feichtinger, Hazewinkel, Kaiblinger, Matusiak & Neuhauser 2008; Kaiblinger &
+Neuhauser 2009): B = J^k, a single lower shear, or
+
+    B = L_{-t} J L_{-x} J L_{c'} J L_{-y} J,     L_u = [[1, 0], [u, 1]],
+
+a word of four DFTs and at most four chirps (`_factor_words`).  U_B is that
+word applied to the identity: each DFT is one inverse FFT per row and each
+chirp one phase vector, so no dense generator matrix is formed.
 """
 
 from __future__ import annotations
@@ -103,59 +107,35 @@ def _j_power(B: tuple, L: int) -> int | None:
     return None
 
 
-# the left multiplications of `_factor_words`: name -> (matrix, its inverse as
-# a factor word), using J^{-1} = J^3 and U_u^{-1} = U_{-u} = J L_u J^{-1}
-_REDUCTIONS = {
-    "L": (lambda c: ((1, 0), (c, 1)), lambda c: [("chirp", -c)]),
-    "U": (lambda u: ((1, u), (0, 1)), lambda u: [_DFT, ("chirp", u), _DFT, _DFT, _DFT]),
-    "J": (lambda: _J, lambda: [_DFT] * 3),
-    "Jinv": (lambda: ((0, 1), (-1, 0)), lambda: [_DFT]),
-}
-
-
 def _factor_words(B: tuple, L: int) -> list[tuple]:
-    """Factor B in SL(2, Z_L) (entries reduced mod L) into DFTs and chirps.
+    """Factor B = [[p, q], [c, d]] in SL(2, Z_L) (reduced mod L) into DFTs and chirps.
 
-    Reduces B to the identity by left multiplications with J^{+-1} and
-    elementary shears; if O_k ... O_1 B = I then B = O_1^{-1} ... O_k^{-1},
-    so the inverse words are emitted in application order.  Chirps need odd
-    L; DFT powers are factored for every L.
+    A lower shear L_t = [[1, 0], [t, 1]] makes c' = c + t p a unit mod L
+    (det B = 1 guarantees some t).  Then L_t B = U_x L_{c'} U_y with
+    U_u = [[1, u], [0, 1]] = J L_{-u} J^{-1}, x = (p - 1)/c', y = (d + t q - 1)/c',
+    and as J^{-1} = -J with -I central, B = L_{-t} J L_{-x} J L_{c'} J L_{-y} J.
+    Chirps need odd L; DFT powers are factored for every L.
     """
     k = _j_power(B, L)
     if k is not None:
         return [_DFT] * k
     if L % 2 == 0:
         raise UnsupportedLength(f"even L = {L} supports only DFT powers (chirps need odd L)")
-    (a, b), (c, d) = B
-    if a == 1 and b == 0 and d == 1:
+    (p, q), (c, d) = B
+    if p == 1 and q == 0 and d == 1:
         return [("chirp", c)]
-
-    word: list[tuple] = []  # inverses of the applied reductions, product order
-    M = B
-
-    def lmul(op, *args):
-        nonlocal M
-        matrix, inverse = _REDUCTIONS[op]
-        M = _mul(matrix(*args), M, L)
-        word.extend(f if f == _DFT else ("chirp", f[1] % L) for f in inverse(*args))
-
-    # make the bottom-left entry invertible mod L (det = 1 guarantees some t)
-    if gcd(M[1][0], L) != 1:
-        lmul("L", next(t for t in range(L) if gcd(M[1][0] + t * M[0][0], L) == 1))
-    # clear the top-left entry, rotate, clear the new top-right entry
-    lmul("U", (-M[0][0] * pow(M[1][0], -1, L)) % L)
-    lmul("Jinv")
-    w = M[0][0]
-    lmul("U", (-M[0][1] * w) % L)  # v = d'*w so that v*w^{-1} = d'
-    # M is now diag(w, w^{-1}); U_{w^{-1}} L_{-w} U_{w^{-1}} J = diag(w^{-1}, w)
-    winv = pow(w, -1, L)
-    lmul("J")
-    lmul("U", winv)
-    lmul("L", (-w) % L)
-    lmul("U", winv)
-    if M != _I:
-        raise NotSymplectic(f"factorization failed, residue {[list(r) for r in M]}")
-    return [f for f in word if f != ("chirp", 0)]
+    t = next(t for t in range(L) if gcd(c + t * p, L) == 1)
+    c1 = (c + t * p) % L
+    x, y = (p - 1) * pow(c1, -1, L), (d + t * q - 1) * pow(c1, -1, L)
+    word: list[tuple] = []
+    for u in (-t, -x, c1, -y):  # chirp(u) then a DFT; zero chirps are dropped
+        word += [("chirp", u % L), _DFT] if u % L else [_DFT]
+    M = _I
+    for f in word:  # the fault check: the word's generator matrices must multiply to B
+        M = _mul(M, _J if f == _DFT else ((1, 0), (f[1], 1)), L)
+    if M != B:
+        raise NotSymplectic(f"factorization failed, residue {[list(r) for r in M]} != B")
+    return word
 
 
 def metaplectic_from_generators(B, L: int) -> MetaplecticOperator:

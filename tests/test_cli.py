@@ -262,6 +262,30 @@ class TestScanDensityGaussianEquid:
         err = capsys.readouterr().err
         assert err.startswith("InvalidParameter:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--t-step", "nan"], ["--t-step", "inf"], ["--t-step", "1e308"], ["--z", "nan,1"]],
+        ids=["t-step-nan", "t-step-inf", "t-step-1e308", "z-nan"],
+    )
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    def test_equidistribution_non_finite_samples_exit_2(self, tmp_path, capsys, args):
+        # these exited 2 only through scipy's "data must be finite", after numpy warnings
+        assert run(tmp_path, "equidistribution", "--z", "1,1", "--n", "100", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidParameter: every sample j*t_step*z must be finite")
+        assert "Traceback" not in err
+
+    def test_tiny_gaussian_width_returns_promptly(self, tmp_path):
+        # the periodization series needs ~c^(-1/2) terms: --c 1e-300 never returned
+        argv = ["scan", "--L", "120", "--a", "12", "--b", "12", "--refinement", "4",
+                "--c", "1e-300", "--output-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaborinv.cli", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert proc.returncode in (0, 3)
+        assert "Traceback" not in proc.stderr
+
     def test_dual_window_writes_signal(self, tmp_path, capsys):
         code = run(
             tmp_path, "dual-window", "--L", "60", "--a", "10", "--b", "10",

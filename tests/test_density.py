@@ -147,6 +147,11 @@ class TestCountInBox:
         full = count_in_box(LatticePoints(B), center, R)
         assert count_in_box(PuncturedLattice(B), center, R) == full - removed
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_shear_counts_without_overflow_warning(self):
+        # dividing by the basis entry 5e-324 overflows to the interval's exact limit +-inf
+        assert count_in_box(LatticePoints([[1.0, 5e-324], [0.0, 1.0]]), (0.3, 0.2), 2.0) == 16
+
     def test_excluded_residues_against_oracle(self):
         # (1/beta)Z x (1/alpha)(Z \ 2Z) with alpha = beta = 1
         spec = ExcludedResidueProduct(1.0, 1.0, 2)
@@ -438,6 +443,16 @@ class TestEquidistribution:
     def test_rejects_zero_direction(self):
         with pytest.raises(ValueError):
             equidistribution_diagnostic((0.0, 0.0), SeparableLattice(1, 1), GOLDEN, 10)
+
+    @pytest.mark.parametrize(
+        "z, t_step", [((1.0, 1.0), math.nan), ((1.0, 1.0), math.inf), ((math.nan, 1.0), GOLDEN),
+                      ((1.0, 1.0), 1e308), ((0.0, 1.0), math.inf)],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_finite_samples(self, z, t_step):
+        # j * t_step * z overflowed or was NaN; the modulo warned and scipy raised a ValueError
+        with pytest.raises(InvalidParameter, match="must be finite"):
+            equidistribution_diagnostic(z, SeparableLattice(1, 1), t_step, 10)
 
 
 class TestJsonRoundTrip:

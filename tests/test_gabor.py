@@ -365,6 +365,15 @@ class TestPeriodizedGaussian:
         with pytest.raises(InvalidParameter):
             periodized_gaussian(32, c)
 
+    @pytest.mark.parametrize("L", [16, 120, 480, 4096])
+    def test_tiny_width_is_the_flat_window(self, L):
+        # the series needs ~(c L)^(-1/2) terms: c = 1e-300 never returned.  Below
+        # c L = pi^2 / ln(1e17) the periodization is flat to the series' own 1e-17
+        flat = np.full(L, 1 / np.sqrt(L))
+        assert np.array_equal(periodized_gaussian(L, 1e-300), flat)
+        # just above the cut the series runs and lands on the same window
+        assert np.abs(periodized_gaussian(L, 0.26 / L) - flat).max() < 1e-14 / np.sqrt(L)
+
 
 @pytest.mark.parametrize("rank_tol", [0.0, -1.0, 1.0, 2.0, np.inf, np.nan])
 def test_analyze_system_rejects_rank_tol_outside_unit_interval(rank_tol):

@@ -62,9 +62,8 @@ class TestConstruction:
             metaplectic_from_generators([[2**30, 1], [-1, 2**30]], 3)
 
     def test_failed_factorization_is_a_typed_error(self, monkeypatch):
-        # a wrong generator leaves a residue; the final check must raise, not assert
-        _, inverse_word = symplectic._REDUCTIONS["U"]
-        monkeypatch.setitem(symplectic._REDUCTIONS, "U", (lambda u: ((1, 0), (0, 1)), inverse_word))
+        # a wrong DFT matrix leaves a residue; the final check must raise, not assert
+        monkeypatch.setattr(symplectic, "_J", ((1, 0), (0, 1)))
         with pytest.raises(NotSymplectic, match="residue"):
             metaplectic_from_generators([[2, 1], [1, 1]], 7)
 
@@ -234,26 +233,50 @@ class TestTransport:
 
 # -- oracles: the factor word and the dense generator products -------------------
 
-# factors of the earlier dense implementation; "F" is the DFT, an integer c the chirp c
-PINNED_FACTORS = [
-    (COMPOSITE, 5, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F"),
-    (COMPOSITE, 7, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F"),
-    (COMPOSITE, 9, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F"),
-    (COMPOSITE, 15, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F"),
-    ([[2, 1], [3, 2]], 121, "F 80 F F F F F 115 F F F F F F F 81 F F F 3 F 81 F F F"),
-    ([[2, 1], [3, 2]], 225, "223 F 64 F F F F F 197 F F F F F F F 193 F F F 7 F 193 F F F"),
-    ([[2, 3], [7, 11]], 15, "F 4 F F F F F 13 F F F F F F F 13 F F F 7 F 13 F F F"),
+# Each case: (B, L, the word of the earlier iterative shear reduction, the word of the
+# closed normal form B = L_{-t} J L_{-x} J L_{c'} J L_{-y} J).  "F" is the DFT, an
+# integer c the chirp c.  The case ids keep the reduction word, so re-pinning the
+# normal form does not rename the cases.
+FACTOR_WORDS = [
+    (COMPOSITE, 5, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F", "F 3 F 1 F 1 F"),
+    (COMPOSITE, 7, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F", "F 3 F 1 F 1 F"),
+    (COMPOSITE, 9, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F", "F 3 F 1 F 1 F"),
+    (COMPOSITE, 15, "F 2 F F F F F F F F F F F F 1 F F F 1 F 1 F F F", "F 3 F 1 F 1 F"),
+    ([[2, 1], [3, 2]], 121, "F 80 F F F F F 115 F F F F F F F 81 F F F 3 F 81 F F F", "F 40 F 3 F 40 F"),
+    ([[2, 1], [3, 2]], 225, "223 F 64 F F F F F 197 F F F F F F F 193 F F F 7 F 193 F F F",
+     "223 F 32 F 7 F 96 F"),
+    ([[2, 3], [7, 11]], 15, "F 4 F F F F F 13 F F F F F F F 13 F F F 7 F 13 F F F", "F 2 F 7 F 5 F"),
+]
+FACTOR_CASES = [
+    pytest.param(B, L, old, new, id=f"B{i}-{L}-{old}")
+    for i, (B, L, old, new) in enumerate(FACTOR_WORDS)
 ]
 
 
-@pytest.mark.parametrize("B, L, word", PINNED_FACTORS)
-def test_factors_are_pinned(B, L, word):
-    expected = tuple(("dft",) if w == "F" else ("chirp", int(w)) for w in word.split())
+def parse_word(word):
+    return tuple(("dft",) if w == "F" else ("chirp", int(w)) for w in word.split())
+
+
+@pytest.mark.parametrize("B, L, reduction_word, word", FACTOR_CASES)
+def test_factors_are_pinned(B, L, reduction_word, word):
+    expected = parse_word(word)
     op = metaplectic_from_generators(B, L)
     assert repr(op.factors) == repr(expected)
     assert op.factorization_trace() == [
         {"type": "dft"} if f == ("dft",) else {"type": "chirp", "c": f[1]} for f in expected
     ]
+
+
+@pytest.mark.parametrize("B, L, reduction_word, word", FACTOR_CASES)
+def test_unitary_is_the_reduction_word_up_to_one_phase(B, L, reduction_word, word):
+    U_old = np.eye(L, dtype=complex)
+    for f in parse_word(reduction_word):
+        U_old = U_old @ dense_generator(L, f)
+    U = metaplectic_from_generators(B, L).unitary
+    c = np.vdot(U_old, U)  # <U_old, U>: tau = c / |c| minimizes ||U - tau U_old||
+    tau = c / abs(c)
+    assert abs(abs(tau) - 1) < 1e-12
+    assert np.abs(U - tau * U_old).max() < 1e-12
 
 
 def dense_generator(L, f):
@@ -290,6 +313,25 @@ def sl2_mod_l(draw):
         B = [[a, b], [c, d[0]]]
     B[1][1] += L * draw(big)
     return B, L
+
+
+def generator_matrix(f):
+    return ((0, -1), (1, 0)) if f == ("dft",) else ((1, 0), (f[1], 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sl2_mod_l())
+def test_word_is_short_and_multiplies_to_b(BL):
+    B, L = BL
+    factors = metaplectic_from_generators(B, L).factors
+    if any(f != ("dft",) for f in factors):  # not a J power
+        assert len(factors) <= 8
+        assert factors.count(("dft",)) <= 4
+    M = ((1, 0), (0, 1))
+    for f in factors:  # exact Python ints
+        G = generator_matrix(f)
+        M = tuple(tuple(sum(M[i][k] * G[k][j] for k in range(2)) for j in range(2)) for i in range(2))
+    assert [[x % L for x in row] for row in M] == [[x % L for x in row] for row in B]
 
 
 @settings(max_examples=60, deadline=None)
