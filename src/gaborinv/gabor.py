@@ -300,14 +300,6 @@ class SystemAnalysis:
     dual: DualWindowResult
 
 
-def _bounds(lam: np.ndarray, rank_tol: float, n_vectors: int) -> FrameBounds:
-    """Frame bounds and Riesz flag (see `frame_bounds`) from the spectrum of S."""
-    if lam[-1] <= 0:
-        raise ZeroWindow("frame operator is zero")
-    kept = lam[lam > rank_tol * lam[-1]]
-    return FrameBounds(float(kept[0]), float(kept[-1]), int(kept.size), kept.size == n_vectors)
-
-
 def analyze_system(
     sys: FiniteGaborSystem, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SystemAnalysis:
@@ -326,8 +318,11 @@ def analyze_system(
     V, s, _ = np.linalg.svd(Z, full_matrices=False)
     lam = P * s**2
     spectrum = np.sort(np.concatenate([lam.ravel(), np.zeros(L - lam.size)]))
-    frame = _bounds(spectrum, rank_tol, sys.n_time * P)
-    keep = lam > rank_tol * spectrum[-1]
+    if spectrum[-1] <= 0:
+        raise ZeroWindow("frame operator is zero")
+    keep = lam > rank_tol * spectrum[-1]  # the one spectral cut; padded zeros never pass
+    kept = np.sort(lam[keep])
+    frame = FrameBounds(float(kept[0]), float(kept[-1]), kept.size, kept.size == sys.n_time * P)
     inv = keep / np.where(keep, lam, 1.0)
     blocks = (V * inv[:, None, :]) @ V.conj().swapaxes(1, 2)
     gamma = (blocks @ sys.window.reshape(sys.b, P).T[..., None])[..., 0].T.ravel()

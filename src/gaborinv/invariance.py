@@ -7,10 +7,10 @@ detected set, the four equivalent duality criteria with the associated
 the criteria proof, completeness from two small independent invariant
 shifts, and the full Gaussian scenario pipeline.
 
-Tolerance discipline: classifications use `tol` (default 1e-6) with a
+Tolerance discipline: the scan classifies with `tol` (default 1e-6) and a
 mandatory gap check -- every residual must fall below tol or above
-1000*tol, otherwise the scan verdict is "inconclusive" instead of a
-silent classification.
+1000*tol, otherwise its verdict is "inconclusive" instead of a silent
+classification; the criteria engine decides with a bare `< tol`, no gap.
 """
 
 from __future__ import annotations
@@ -75,24 +75,52 @@ def membership_residual(span: SubspaceBasis, f: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Residual table of a grid scan plus the dichotomy verdict.
+    """Class table of a grid scan plus the dichotomy verdict.
 
-    `verdict` is one of "subset_of_refined_lattice" (with `verdict_m` the
-    smallest m dividing the refinement such that the detected set lies in
-    (1/m) Lambda), "spans_everything", or "inconclusive".
+    The residual on the grid (a/r)Z x (b/r)Z mod L, r the refinement, is
+    Lambda-periodic: `table[i, j]` is that of the class (i a/r, j b/r) + Lambda,
+    and `tested_points`, `residuals`, `lattice_points` are views read from it.
+    `verdict` is "subset_of_refined_lattice" (`verdict_m` the smallest m
+    dividing r with `invariant_set` in (1/m) Lambda), "spans_everything", or
+    "inconclusive".
     """
 
-    tested_points: tuple  # ((t, m), ...) integer pairs mod L
-    residuals: tuple  # parallel floats
+    L: int
+    a: int
+    b: int
     tol: float
     invariant_set: tuple  # detected (t, m) pairs
     verdict: str
     verdict_m: Optional[int]
     refinement: int
-    lattice_points: tuple  # the Lambda grid points among tested_points
+    table: np.ndarray = field(repr=False, compare=False)  # (r, r) class residuals
+
+    def _class_of(self, point) -> tuple[int, int]:
+        """Class (i mod r, j mod r) of the grid point (i a/r, j b/r); ValueError off the grid."""
+        t, m = point
+        st, sf = self.a // self.refinement, self.b // self.refinement
+        if not (0 <= t < self.L and 0 <= m < self.L and t % st == 0 and m % sf == 0):
+            raise ValueError(f"{tuple(point)} is not a scanned grid point")
+        return t // st % self.refinement, m // sf % self.refinement
 
     def residual_of(self, point) -> float:
-        return self.residuals[self.tested_points.index(tuple(point))]
+        return float(self.table[self._class_of(point)])
+
+    @property
+    def tested_points(self) -> tuple:
+        """Every grid point, t-major (built as a list: tuple() of a generator is slower)."""
+        st, sf = self.a // self.refinement, self.b // self.refinement
+        return tuple([(t, m) for t in range(0, self.L, st) for m in range(0, self.L, sf)])
+
+    @property
+    def residuals(self) -> tuple:
+        """Residuals parallel to `tested_points`: the table tiled over Lambda."""
+        return tuple(np.tile(self.table, (self.L // self.a, self.L // self.b)).ravel().tolist())
+
+    @property
+    def lattice_points(self) -> tuple:
+        """The Lambda points among `tested_points`, in their order."""
+        return tuple((t, m) for t in range(0, self.L, self.a) for m in range(0, self.L, self.b))
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,20 +162,13 @@ def scan_invariance(
 
 
 def _scan(an: SystemAnalysis, refinement: int, tol: float) -> InvarianceReport:
-    # The span V is pi(Lambda)-invariant, so P_V commutes with pi(Lambda) and
-    # the residual of pi(z) g is Lambda-periodic: the grid has only the r^2
-    # classes (i a/r, j b/r), i, j < r, and each grid point reads its class.
+    # V is pi(Lambda)-invariant, so P_V commutes with pi(Lambda) and the residual of
+    # pi(z) g is Lambda-periodic: one per class (i a/r, j b/r) + Lambda, i, j < r.
     sys, r, g = an.system, refinement, an.system.window
     L, st, sf = sys.L, sys.a // refinement, sys.b // refinement
     cols = tf_shifts(g, np.repeat(np.arange(r) * st, r), np.tile(np.arange(r) * sf, r))
     cols -= an.dual.span.project(cols)
     table = (np.linalg.norm(cols, axis=0) / np.linalg.norm(g)).reshape(r, r)
-
-    n_t, n_f = L // st, L // sf
-    points = [(i * st, j * sf) for i in range(n_t) for j in range(n_f)]
-    resid = table[np.arange(n_t)[:, None] % r, np.arange(n_f) % r].ravel().tolist()
-    detected = [p for p, v in zip(points, resid) if v < tol]
-    lattice_pts = [p for p in points if p[0] % sys.a == 0 and p[1] % sys.b == 0]
 
     if np.any((table >= tol) & (table <= GAP_FACTOR * tol)):
         verdict, m = "inconclusive", None
@@ -156,16 +177,11 @@ def _scan(an: SystemAnalysis, refinement: int, tol: float) -> InvarianceReport:
     else:
         verdict = "subset_of_refined_lattice"
         m = r // gcd(r, *np.argwhere(table < tol).ravel().tolist())
-    return InvarianceReport(
-        tested_points=tuple(points),
-        residuals=tuple(resid),
-        tol=tol,
-        invariant_set=tuple(detected),
-        verdict=verdict,
-        verdict_m=m,
-        refinement=refinement,
-        lattice_points=tuple(lattice_pts),
+    hit = np.tile(table < tol, (L // sys.a, L // sys.b))  # the grid, t-major like `tested_points`
+    detected = tuple(
+        [(i * st, j * sf) for i, row in enumerate(hit) for j in np.flatnonzero(row).tolist()]
     )
+    return InvarianceReport(L, sys.a, sys.b, tol, detected, verdict, m, r, table)
 
 
 def group_closure_check(
@@ -173,26 +189,20 @@ def group_closure_check(
 ) -> bool:
     """Verify the detected set is closed under negation and addition mod L.
 
-    Works on the classes of the grid points in Z_r x Z_r, r the refinement:
-    a class counts as invariant when every grid point in it has residual
-    below 10*tol.  For every pair of detected classes c, c', the classes
-    -c and c + c' must be invariant.
+    On the class table, Z_r x Z_r: for all classes c, c' of detected points,
+    -c and c + c' must have residual below 10*tol.  False when `sys` is not
+    the scanned grid or a detected point lies off it.
     """
     check_tolerance("tol", tol)
-    r = report.refinement
-
-    def classes(points) -> set:  # grid point (i a/r, j b/r) -> (i mod r, j mod r)
-        return {(t * r // sys.a % r, m * r // sys.b % r) for t, m in points}
-
-    if not set(report.invariant_set) <= set(report.tested_points):
+    if (sys.L, sys.a, sys.b) != (report.L, report.a, report.b):
         return False
-    failing = [p for p, v in zip(report.tested_points, report.residuals) if v >= 10 * tol]
-    invariant = classes(report.tested_points) - classes(failing)
-    det = classes(report.invariant_set)
+    try:
+        det = {report._class_of(p) for p in report.invariant_set}
+    except ValueError:
+        return False
+    r, ok = report.refinement, report.table < 10 * tol
     return all(
-        ((-i) % r, (-j) % r) in invariant
-        and all(((i + k) % r, (j + l) % r) in invariant for k, l in det)
-        for i, j in det
+        ok[-i % r, -j % r] and all(ok[(i + k) % r, (j + l) % r] for k, l in det) for i, j in det
     )
 
 

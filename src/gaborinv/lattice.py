@@ -241,10 +241,7 @@ class ReductionResult:
 
 def density(lat: Lattice2D) -> Fraction:
     """Exact lattice density |det basis|^{-1}."""
-    d = lat.basis.det()
-    if d == 0:
-        raise InvalidLattice("lattice basis must be invertible")
-    return 1 / abs(d)
+    return 1 / abs(lat.basis.det())
 
 
 def _column_reduce_to_triangular(m11: int, m12: int, m21: int, m22: int):
@@ -295,8 +292,6 @@ def separate(lat: Lattice2D) -> tuple[RationalMatrix2x2, SeparableLattice]:
     exactly.
     """
     e = lat.basis.entries
-    if lat.basis.det() == 0:
-        raise InvalidLattice("lattice basis must be invertible")
     q = lcm(*(v.denominator for row in e for v in row))
     m = [[int(v * q) for v in row] for row in e]
     e11, f, h = _column_reduce_to_triangular(m[0][0], m[0][1], m[1][0], m[1][1])

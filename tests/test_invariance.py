@@ -1,6 +1,7 @@
 """Invariance scans, the duality criteria engine, and the Gaussian scenario."""
 
 import tracemalloc
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
@@ -121,6 +122,12 @@ class TestScan:
         rep = scan_invariance(gaussian_system(), refinement=4, tol=1e-3)
         assert rep.verdict == "inconclusive"
 
+    def test_residual_of_rejects_points_off_the_grid(self):
+        rep = scan_invariance(gaussian_system(), refinement=4)  # grid steps 3
+        for point in ((1, 0), (120, 0), (0, -3)):
+            with pytest.raises(ValueError):
+                rep.residual_of(point)
+
     def test_refinement_must_divide(self):
         with pytest.raises(InvalidRefinement):
             scan_invariance(gaussian_system(), refinement=5)
@@ -154,6 +161,20 @@ class TestScan:
             finally:
                 tracemalloc.stop()
             assert peak < budget * 2**20, (run, peak)
+
+    def test_report_holds_the_class_table(self):
+        # 262,144 grid points and 256 classes: a tuple per point takes 48 MiB
+        sys = gaussian_system(1024, 32, 32)
+        tracemalloc.start()
+        try:
+            rep = scan_invariance(sys, 16)
+            closed = group_closure_check(rep, sys)
+            rep.residual_of((2, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert closed and rep.verdict_m == 1
+        assert peak < 20 * 2**20, peak
 
 
 @st.composite
@@ -195,6 +216,8 @@ def test_scan_matches_dense_oracle(case):
     points, resid, detected, verdict, m, kappa = dense_scan(sys, r)
     rep = scan_invariance(sys, r)
     assert rep.tested_points == tuple(points)
+    assert all(rep.residual_of(p) == v for p, v in zip(rep.tested_points, rep.residuals))
+    assert rep.lattice_points == tuple((t, m) for t, m in points if t % sys.a == 0 and m % sys.b == 0)
     err = 10 * sys.L * np.finfo(float).eps * kappa
     np.testing.assert_allclose(rep.residuals, resid, rtol=0, atol=err)
     # a residual within a factor 10 of a threshold may fall either side of it
@@ -218,17 +241,16 @@ class TestGroupClosure:
         rep = scan_invariance(sys, refinement=4)
         fake = (3, 0)  # isolated non-lattice grid point
         assert fake in rep.tested_points and fake not in rep.invariant_set
-        corrupted = type(rep)(
-            tested_points=rep.tested_points,
-            residuals=rep.residuals,
-            tol=rep.tol,
-            invariant_set=rep.invariant_set + (fake,),
-            verdict=rep.verdict,
-            verdict_m=rep.verdict_m,
-            refinement=rep.refinement,
-            lattice_points=rep.lattice_points,
-        )
+        corrupted = replace(rep, invariant_set=rep.invariant_set + (fake,))
         assert not group_closure_check(corrupted, sys)
+
+    def test_off_grid_point_or_other_system_fails(self):
+        sys = gaussian_system()
+        rep = scan_invariance(sys, refinement=4)
+        assert group_closure_check(rep, sys)
+        off_grid = replace(rep, invariant_set=rep.invariant_set + ((1, 0),))
+        assert not group_closure_check(off_grid, sys)
+        assert not group_closure_check(rep, gaussian_system(120, 12, 24))
 
 
 class TestCriteriaEngine:
