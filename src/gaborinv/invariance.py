@@ -16,6 +16,7 @@ classification; the criteria engine decides with a bare `< tol`, no gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from typing import Optional
 
@@ -95,13 +96,15 @@ class InvarianceReport:
     refinement: int
     table: np.ndarray = field(repr=False, compare=False)  # (r, r) class residuals
 
-    def _class_of(self, point) -> tuple[int, int]:
-        """Class (i mod r, j mod r) of the grid point (i a/r, j b/r); ValueError off the grid."""
-        t, m = point
-        st, sf = self.a // self.refinement, self.b // self.refinement
-        if not (0 <= t < self.L and 0 <= m < self.L and t % st == 0 and m % sf == 0):
-            raise ValueError(f"{tuple(point)} is not a scanned grid point")
-        return t // st % self.refinement, m // sf % self.refinement
+    def _class_of(self, points) -> tuple:
+        """Classes (i mod r, j mod r) of grid points (i a/r, j b/r), one (t, m) pair
+        or an (n, 2) array of them; ValueError if any lies off the grid."""
+        p, step = np.asarray(points), (self.a // self.refinement, self.b // self.refinement)
+        inside = p.shape[-1:] == (2,) and np.all((0 <= p) & (p < self.L))
+        q = p.astype(int) if inside else p
+        if not (inside and np.all(q == p) and not np.any(q % step)):
+            raise ValueError(f"{points} lies off the scanned grid")
+        return tuple((q // step % self.refinement).T)
 
     def residual_of(self, point) -> float:
         return float(self.table[self._class_of(point)])
@@ -196,14 +199,15 @@ def group_closure_check(
     check_tolerance("tol", tol)
     if (sys.L, sys.a, sys.b) != (report.L, report.a, report.b):
         return False
-    try:
-        det = {report._class_of(p) for p in report.invariant_set}
+    r, ok = report.refinement, report.table < 10 * tol
+    det = np.zeros((r, r), bool)
+    try:  # as floats, exact below 2^53, so that (1.5, 0) stays off the grid
+        flat = np.fromiter(chain.from_iterable(report.invariant_set), float)
+        det[report._class_of(flat.reshape(len(report.invariant_set), 2))] = True
     except ValueError:
         return False
-    r, ok = report.refinement, report.table < 10 * tol
-    return all(
-        ok[-i % r, -j % r] and all(ok[(i + k) % r, (j + l) % r] for k, l in det) for i, j in det
-    )
+    i, j = np.nonzero(det)
+    return bool(ok[-i % r, -j % r].all() and ok[(i[:, None] + i) % r, (j[:, None] + j) % r].all())
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,7 @@ def _slice_blocks(an: SystemAnalysis, nu: int):
     a/nu Walnut fibres {r + j a/nu : j < n} of the slice L_0, the system
     (L/b, nu L/a).  On a fibre M_{s L/a} is the constant phase e^{2 pi i s r/a}
     (left out of the fibres of P M_{s L/a} g) times d_s[j] = exp(2 pi i s j / nu),
-    so L_s has the blocks d_s Q_r, K [d_s W_r]_s, and P_s d_s P_r d_s^*.
+    so L_s has the blocks d_s Q_r and P_s the blocks d_s P_r d_s^*.
     """
     sys, g = an.system, an.system.window
     L, a, b = sys.L, sys.a, sys.b
@@ -351,20 +355,20 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
     )
     angles = _min_principal_angle(Q0, others)[(Q0.ranks > 0) & (others.ranks > 0)]
     gap = float(angles.min()) if angles.size else float(np.pi / 2)
-    K = orthonormal_range(np.concatenate([d[s, :, None] * W for s in range(nu)], axis=2), rank_tol)
-    PK = K.blocks @ K.blocks.conj().swapaxes(1, 2)
-
-    Ps = d[:, None, :, None] * P * d.conj()[:, None, None, :]
+    # K is the adjoint system (L/b, L/a): its block r + c a/nu is the class
+    # j = c mod nu of slice block r, so PK is class-diagonal and commutes with
+    # every d_s.  Each identity of the P_s = d_s P d_s^* is then one of P:
+    # P_s P_r = d_s (P d_{r-s} P) d_r^* and sum_s P_s = nu P on j1 = j2 mod nu.
+    K = orthonormal_range(walnut_fibres(g, L // b, L // a), rank_tol)
+    PKc = (K.blocks @ K.blocks.conj().swapaxes(1, 2)).reshape(nu, a // nu, L // a, L // a)
+    PK = np.einsum("crjk,cd->rjckd", PKc, np.eye(nu)).reshape(P.shape)
+    j = np.arange(d.shape[1]) % nu
+    same_class = j[:, None] == j
     proj = {
-        "idempotence": max(float(np.linalg.norm(p @ p - p)) for p in Ps),
-        "mutual_annihilation": max(
-            float(np.linalg.norm(Ps[s] @ Ps[r]))
-            for s in range(nu)
-            for r in range(nu)
-            if r != s
-        ),
-        "sum_equals_PK": float(np.linalg.norm(Ps.sum(axis=0) - PK)),
-        "vanish_on_K_perp": max(float(np.linalg.norm(p - p @ PK)) for p in Ps),
+        "idempotence": float(np.linalg.norm(P @ P - P)),
+        "mutual_annihilation": max(float(np.linalg.norm((P * d[k]) @ P)) for k in range(1, nu)),
+        "sum_equals_PK": float(np.linalg.norm(nu * (P * same_class) - PK)),
+        "vanish_on_K_perp": float(np.linalg.norm(P - P @ PK)),
     }
     projections_ok = all(v < tol for v in proj.values())
     rank_sum, joint_rank = nu * Q0.rank, K.rank

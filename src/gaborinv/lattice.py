@@ -335,29 +335,17 @@ def reduce_invariant_shift(
     if a <= 0 or b <= 0:
         raise ValueError("lattice steps a, b must be positive")
 
-    if s == 0:
-        g = gcd(r, m)
+    if s == 0 or r == 0:
+        swap, k = r == 0, r or s  # the r = 0 case is s = 0 with the axes swapped
+        g = gcd(k, m)
         return ReductionResult(
             B=RationalMatrix2x2.identity(),
-            alpha=a,
-            beta=b,
-            d=r // g,
+            alpha=b if swap else a,
+            beta=a if swap else b,
+            d=k // g,
             m=m // g,
-            fourier_swap=False,
-            case="time_only",
-            a=a,
-            b=b,
-        )
-    if r == 0:
-        g = gcd(s, m)
-        return ReductionResult(
-            B=RationalMatrix2x2.identity(),
-            alpha=b,
-            beta=a,
-            d=s // g,
-            m=m // g,
-            fourier_swap=True,
-            case="fourier_swap",
+            fourier_swap=swap,
+            case="fourier_swap" if swap else "time_only",
             a=a,
             b=b,
         )

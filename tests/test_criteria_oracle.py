@@ -49,7 +49,7 @@ def divisors(n):
 
 @st.composite
 def shifted_systems(draw):
-    nu = draw(st.sampled_from((2, 3)))
+    nu = draw(st.sampled_from((2, 3, 4)))
     L = draw(st.sampled_from([L for L in range(12, 73) if L % nu == 0]))
     a = draw(st.sampled_from([d for d in divisors(L) if d % nu == 0]))
     b = draw(st.sampled_from([d for d in divisors(L) if 4 * a * d >= L]))  # N*M <= 4L
@@ -165,6 +165,7 @@ def dense_oracle(sys, nu):
 @given(shifted_systems())
 @example((FiniteGaborSystem(28, 4, 7, periodic_window(28, 4, 0)), 2))
 @example((FiniteGaborSystem(27, 9, 3, periodic_window(27, 9, 1)), 3))
+@example((FiniteGaborSystem(48, 12, 8, periodic_window(48, 3, 3)), 4))
 @example((FiniteGaborSystem(24, 4, 12, parity_window(24)), 2))
 def test_criteria_engine_matches_dense_oracle(case):
     sys, nu = case

@@ -248,8 +248,9 @@ class TestGroupClosure:
         sys = gaussian_system()
         rep = scan_invariance(sys, refinement=4)
         assert group_closure_check(rep, sys)
-        off_grid = replace(rep, invariant_set=rep.invariant_set + ((1, 0),))
-        assert not group_closure_check(off_grid, sys)
+        for point in ((1, 0), (1.5, 0)):
+            off_grid = replace(rep, invariant_set=rep.invariant_set + (point,))
+            assert not group_closure_check(off_grid, sys)
         assert not group_closure_check(rep, gaussian_system(120, 12, 24))
 
 
