@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 parse error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys as _sys
 from fractions import Fraction
@@ -119,26 +118,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=10**6)
     common(sp)
 
-    def window_flags(sp):
+    def system_flags(sp, window=True):
         sp.add_argument("--L", type=int, required=True)
         sp.add_argument("--a", type=int, required=True)
         sp.add_argument("--b", type=int, required=True)
-        sp.add_argument(
-            "--window",
-            default="gaussian",
-            help="gaussian | gaussian-sum | periodic-gaussian | @file.csv",
-        )
+        if window:  # declared after --b: usage lines print flags in declaration order
+            sp.add_argument(
+                "--window",
+                default="gaussian",
+                help="gaussian | gaussian-sum | periodic-gaussian | @file.csv",
+            )
         sp.add_argument("--c", type=_real, default=math.pi, help="Gaussian width")
         sp.add_argument("--tol", type=_real, default=DEFAULT_TOL)
         sp.add_argument("--rank-tol", type=_real, default=DEFAULT_RANK_TOL)
 
     sp = sub.add_parser("criteria", help="the four duality criteria")
-    window_flags(sp)
+    system_flags(sp)
     sp.add_argument("--nu", type=int, required=True)
     common(sp)
 
     sp = sub.add_parser("scan", help="invariance scan on a refined grid")
-    window_flags(sp)
+    system_flags(sp)
     sp.add_argument("--nu", type=int, default=2, help="used by builtin windows")
     sp.add_argument("--refinement", type=int, required=True)
     common(sp)
@@ -153,14 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("gaussian", help="full undersampled-Gaussian pipeline")
-    sp.add_argument("--L", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--c", type=_real, default=math.pi)
+    system_flags(sp, window=False)
     sp.add_argument("--nu", type=int, default=2)
     sp.add_argument("--refinement", type=int, required=True)
-    sp.add_argument("--tol", type=_real, default=DEFAULT_TOL)
-    sp.add_argument("--rank-tol", type=_real, default=DEFAULT_RANK_TOL)
     common(sp)
 
     sp = sub.add_parser("equidistribution", help="orbit density diagnostic")
@@ -172,36 +167,47 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("dual-window", help="canonical dual window gamma = S^+ g")
-    window_flags(sp)
+    system_flags(sp)
     common(sp)
 
     return p
 
 
-def _build_window(args) -> np.ndarray:
-    """The --window signal; ArgumentTypeError for a bad name, file or row."""
+def _builtin_window(name: str, L: int, a: int, nu: int, c: float) -> np.ndarray:
+    """The Gaussian g0, or sum_j T_{j a/nu} g0 over nu (gaussian-sum) or L nu/a
+    (periodic-gaussian) copies, normalized."""
     import numpy as np
 
     from . import gabor
 
-    name = args.window
-    if name.startswith("@"):
-        try:
-            return serialize.load_signal_csv(name[1:])
-        except (OSError, ValueError) as exc:
-            raise argparse.ArgumentTypeError(f"cannot read window file: {exc}") from exc
     if name not in ("gaussian", "gaussian-sum", "periodic-gaussian"):
         raise argparse.ArgumentTypeError(f"unknown window {name!r}")
-    g0 = gabor.periodized_gaussian(args.L, args.c)
+    g0 = gabor.periodized_gaussian(L, c)
     if name == "gaussian":
         return g0
-    nu = getattr(args, "nu", 2)
-    if nu < 1 or args.a % nu:
-        raise InvalidNu(f"builtin window needs nu | a, got nu={nu}, a={args.a}")
-    step = args.a // nu
-    copies = nu if name == "gaussian-sum" else args.L // step
-    w = sum(gabor.tf_shift(g0, j * step, 0) for j in range(copies))
+    if nu < 1 or a % nu:
+        raise InvalidNu(f"builtin window needs nu | a, got nu={nu}, a={a}")
+    step = a // nu
+    copies = nu if name == "gaussian-sum" else L // step
+    # a complex gather summed along axis 0 adds the copies in order, with the rounding
+    # of a loop over tf_shift (a real gather or a pairwise axis-1 sum changes the bits)
+    shifted = g0.astype(complex)[(np.arange(L) - step * np.arange(copies)[:, None]) % L]
+    w = shifted.sum(axis=0)
     return w / np.linalg.norm(w)
+
+
+def _system(args):
+    """The system of --L --a --b --window; ArgumentTypeError for a bad name, file or row."""
+    from . import gabor
+
+    if args.window.startswith("@"):
+        try:
+            w = serialize.load_signal_csv(args.window[1:])
+        except (OSError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot read window file: {exc}") from exc
+    else:  # dual-window has no --nu; its builtin sums use nu = 2
+        w = _builtin_window(args.window, args.L, args.a, getattr(args, "nu", 2), args.c)
+    return gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
 
 
 def _manifest(args, constants: dict) -> dict:
@@ -214,29 +220,21 @@ def _manifest(args, constants: dict) -> dict:
     return {"version": __version__, "config": config, "constants": constants}
 
 
-def _finish(args, payload: dict, constants: dict, outdir: Path) -> str:
-    serialize.dump_json(outdir / "run_manifest.json", _manifest(args, constants))
-    text = serialize.dump_json(outdir / f"{args.command}_result.json", payload)
-    _sys.stdout.write(text)
-    return text
-
-
 def _write_orthogonality_table(outdir: Path, inner: np.ndarray) -> None:
     """|<pi(k L/b, l L/a) gamma, g>| as rows k, l, value."""
-    with open(outdir / "orthogonality_table.csv", "w", newline="") as fh:
-        cw = csv.writer(fh)
-        cw.writerow(["k", "l", "abs_inner_product"])
-        for k, row in enumerate(inner.tolist()):
-            cw.writerows([k, l, repr(v)] for l, v in enumerate(row))
+    rows = ([k, l, v] for k, row in enumerate(inner.tolist()) for l, v in enumerate(row))
+    serialize.save_csv(outdir / "orthogonality_table.csv", ["k", "l", "abs_inner_product"], rows)
 
 
-def _cmd_reduce(args, outdir: Path) -> int:
+# A command writes its side files and returns (payload, constants, exit code).
+
+
+def _cmd_reduce(args, outdir: Path):
     res = lattice.reduce_invariant_shift(args.a, args.b, args.r, args.s, args.m)
-    _finish(args, res.to_json_dict(), {}, outdir)
-    return 0
+    return res.to_json_dict(), {}, 0
 
 
-def _cmd_separate(args, outdir: Path) -> int:
+def _cmd_separate(args, outdir: Path):
     C, sep = lattice.separate(lattice.Lattice2D(args.basis))
     payload = {
         "C": [[lattice.rational_str(v) for v in row] for row in C.entries],
@@ -244,39 +242,31 @@ def _cmd_separate(args, outdir: Path) -> int:
         "alpha": lattice.rational_str(sep.alpha),
         "beta": lattice.rational_str(sep.beta),
     }
-    _finish(args, payload, {}, outdir)
-    return 0
+    return payload, {}, 0
 
 
-def _cmd_order(args, outdir: Path) -> int:
+def _cmd_order(args, outdir: Path):
     n = lattice.order_in_lattice((args.zx, args.zy), lattice.Lattice2D(args.basis), args.n_max)
-    payload = {"order": n, "n_max": args.n_max}
-    _finish(args, payload, {}, outdir)
-    return 0 if n is not None else VERDICT_NEGATIVE
+    return {"order": n, "n_max": args.n_max}, {}, 0 if n is not None else VERDICT_NEGATIVE
 
 
-def _cmd_criteria(args, outdir: Path) -> int:
-    from . import gabor, invariance
+def _cmd_criteria(args, outdir: Path):
+    from . import invariance
 
-    w = _build_window(args)
-    sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
-    rep = invariance.criteria_engine(sys_, args.nu, args.tol, args.rank_tol)
+    rep = invariance.criteria_engine(_system(args), args.nu, args.tol, args.rank_tol)
     _write_orthogonality_table(outdir, rep.adjoint_inner_products)
-    _finish(args, rep.to_json_dict(), {"cross_frame_constant": rep.constant}, outdir)
-    return 0 if rep.verdict_consistent else VERDICT_NEGATIVE
+    code = 0 if rep.verdict_consistent else VERDICT_NEGATIVE
+    return rep.to_json_dict(), {"cross_frame_constant": rep.constant}, code
 
 
-def _cmd_scan(args, outdir: Path) -> int:
-    from . import gabor, invariance
+def _cmd_scan(args, outdir: Path):
+    from . import invariance
 
-    w = _build_window(args)
-    sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
-    rep = invariance.scan_invariance(sys_, args.refinement, args.tol, args.rank_tol)
-    _finish(args, rep.to_json_dict(), {}, outdir)
-    return 0 if rep.verdict != "inconclusive" else VERDICT_NEGATIVE
+    rep = invariance.scan_invariance(_system(args), args.refinement, args.tol, args.rank_tol)
+    return rep.to_json_dict(), {}, 0 if rep.verdict != "inconclusive" else VERDICT_NEGATIVE
 
 
-def _cmd_density(args, outdir: Path) -> int:
+def _cmd_density(args, outdir: Path):
     from . import density
 
     if args.which == "lattice":
@@ -287,62 +277,47 @@ def _cmd_density(args, outdir: Path) -> int:
     payload = {}
     for name, spec in specs.items():
         ests = density.lower_density_empirical(spec, args.R, args.probe_grid)
-        rows = [
-            {"R": e.R, "theta": e.theta, "analytic": e.analytic, "gap": e.gap}
-            for e in ests
+        payload[name] = [
+            {"R": e.R, "theta": e.theta, "analytic": e.analytic, "gap": e.gap} for e in ests
         ]
-        payload[name] = rows
-        with open(outdir / f"density_{name}.csv", "w", newline="") as fh:
-            cw = csv.writer(fh)
-            cw.writerow(["R", "theta", "analytic", "gap"])
-            for r in rows:
-                cw.writerow(
-                    [repr(r["R"]), repr(r["theta"]), repr(r["analytic"]), repr(r["gap"])]
-                )
-    _finish(args, payload, {}, outdir)
-    return 0
+        serialize.save_csv(
+            outdir / f"density_{name}.csv",
+            ["R", "theta", "analytic", "gap"],
+            ([e.R, e.theta, e.analytic, e.gap] for e in ests),
+        )
+    return payload, {}, 0
 
 
-def _cmd_gaussian(args, outdir: Path) -> int:
+def _cmd_gaussian(args, outdir: Path):
     from . import invariance
 
     rep = invariance.gaussian_corollary_scenario(
         args.L, args.a, args.b, args.c, args.nu, args.refinement, args.tol, args.rank_tol
     )
     _write_orthogonality_table(outdir, rep.criteria.adjoint_inner_products)
-    _finish(
-        args,
-        rep.to_json_dict(),
-        {"cross_frame_constant": rep.criteria.constant},
-        outdir,
-    )
-    return 0 if rep.matches_expectations() else VERDICT_NEGATIVE
+    code = 0 if rep.matches_expectations() else VERDICT_NEGATIVE
+    return rep.to_json_dict(), {"cross_frame_constant": rep.criteria.constant}, code
 
 
-def _cmd_equidistribution(args, outdir: Path) -> int:
+def _cmd_equidistribution(args, outdir: Path):
     from . import density
 
     sep = lattice.SeparableLattice(args.alpha, args.beta)
     cov, disc = density.equidistribution_diagnostic(args.z, sep, args.t_step, args.n)
-    payload = {"covering_radius": cov, "discrepancy": disc, "n_samples": args.n}
-    _finish(args, payload, {}, outdir)
-    return 0
+    return {"covering_radius": cov, "discrepancy": disc, "n_samples": args.n}, {}, 0
 
 
-def _cmd_dual_window(args, outdir: Path) -> int:
+def _cmd_dual_window(args, outdir: Path):
     from . import gabor
 
-    w = _build_window(args)
-    sys_ = gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
-    an = gabor.analyze_system(sys_, args.rank_tol)
+    an = gabor.analyze_system(_system(args), args.rank_tol)
     serialize.save_signal_csv(outdir / "dual_window.csv", an.dual.gamma)
     payload = {
         "gamma_csv": "dual_window.csv",
         "span_rank": an.dual.span.rank,
         "frame_bounds": an.frame.to_json_dict(),
     }
-    _finish(args, payload, {}, outdir)
-    return 0
+    return payload, {}, 0
 
 
 _COMMANDS = {
@@ -367,7 +342,7 @@ def main(argv=None) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](args, outdir)
+        payload, constants, code = _COMMANDS[args.command](args, outdir)
     except argparse.ArgumentTypeError as exc:  # --window is resolved after parsing
         _sys.stderr.write(f"{parser.prog} {args.command}: error: argument --window: {exc}\n")
         return PARSE_ERROR
@@ -380,6 +355,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _sys.stderr.write(f"InvalidParameter: {exc}\n")
         return PRECONDITION_ERROR
+    serialize.dump_json(outdir / "run_manifest.json", _manifest(args, constants))
+    _sys.stdout.write(serialize.dump_json(outdir / f"{args.command}_result.json", payload))
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

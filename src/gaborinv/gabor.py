@@ -118,9 +118,10 @@ class FiniteGaborSystem:
             raise InvalidLattice(
                 f"steps must divide L: L={self.L}, a={self.a}, b={self.b}"
             )
-        w = np.asarray(self.window, dtype=complex)
+        w = np.array(self.window, dtype=complex)  # a copy: the caller may reuse its array
         if w.shape != (self.L,):
             raise InvalidLattice("window length must equal L")
+        w.setflags(write=False)
         object.__setattr__(self, "window", w)
 
     @property

@@ -1,7 +1,8 @@
 """File formats: signal CSV, operator CSV, the GABOROP1 binary dump, JSON.
 
 Signal CSV columns: index, real, imag.  Operator CSV: dense rows of
-"re+imj"-style complex literals.  The binary dump is the 8-byte magic
+interleaved re, im columns.  Every CSV goes through save_csv, whose float
+cells are Python float reprs.  The binary dump is the 8-byte magic
 "GABOROP1", two little-endian uint64 dimensions, then row-major float64
 little-endian interleaved re/im.
 
@@ -15,7 +16,7 @@ import csv
 import json
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,6 +26,7 @@ OPERATOR_MAGIC = b"GABOROP1"
 PathLike = Union[str, Path]
 
 __all__ = [
+    "save_csv",
     "save_signal_csv",
     "load_signal_csv",
     "save_operator_csv",
@@ -35,12 +37,18 @@ __all__ = [
 ]
 
 
-def save_signal_csv(path: PathLike, signal: np.ndarray) -> None:
+def save_csv(path: PathLike, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Header (no line when empty), then rows; a float or numpy scalar cell is its repr."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["index", "real", "imag"])
-        for i, v in enumerate(map(complex, signal)):
-            w.writerow([i, repr(v.real), repr(v.imag)])
+        if header:
+            w.writerow(header)
+        w.writerows(rows)
+
+
+def save_signal_csv(path: PathLike, signal: np.ndarray) -> None:
+    rows = ([i, v.real, v.imag] for i, v in enumerate(map(complex, signal)))
+    save_csv(path, ["index", "real", "imag"], rows)
 
 
 def load_signal_csv(path: PathLike) -> np.ndarray:
@@ -62,14 +70,8 @@ def load_signal_csv(path: PathLike) -> np.ndarray:
 
 def save_operator_csv(path: PathLike, A: np.ndarray) -> None:
     """Dense CSV with interleaved re/im columns per matrix entry."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in A:
-            flat = []
-            for v in map(complex, row):
-                flat.append(repr(v.real))
-                flat.append(repr(v.imag))
-            w.writerow(flat)
+    rows = ([x for v in map(complex, row) for x in (v.real, v.imag)] for row in A)
+    save_csv(path, (), rows)
 
 
 def load_operator_csv(path: PathLike) -> np.ndarray:

@@ -1,16 +1,19 @@
 """CLI contract: flags, artifacts, exit codes, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaborinv
-from gaborinv.cli import main
+from gaborinv.cli import _builtin_window, main
+from gaborinv.gabor import periodized_gaussian, tf_shift
 
 
 def run(tmp_path, *args):
@@ -212,13 +215,15 @@ class TestScanDensityGaussianEquid:
             (["--R", "nan"], "R must lie in (0, inf)"),
             (["--R", "5", "--alpha", "0"], "InvalidMatrix: lattice basis is singular"),
             (["--R", "5", "--set", "lattice", "--alpha", "inf"], "InvalidMatrix: lattice basis entries must be finite"),
+            (["--R", "20", "--probe-grid", "0"], "InvalidParameter: probe_grid must be >= 1"),
         ],
-        ids=["R-inf", "R-nan", "alpha-0", "lattice-alpha-inf"],
+        ids=["R-inf", "R-nan", "alpha-0", "lattice-alpha-inf", "probe-grid-0"],
     )
     def test_density_precondition_exit_2(self, tmp_path, capsys, args, message):
         assert run(tmp_path, "density", *args) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run_manifest.json").exists()
 
     def test_gaussian_pipeline(self, tmp_path, capsys):
         code = run(
@@ -378,6 +383,48 @@ class TestDeterminism:
         m1 = json.loads((d1 / "run_manifest.json").read_text())
         m2 = json.loads((d2 / "run_manifest.json").read_text())
         assert m1["config"] == m2["config"] or m1["config"]["output_dir"] != m2["config"]["output_dir"]
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (
+            ["criteria", "--L", "120", "--a", "12", "--b", "12", "--nu", "2", "--tol", "abc"],
+            1,
+            "error: argument --tol: not a real number: 'abc'",
+        ),
+        (["equidistribution", "--z", "1,2,3"], 1, "error: argument --z: expected 'x,y', got '1,2,3'"),
+        (
+            ["reduce", "--a", "1", "--b", "1", "--r", "7", "--s", "0", "--m", "5"],
+            2,
+            "InvalidParameter: need 0 <= r, s < m, got r=7, s=0, m=5",
+        ),
+        (["order", "--zx", "1/2", "--zy", "1/3", "--n-max", "0"], 2, "InvalidParameter: n_max must be >= 1"),
+        (["equidistribution", "--z", "1,sqrt2", "--n", "0"], 2, "InvalidParameter: n_samples must be >= 1"),
+    ],
+    ids=["criteria-tol", "equidistribution-z", "reduce-r", "order-n-max", "equidistribution-n"],
+)
+def test_rejected_input_writes_no_manifest(tmp_path, capsys, args, code, message):
+    assert run(tmp_path, *args) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("c", [math.pi, 0.05])
+@pytest.mark.parametrize("L, a, nu", [(480, 40, 2), (48, 12, 4), (144, 12, 3)])
+@pytest.mark.parametrize("name", ["gaussian", "gaussian-sum", "periodic-gaussian"])
+def test_builtin_window_is_the_loop_sum_bit_for_bit(name, L, a, nu, c):
+    """The one gather sums the copies in the order and with the rounding of a tf_shift loop."""
+    g0 = periodized_gaussian(L, c)
+    step = a // nu
+    if name == "gaussian":
+        expected = g0
+    else:
+        copies = nu if name == "gaussian-sum" else L // step  # 24 at (480, 40, 2)
+        w = sum(tf_shift(g0, j * step, 0) for j in range(copies))
+        expected = w / np.linalg.norm(w)
+    assert np.array_equal(_builtin_window(name, L, a, nu, c), expected)
 
 
 def test_exact_commands_leave_numpy_unloaded(tmp_path):

@@ -8,14 +8,13 @@ system to a unitarily equivalent one.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaborinv.cli import _build_window
+from gaborinv.cli import _builtin_window
 from gaborinv.gabor import (
     FiniteGaborSystem,
     cross_frame_operator,
@@ -35,7 +34,7 @@ WINDOWS = ("gaussian", "gaussian-sum", "periodic-gaussian")  # the CLI's builtin
 
 
 def builtin_window(L, a, nu, name):
-    return _build_window(SimpleNamespace(window=name, L=L, a=a, nu=nu, c=math.pi))
+    return _builtin_window(name, L, a, nu, math.pi)
 
 
 def numerical_rank(A, rank_tol):

@@ -24,7 +24,7 @@ from gaborinv.density import (
     pointset_to_json,
 )
 from gaborinv.errors import InvalidMatrix, InvalidModulus, InvalidParameter
-from gaborinv.lattice import SeparableLattice
+from gaborinv.lattice import Lattice2D, RationalMatrix2x2, SeparableLattice
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -146,6 +146,23 @@ class TestCountInBox:
         center = (0.0, R + k * math.ulp(R))
         full = count_in_box(LatticePoints(B), center, R)
         assert count_in_box(PuncturedLattice(B), center, R) == full - removed
+
+    @pytest.mark.parametrize(
+        "exact, basis, counts",
+        [
+            (
+                Lattice2D(RationalMatrix2x2([["1/2", "1/3"], [0, "5/4"]])),
+                [[0.5, 1 / 3], [0.0, 1.25]],
+                [61, 176, 960],
+            ),
+            (SeparableLattice("3/2", "5/7"), np.diag([1.5, 5 / 7]), [45, 105, 544]),
+        ],
+        ids=["Lattice2D", "SeparableLattice"],
+    )
+    def test_exact_lattice_counts_as_its_float_basis(self, exact, basis, counts):
+        boxes = [((0.0, 0.0), 3.0), ((0.3, -0.7), 5.5), ((10.25, 4.5), 12.0)]
+        for spec in (LatticePoints(exact), LatticePoints(basis)):
+            assert [count_in_box(spec, c, R) for c, R in boxes] == counts
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_shear_counts_without_overflow_warning(self):

@@ -105,6 +105,16 @@ class TestGaborMatrix:
         with pytest.raises(InvalidLattice):
             FiniteGaborSystem(12, 5, 4, random_signal(12))
 
+    def test_window_is_a_read_only_copy(self):
+        # np.asarray kept a complex caller array by reference: w[:] = 0 zeroed the system
+        w = np.exp(-np.arange(8.0) ** 2).astype(complex)
+        sys = FiniteGaborSystem(8, 2, 2, w)
+        w[:] = 0
+        assert np.array_equal(sys.window, np.exp(-np.arange(8.0) ** 2))
+        analyze_system(sys)  # ZeroWindow when the window was aliased
+        with pytest.raises(ValueError):
+            sys.window[0] = 1
+
 
 class TestFrameOperator:
     def test_orthonormal_shift_basis(self):

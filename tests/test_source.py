@@ -15,3 +15,21 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def test_cli_writes_files_only_through_serialize():
+    """The file formats are decided in one module: cli imports no csv and opens no file."""
+    tree = ast.parse((Path(gaborinv.__file__).parent / "cli.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    opened = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")
+    ]
+    assert "csv" not in imported and not opened
