@@ -376,20 +376,21 @@ def interval_count_bounds(beta: float, R: float) -> tuple[float, float, int]:
     return lo, hi, exact
 
 
+_COVER_GRID, _DISC_GRID = 200, 20  # cells per side of the covering and discrepancy grids
+
+
 def equidistribution_diagnostic(
     z: Sequence[float],
     lat: SeparableLattice,
     t_step: float,
     n_samples: int,
-    cover_grid: int = 200,
-    disc_grid: int = 20,
 ) -> tuple[float, float]:
     """Covering radius and box-count discrepancy of {t_j z mod Lambda}.
 
     Samples t_j = j*t_step for j = 1..n_samples.  The covering radius is the
-    maximal toroidal distance from a cover_grid x cover_grid set of cell
+    maximal toroidal distance from a _COVER_GRID x _COVER_GRID set of cell
     points to the sample set; the discrepancy is the worst absolute error of
-    anchored-box empirical measures on a disc_grid x disc_grid partition.
+    anchored-box empirical measures on a _DISC_GRID x _DISC_GRID partition.
     """
     zx, zy = float(z[0]), float(z[1])
     if zx == 0.0 and zy == 0.0:
@@ -412,20 +413,20 @@ def equidistribution_diagnostic(
     from scipy.spatial import cKDTree  # deferred: most of the CLI's import time
 
     tree = cKDTree(pts, boxsize=(al, be))
-    gx = (np.arange(cover_grid) + 0.5) * (al / cover_grid)
-    gy = (np.arange(cover_grid) + 0.5) * (be / cover_grid)
+    gx = (np.arange(_COVER_GRID) + 0.5) * (al / _COVER_GRID)
+    gy = (np.arange(_COVER_GRID) + 0.5) * (be / _COVER_GRID)
     mx, my = np.meshgrid(gx, gy, indexing="ij")
     dists, _ = tree.query(np.stack([mx.ravel(), my.ravel()], axis=1))
     covering_radius = float(dists.max())
 
     hist, _, _ = np.histogram2d(
-        pts[:, 0], pts[:, 1], bins=[disc_grid, disc_grid], range=[[0, al], [0, be]]
+        pts[:, 0], pts[:, 1], bins=[_DISC_GRID, _DISC_GRID], range=[[0, al], [0, be]]
     )
     cum = hist.cumsum(axis=0).cumsum(axis=1) / n_samples
     ii, jj = np.meshgrid(
-        np.arange(1, disc_grid + 1), np.arange(1, disc_grid + 1), indexing="ij"
+        np.arange(1, _DISC_GRID + 1), np.arange(1, _DISC_GRID + 1), indexing="ij"
     )
-    area_frac = (ii / disc_grid) * (jj / disc_grid)
+    area_frac = (ii / _DISC_GRID) * (jj / _DISC_GRID)
     discrepancy = float(np.max(np.abs(cum - area_frac)))
     return covering_radius, discrepancy
 

@@ -55,10 +55,10 @@ __all__ = [
 ]
 
 
-def _exact_ints(values, shape: tuple, message: str) -> list[int]:
+def _exact_ints(values, shape: tuple, message: str, error: type = ValueError) -> list[int]:
     """The entries of an array of the given shape as exact Python ints.
 
-    ValueError(message) when the shape differs or an entry is not integral:
+    error(message) when the shape differs or an entry is not integral:
     1.5 is rejected, never truncated, and entries beyond int64 stay exact.
     """
     try:
@@ -67,7 +67,7 @@ def _exact_ints(values, shape: tuple, message: str) -> list[int]:
         if exact is None or any(e != v for e, v in zip(exact, A.flat)):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(message) from None
+        raise error(message) from None
     return exact
 
 
@@ -112,17 +112,18 @@ class FiniteGaborSystem:
     window: np.ndarray
 
     def __post_init__(self):
-        if self.L < 1:
+        message = f"L, a and b must be integers: L={self.L}, a={self.a}, b={self.b}"
+        L, a, b = _exact_ints((self.L, self.a, self.b), (3,), message, InvalidLattice)
+        if L < 1:
             raise InvalidLattice("L must be positive")
-        if self.a < 1 or self.b < 1 or self.L % self.a or self.L % self.b:
-            raise InvalidLattice(
-                f"steps must divide L: L={self.L}, a={self.a}, b={self.b}"
-            )
+        if a < 1 or b < 1 or L % a or L % b:
+            raise InvalidLattice(f"steps must divide L: L={L}, a={a}, b={b}")
         w = np.array(self.window, dtype=complex)  # a copy: the caller may reuse its array
-        if w.shape != (self.L,):
+        if w.shape != (L,):
             raise InvalidLattice("window length must equal L")
         w.setflags(write=False)
-        object.__setattr__(self, "window", w)
+        for name, value in (("L", L), ("a", a), ("b", b), ("window", w)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_time(self) -> int:
@@ -131,10 +132,6 @@ class FiniteGaborSystem:
     @property
     def n_freq(self) -> int:
         return self.L // self.b
-
-    @property
-    def redundancy(self) -> float:
-        return self.L / (self.a * self.b)
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ class SubspaceBasis:
     """
 
     blocks: np.ndarray  # (F, n, k)
-    rank_tol: float
     ranks: np.ndarray = field(init=False, repr=False, compare=False)  # (F,)
 
     def __post_init__(self):
@@ -214,15 +210,8 @@ def gabor_matrix(sys: FiniteGaborSystem) -> np.ndarray:
 
     Column order: index l*N + k (time index k fastest), N = L/a.
     """
-    L, a, b, g = sys.L, sys.a, sys.b, sys.window
-    N, M = L // a, L // b
-    n = np.arange(L)
-    cols = np.empty((L, N * M), dtype=complex)
-    for l in range(M):
-        mod = np.exp(2j * np.pi * (l * b) * n / L) * g
-        for k in range(N):
-            cols[:, l * N + k] = np.roll(mod, k * a)
-    return cols
+    l, k = np.divmod(np.arange(sys.n_time * sys.n_freq), sys.n_time)
+    return tf_shifts(sys.window, k * sys.a, l * sys.b)
 
 
 def frame_operator_direct(sys: FiniteGaborSystem) -> np.ndarray:
@@ -259,7 +248,7 @@ def orthonormal_range(
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     keep = s > rank_tol * s.max(initial=0.0)
-    return SubspaceBasis((U * keep[..., None, :]).reshape(-1, *U.shape[-2:]), rank_tol)
+    return SubspaceBasis((U * keep[..., None, :]).reshape(-1, *U.shape[-2:]))
 
 
 def walnut_fibres(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
@@ -327,7 +316,7 @@ def analyze_system(
     inv = keep / np.where(keep, lam, 1.0)
     blocks = (V * inv[:, None, :]) @ V.conj().swapaxes(1, 2)
     gamma = (blocks @ sys.window.reshape(sys.b, P).T[..., None])[..., 0].T.ravel()
-    span = SubspaceBasis(V * keep[:, None, :], rank_tol)
+    span = SubspaceBasis(V * keep[:, None, :])
     return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span))
 
 
@@ -350,21 +339,25 @@ def frame_bounds(
     return analyze_system(sys, rank_tol).frame
 
 
-def _window_pair(gamma, g, t_step: int, f_step: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Both windows as complex arrays and their length L, whose divisors the steps must be."""
+def _window_pair(
+    gamma, g, t_step: int, f_step: int
+) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """Both windows as complex arrays, their length L and the steps as ints dividing L."""
     gamma = np.asarray(gamma, dtype=complex)
     g = np.asarray(g, dtype=complex)
     L = g.shape[0]
+    message = f"steps must divide L: L={L}, t_step={t_step}, f_step={f_step}"
+    t_step, f_step = _exact_ints((t_step, f_step), (2,), message, InvalidLattice)
     if t_step < 1 or f_step < 1 or L % t_step or L % f_step:
-        raise InvalidLattice(f"steps must divide L: L={L}, t_step={t_step}, f_step={f_step}")
-    return gamma, g, L
+        raise InvalidLattice(message)
+    return gamma, g, L, t_step, f_step
 
 
 def cross_frame_operator(
     gamma: np.ndarray, g: np.ndarray, t_step: int, f_step: int
 ) -> np.ndarray:
     """S_{gamma,g} f = sum_{k,l} <f, pi(k t_step, l f_step) gamma> pi(...) g."""
-    gamma, g, L = _window_pair(gamma, g, t_step, f_step)
+    gamma, g, L, t_step, f_step = _window_pair(gamma, g, t_step, f_step)
     Dg = gabor_matrix(FiniteGaborSystem(L, t_step, f_step, g))
     Dgam = gabor_matrix(FiniteGaborSystem(L, t_step, f_step, gamma))
     return Dg @ Dgam.conj().T
@@ -384,7 +377,7 @@ def janssen_representation(
     The terms with time shift m L/f_step fill the diagonal n -> n + m L/f_step
     of S, whose entries are the coefficients' row m times a phase table.
     """
-    gamma, g, L = _window_pair(gamma, g, t_step, f_step)
+    gamma, g, L, t_step, f_step = _window_pair(gamma, g, t_step, f_step)
     tau, phi = L // f_step, L // t_step  # adjoint steps: time tau, frequency phi
     constant = L / (t_step * f_step)
     coef = tf_inner_products(g, gamma, tau, phi)  # <g, pi(m tau, n phi) gamma>
@@ -436,9 +429,11 @@ def support_space(
     """
     g = np.asarray(window, dtype=complex)
     L = g.shape[0]
+    message = f"time step must divide L: L={L}, a={a}"
+    (a,) = _exact_ints(a, (), message, InvalidLattice)
     if a < 1 or L % a:
-        raise InvalidLattice(f"time step must divide L: L={L}, a={a}")
+        raise InvalidLattice(message)
     if not np.any(g):
         raise ZeroWindow("window is zero")
     h = np.tile((np.abs(g) ** 2).reshape(L // a, a).sum(axis=0), L // a)
-    return SubspaceBasis((h > tol * h.max())[:, None, None], tol), h
+    return SubspaceBasis((h > tol * h.max())[:, None, None]), h

@@ -137,11 +137,12 @@ class InvarianceReport:
         }
 
 
-def _validate_refinement(sys: FiniteGaborSystem, refinement: int) -> None:
-    if refinement < 1 or gcd(sys.a, sys.b) % refinement:
-        raise InvalidRefinement(
-            f"refinement must divide gcd(a, b) = {gcd(sys.a, sys.b)}, got {refinement}"
-        )
+def _validate_refinement(sys: FiniteGaborSystem, refinement: int) -> int:
+    message = f"refinement must divide gcd(a, b) = {gcd(sys.a, sys.b)}, got {refinement}"
+    (r,) = _exact_ints(refinement, (), message, InvalidRefinement)
+    if r < 1 or gcd(sys.a, sys.b) % r:
+        raise InvalidRefinement(message)
+    return r
 
 
 def scan_invariance(
@@ -160,7 +161,7 @@ def scan_invariance(
     "inconclusive".
     """
     check_tolerance("tol", tol)
-    _validate_refinement(sys, refinement)
+    refinement = _validate_refinement(sys, refinement)
     return _scan(analyze_system(sys, rank_tol), refinement, tol)
 
 
@@ -268,11 +269,14 @@ class CriteriaReport:
         }
 
 
-def _validate_nu(sys: FiniteGaborSystem, nu: int) -> None:
-    if nu < 2:
+def _validate_nu(sys: FiniteGaborSystem, nu: int) -> int:
+    message = f"nu must divide the time step a={sys.a}, got {nu}"
+    (n,) = _exact_ints(nu, (), message, InvalidNu)
+    if n < 2:
         raise InvalidNu(f"nu must be >= 2, got {nu}")
-    if sys.a % nu:
-        raise InvalidNu(f"nu must divide the time step a={sys.a}, got {nu}")
+    if sys.a % n:
+        raise InvalidNu(message)
+    return n
 
 
 def _min_principal_angle(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
@@ -313,7 +317,7 @@ def criteria_engine(
     finite alpha*beta) is recorded in the report.
     """
     check_tolerance("tol", tol)
-    _validate_nu(sys, nu)
+    nu = _validate_nu(sys, nu)
     if not np.any(sys.window):
         raise NotFrameSequence("zero window spans nothing")
     return _criteria(analyze_system(sys, rank_tol), nu, tol)
@@ -413,7 +417,7 @@ def dft_vector_relation(
     with F_omega the nu x nu unitary DFT, omega = exp(2 pi i / nu).  The
     identity is unconditional -- it holds whether or not the criteria do.
     """
-    _validate_nu(sys, nu)
+    nu = _validate_nu(sys, nu)
     an = analyze_system(sys, rank_tol)
     L, shifts = sys.L, np.arange(nu) * (sys.a // nu)
     _, _, d, images = _slice_blocks(an, nu)
@@ -524,13 +528,12 @@ def gaussian_corollary_scenario(
     check_tolerance("tol", tol)
     g = periodized_gaussian(L, c)
     sys = FiniteGaborSystem(L, a, b, g)
-    _validate_nu(sys, nu)
-    _validate_refinement(sys, refinement)
+    nu, refinement = _validate_nu(sys, nu), _validate_refinement(sys, refinement)
     an = analyze_system(sys, rank_tol)
     crit = _criteria(an, nu, tol)
     scan = _scan(an, refinement, tol)
 
-    ips = tf_inner_products(an.dual.gamma, g, a, b)  # <gamma, pi(k a, l b) g>
+    ips = tf_inner_products(an.dual.gamma, g, sys.a, sys.b)  # <gamma, pi(k a, l b) g>
     ips[0, 0] -= 1.0
     bio = float(np.abs(ips).max())
 
@@ -539,9 +542,9 @@ def gaussian_corollary_scenario(
     smallest, largest = an.eigenvalues[-sys.n_time * sys.n_freq], an.eigenvalues[-1]
     cond = largest / smallest if smallest > 0 else np.inf
     return GaussianScenarioReport(
-        L=L,
-        a=a,
-        b=b,
+        L=sys.L,
+        a=sys.a,
+        b=sys.b,
         c=float(c),
         nu=nu,
         refinement=refinement,

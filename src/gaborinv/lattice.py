@@ -86,18 +86,9 @@ class RationalMatrix2x2:
     def entries(self) -> tuple:
         return self._e
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self._e[i][j]
-
     def det(self) -> Fraction:
         e = self._e
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
-
-    @property
-    def is_symplectic(self) -> bool:
-        """True iff det == 1 exactly."""
-        return self.det() == 1
 
     def is_integer(self) -> bool:
         return all(v.denominator == 1 for row in self._e for v in row)
@@ -207,7 +198,6 @@ class ReductionResult:
     sigma: Optional[int] = None
     rho_t: Optional[int] = None
     sigma_t: Optional[int] = None
-    A: Optional[RationalMatrix2x2] = None
 
     def input_lattice(self) -> Lattice2D:
         """The lattice the reduction acts on (Fourier-swapped when flagged)."""
@@ -244,59 +234,35 @@ def density(lat: Lattice2D) -> Fraction:
     return 1 / abs(lat.basis.det())
 
 
-def _column_reduce_to_triangular(m11: int, m12: int, m21: int, m22: int):
-    """Unimodular integer column operations making the bottom-left entry zero.
-
-    Returns the reduced matrix entries (e, f, 0, h) with h > 0 and e != 0.
-    Column operations leave the generated lattice unchanged.
-    """
-    if m21 == 0:
-        e, f, h = m11, m12, m22
-    elif m22 == 0:
-        # column swap with a sign keeps the operation unimodular
-        e, f, h = -m12, m11, m21
-    else:
-        # x*m21 + y*m22 = g > 0 via extended Euclid
-        x, y, g = _xgcd(m21, m22)
-        if g < 0:
-            x, y, g = -x, -y, -g
-        e = (m11 * m22 - m12 * m21) // g
-        f = m11 * x + m12 * y
-        h = g
-    if h < 0:
-        f, h = -f, -h
-    if e < 0:
-        e = -e
-    return e, f, h
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with x*a + y*b = g, |g| = gcd(a, b)."""
+    """(x, y, g) with x*a + y*b = g = gcd(a, b) >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
         q, a, b = a // b, b, a % b
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
-    return x0, y0, a
+    return (x0, y0, a) if a >= 0 else (-x0, -y0, -a)
 
 
 def separate(lat: Lattice2D) -> tuple[RationalMatrix2x2, SeparableLattice]:
     """Reduce a rational lattice to a separable one by a det-1 matrix.
 
-    Clears denominators, column-reduces the integer matrix to an upper
-    triangular (Hermite-like) form -- column operations do not change the
-    lattice -- and then applies the unit-determinant row shear
-    [[1, -f/h], [0, 1]] that kills the remaining off-diagonal entry.
+    Clears denominators, makes the integer matrix upper triangular,
+    [[+-e, f], [0, h]], by one extended-Euclid column step -- column
+    operations do not change the lattice -- and then applies the
+    unit-determinant row shear [[1, -f/h], [0, 1]] that kills the remaining
+    off-diagonal entry.
 
     Returns (C, sep) with det C = 1 and C @ lat = sep.alpha*Z x sep.beta*Z
     exactly.
     """
     e = lat.basis.entries
     q = lcm(*(v.denominator for row in e for v in row))
-    m = [[int(v * q) for v in row] for row in e]
-    e11, f, h = _column_reduce_to_triangular(m[0][0], m[0][1], m[1][0], m[1][1])
+    (m11, m12), (m21, m22) = ([int(v * q) for v in row] for row in e)
+    x, y, h = _xgcd(m21, m22)  # the unimodular columns (-m22/h, m21/h), (x, y)
+    f = m11 * x + m12 * y
     shear = RationalMatrix2x2([[1, Fraction(-f, h)], [0, 1]])
-    sep = SeparableLattice(Fraction(e11, q), Fraction(h, q))
+    sep = SeparableLattice(Fraction(abs(m11 * m22 - m12 * m21) // h, q), Fraction(h, q))
     return shear, sep
 
 
@@ -313,7 +279,7 @@ def reduce_invariant_shift(
     * r = 0: same, after a Fourier swap of the two axes (flag set; the
       reported lattice is b*Z x a*Z).
     * r, s != 0: with d = gcd(r, s), coprime rho = r/d, sigma = s/d and a
-      Bezout pair rho*sigma_t - sigma*rho_t = 1 (rho_t chosen positive), the
+      Bezout pair rho*sigma_t - sigma*rho_t = 1 with 1 <= rho_t <= rho, the
       matrices
 
           A = [[rho*a, rho_t*a], [sigma*b, sigma_t*b]],
@@ -352,14 +318,8 @@ def reduce_invariant_shift(
 
     d = gcd(r, s)
     rho, sigma = r // d, s // d
-    x, y, _ = _xgcd(rho, sigma)  # x*rho + y*sigma = 1 (rho, sigma coprime)
-    sigma_t, rho_t = x, -y  # rho*sigma_t - sigma*rho_t = 1
-    if rho_t < 1:
-        # shift along the solution line until rho_t >= 1
-        t = (1 - rho_t + rho - 1) // rho
-        rho_t += t * rho
-        sigma_t += t * sigma
-    A = RationalMatrix2x2([[rho * a, rho_t * a], [sigma * b, sigma_t * b]])
+    rho_t = -pow(sigma, -1, rho) % rho or rho  # sigma*rho_t = -1 mod rho
+    sigma_t = (1 + sigma * rho_t) // rho
     B = RationalMatrix2x2(
         [
             [Fraction(sigma_t) * b / (Fraction(rho_t) * a), -1],
@@ -380,7 +340,6 @@ def reduce_invariant_shift(
         sigma=sigma,
         rho_t=rho_t,
         sigma_t=sigma_t,
-        A=A,
     )
 
 

@@ -22,6 +22,7 @@ from gaborinv.gabor import (
     shift_operator,
     support_space,
     tf_shift,
+    tf_shifts,
 )
 
 RNG = np.random.default_rng(90125)
@@ -76,6 +77,22 @@ class TestTfShift:
         L = 9
         f = random_signal(L)
         assert np.allclose(shift_operator(L, 4, 7) @ f, tf_shift(f, 4, 7))
+
+    @pytest.mark.parametrize(
+        "t, m",
+        [
+            ([0, 3, -5, 12, 29, -13], [7, -2, 0, 15, -25, 12]),  # negative and >= L
+            (5, [0, 1, -7, 30]),  # a scalar t broadcast against an array m
+        ],
+    )
+    def test_tf_shifts_columns_match_tf_shift(self, t, m):
+        L = 12
+        f = random_signal(L)
+        cols = tf_shifts(f, t, m)
+        t, m = np.broadcast_arrays(t, m)
+        assert cols.shape == (L, t.size)
+        for i, (ti, mi) in enumerate(zip(t, m)):
+            assert np.linalg.norm(cols[:, i] - tf_shift(f, ti, mi)) <= 1e-13 * np.linalg.norm(f)
 
 
 class TestGaborMatrix:
@@ -406,7 +423,7 @@ class TestSubspaceBasis:
     )
     def test_rejects_non_orthonormal_blocks(self, blocks):
         with pytest.raises(ValueError):
-            SubspaceBasis(np.array(blocks), 1e-8)
+            SubspaceBasis(np.array(blocks))
 
 
 class TestSupportSpace:

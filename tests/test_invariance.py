@@ -12,6 +12,7 @@ from test_gabor import fibred_systems, fibre_window
 
 from gaborinv.errors import (
     DegenerateInput,
+    InvalidLattice,
     InvalidNu,
     InvalidParameter,
     InvalidRefinement,
@@ -27,8 +28,10 @@ from gaborinv.gabor import (
     cross_frame_operator,
     frame_operator_direct,
     gabor_matrix,
+    janssen_representation,
     orthonormal_range,
     periodized_gaussian,
+    support_space,
     tf_shift,
 )
 from gaborinv.invariance import (
@@ -538,3 +541,39 @@ class TestInvarianceTransport:
         assert mapped == set(rep2.invariant_set)
         for p in mapped:
             assert rep2.residual_of(p) < 10 * rep.tol
+
+
+G9 = np.ones(9)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: FiniteGaborSystem(9, 4.5, 3, G9), InvalidLattice),
+        (lambda: scan_invariance(gaussian_system(), 1.5), InvalidRefinement),
+        (lambda: criteria_engine(gaussian_system(20, 10, 4), 2.5), InvalidNu),
+        (lambda: dft_vector_relation(gaussian_system(20, 10, 4), 2.5), InvalidNu),
+        (lambda: support_space(periodized_gaussian(120, np.pi), 1.5), InvalidLattice),
+        (lambda: janssen_representation(G9, G9, 4.5, 3), InvalidLattice),
+        (lambda: cross_frame_operator(G9, G9, 4.5, 3), InvalidLattice),
+    ],
+    ids=["system", "scan", "criteria", "dft-relation", "support", "janssen", "cross-frame"],
+)
+def test_non_integral_parameters_raise_typed_errors(call, error):
+    # each value divides the number it is checked against (9 % 4.5 == 0, 12 % 1.5 == 0, ...)
+    with pytest.raises(error):
+        call()
+
+
+def test_integral_floats_and_numpy_ints_read_as_ints():
+    g = periodized_gaussian(12, np.pi)
+    sys = FiniteGaborSystem(12, 4.0, np.int64(3), g)
+    assert (type(sys.a), type(sys.b), sys.a, sys.b) == (int, int, 4, 3)
+    s = gaussian_system()
+    assert criteria_engine(s, 2.0).to_json_dict() == criteria_engine(s, 2).to_json_dict()
+    assert dft_vector_relation(s, np.int64(2)) == dft_vector_relation(s, 2)
+    assert scan_invariance(s, 4.0).to_json_dict() == scan_invariance(s, 4).to_json_dict()
+    S_float, S_int = janssen_representation(g, g, 4.0, 3)[0], janssen_representation(g, g, 4, 3)[0]
+    assert np.array_equal(S_float, S_int)
+    assert np.array_equal(cross_frame_operator(g, g, 4.0, 3), cross_frame_operator(g, g, 4, 3))
+    assert np.array_equal(support_space(g, 4.0)[1], support_space(g, 4)[1])

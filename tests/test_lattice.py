@@ -93,6 +93,22 @@ class TestSeparate:
         C, sep = separate(l0)
         assert density(l0) == sep.density()
 
+    @pytest.mark.parametrize(
+        "rows, shear, alpha, beta",
+        [
+            ([[1, 1], [0, 1]], [[1, -1], [0, 1]], 1, 1),  # bottom-left entry already zero
+            ([[0, 1], [1, 0]], [[1, 0], [0, 1]], 1, 1),  # bottom-right entry zero
+            ([[2, 0], [3, 5]], [[1, -4], [0, 1]], 10, 1),
+            ([[-2, 3], [4, -7]], [[1, 1], [0, 1]], 2, 1),
+            ([[0, -3], [2, 5]], [[1, 3], [0, 1]], 6, 1),
+            ([["3/2", "1/3"], ["2/5", "7/4"]], [[1, 370], [0, 1]], F(299, 6), F(1, 20)),
+        ],
+    )
+    def test_pinned_outputs(self, rows, shear, alpha, beta):
+        C, sep = separate(lat(rows))
+        assert C == RationalMatrix2x2(shear)
+        assert (sep.alpha, sep.beta) == (alpha, beta)
+
 
 class TestReduceInvariantShift:
     def check_exact(self, a, b, r, s, m):
@@ -138,6 +154,21 @@ class TestReduceInvariantShift:
     def test_time_only_records_reduced_order(self):
         res = self.check_exact(1, 1, 4, 0, 6)
         assert res.m == 3 and res.d == 2  # 4/6 reduces to 2/3
+
+    @pytest.mark.parametrize("a, b", [(1, 1), ("3/2", "5/7")])
+    def test_bezout_pair(self, a, b):
+        # 1 <= rho_t <= rho and rho*sigma_t - sigma*rho_t = 1 fix the pair uniquely
+        pinned = {(1, 11, 12): (1, 12), (5, 7, 12): (2, 3), (3, 1, 4): (2, 1)}
+        for m in range(2, 13):
+            for r in range(1, m):
+                for s in range(1, m):
+                    bz = reduce_invariant_shift(a, b, r, s, m).to_json_dict()["bezout"]
+                    rho, sigma, rho_t, sigma_t = (
+                        bz[k] for k in ("rho", "sigma", "rho_tilde", "sigma_tilde")
+                    )
+                    assert 1 <= rho_t <= rho
+                    assert rho * sigma_t - sigma * rho_t == 1
+                    assert pinned.get((r, s, m), (rho_t, sigma_t)) == (rho_t, sigma_t)
 
     def test_rejects_zero_shift(self):
         with pytest.raises(NotAnExtraShift):
