@@ -19,7 +19,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, lattice, serialize
-from .errors import DEFAULT_RANK_TOL, DEFAULT_TOL, GaborError, InvalidNu, NotFrameSequence
+from .errors import (
+    DEFAULT_RANK_TOL, DEFAULT_TOL, GaborError, InvalidNu, NotFrameSequence, exact_int
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -185,8 +187,7 @@ def _builtin_window(name: str, L: int, a: int, nu: int, c: float) -> np.ndarray:
     g0 = gabor.periodized_gaussian(L, c)
     if name == "gaussian":
         return g0
-    if nu < 1 or a % nu:
-        raise InvalidNu(f"builtin window needs nu | a, got nu={nu}, a={a}")
+    nu = exact_int(nu, InvalidNu, f"builtin window needs nu | a, got nu={nu}, a={a}", 1, a)
     step = a // nu
     copies = nu if name == "gaussian-sum" else L // step
     # a complex gather summed along axis 0 adds the copies in order, with the rounding
@@ -213,7 +214,7 @@ def _system(args):
 def _manifest(args, constants: dict) -> dict:
     def echo(v):
         if isinstance(v, lattice.RationalMatrix2x2):  # as --basis is written
-            return ";".join(",".join(lattice.rational_str(x) for x in row) for row in v.entries)
+            return ";".join(",".join(row) for row in v.string_rows())
         return str(v) if isinstance(v, Fraction) else v
 
     config = {k: echo(v) for k, v in sorted(vars(args).items())}
@@ -237,7 +238,7 @@ def _cmd_reduce(args, outdir: Path):
 def _cmd_separate(args, outdir: Path):
     C, sep = lattice.separate(lattice.Lattice2D(args.basis))
     payload = {
-        "C": [[lattice.rational_str(v) for v in row] for row in C.entries],
+        "C": C.string_rows(),
         "det_C": lattice.rational_str(C.det()),
         "alpha": lattice.rational_str(sep.alpha),
         "beta": lattice.rational_str(sep.beta),

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidMatrix, InvalidModulus, InvalidParameter
+from .errors import InvalidMatrix, InvalidModulus, InvalidParameter, exact_int
 from .lattice import Lattice2D, SeparableLattice
 
 BOUNDARY_FUZZ = 1e-9
+_ROWS_PER_CHUNK = 1 << 16  # k1 rows per pass of a sheared count: its memory is bounded
 
 __all__ = [
     "PointSet",
@@ -79,8 +80,9 @@ def _axis_range(step: float, lo: float, hi: float) -> tuple[int, int]:
 def _count_general_lattice(basis: np.ndarray, center, R: float) -> tuple[int, bool]:
     """Count basis@k inside center + [-R, R]^2, and whether k = 0 is counted.
 
-    Enumerates k1 over the bounding range of the pulled-back box and counts
-    the admissible k2 per k1 from the two closed-form interval constraints.
+    Enumerates k1 over the bounding range of the pulled-back box, in chunks of
+    _ROWS_PER_CHUNK rows, and counts the admissible k2 per k1 from the two
+    closed-form interval constraints.
     """
     cx, cy = center
     binv = np.linalg.inv(basis)
@@ -88,25 +90,28 @@ def _count_general_lattice(basis: np.ndarray, center, R: float) -> tuple[int, bo
         [[cx - R, cx - R, cx + R, cx + R], [cy - R, cy + R, cy - R, cy + R]]
     )
     k = binv @ corners
-    k1 = np.arange(int(np.floor(k[0].min())) - 1, int(np.ceil(k[0].max())) + 2)
-    lo = np.full(k1.shape, -np.inf)
-    hi = np.full(k1.shape, np.inf)
-    ok = np.ones(k1.shape, dtype=bool)
-    for p, q, c in ((basis[0, 0], basis[0, 1], cx), (basis[1, 0], basis[1, 1], cy)):
-        fz = _fuzz(abs(c) + R)
-        if q == 0.0:
-            ok &= (p * k1 >= c - R - fz) & (p * k1 <= c + R + fz)
-        else:
-            # a subnormal q overflows to +-inf, which is the exact limit of the interval
-            with np.errstate(over="ignore"):
-                u = (c - R - fz - p * k1) / q
-                v = (c + R + fz - p * k1) / q
-            lo = np.maximum(lo, np.minimum(u, v))
-            hi = np.minimum(hi, np.maximum(u, v))
-    first, last = np.where(ok, np.ceil(lo), np.inf), np.floor(hi)
-    i = -int(k1[0])  # the row k1 = 0
-    origin = 0 <= i < k1.size and first[i] <= 0 <= last[i]
-    return int(np.maximum(last - first + 1, 0.0).sum()), bool(origin)
+    start, stop = int(np.floor(k[0].min())) - 1, int(np.ceil(k[0].max())) + 2
+    total, origin = 0, False
+    for row in range(start, stop, _ROWS_PER_CHUNK):
+        k1 = np.arange(row, min(row + _ROWS_PER_CHUNK, stop))
+        lo, hi, ok = np.full(k1.shape, -np.inf), np.full(k1.shape, np.inf), np.ones(k1.shape, bool)
+        for p, q, c in ((basis[0, 0], basis[0, 1], cx), (basis[1, 0], basis[1, 1], cy)):
+            fz = _fuzz(abs(c) + R)
+            if q == 0.0:
+                ok &= (p * k1 >= c - R - fz) & (p * k1 <= c + R + fz)
+            else:
+                # a subnormal q overflows to +-inf, which is the exact limit of the interval
+                with np.errstate(over="ignore"):
+                    u = (c - R - fz - p * k1) / q
+                    v = (c + R + fz - p * k1) / q
+                lo = np.maximum(lo, np.minimum(u, v))
+                hi = np.minimum(hi, np.maximum(u, v))
+        first, last = np.where(ok, np.ceil(lo), np.inf), np.floor(hi)
+        total += int(np.maximum(last - first + 1, 0.0).sum())
+        i = -row  # the row k1 = 0
+        if 0 <= i < k1.size:
+            origin = bool(first[i] <= 0 <= last[i])
+    return total, origin
 
 
 def _lattice_count(basis: np.ndarray, center, R: float) -> tuple[int, bool]:
@@ -137,9 +142,11 @@ def _basis_array(lat) -> np.ndarray:
 @dataclass(frozen=True)
 class PointSet:
     """A signed sum of lattices: `terms` holds (sign, basis, shift, punctured)
-    tuples, built once by each set's constructor."""
+    tuples, built once by each set's constructor.  A named set has a class-level
+    JSON `variant` tag; its JSON form is that tag plus its init fields."""
 
     terms: tuple = field(init=False, repr=False, compare=False)
+    variant = None  # the JSON tag; None for a transformed set, which has no JSON form
 
     def _set(self, terms: tuple, **fields) -> None:
         for name, value in fields.items():
@@ -176,7 +183,20 @@ class PointSet:
         )
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError("a transformed point set has no JSON form")
+        """The `variant` tag and the init fields: arrays and tuples as lists,
+        member sets as their own JSON dicts."""
+        if self.variant is None:
+            raise NotImplementedError("a transformed point set has no JSON form")
+        init = {f.name: _json_value(getattr(self, f.name)) for f in fields(self) if f.init}
+        return {"variant": self.variant, **init}
+
+
+def _json_value(v):
+    if isinstance(v, PointSet):
+        return v.to_json_dict()
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 @dataclass(frozen=True)
@@ -191,13 +211,11 @@ class LatticePoints(PointSet):
     """All points basis @ Z^2 (basis a float 2x2, or an exact lattice)."""
 
     basis: np.ndarray
+    variant = "lattice"
 
     def __post_init__(self):
         b = _basis_array(self.basis)
         self._set(((1, b, _ORIGIN, False),), basis=b)
-
-    def to_json_dict(self):
-        return {"variant": "lattice", "basis": self.basis.tolist()}
 
 
 @dataclass(frozen=True)
@@ -206,17 +224,11 @@ class ShiftedLattice(PointSet):
 
     basis: np.ndarray
     shift: tuple[float, float]
+    variant = "shifted_lattice"
 
     def __post_init__(self):
         b, shift = _basis_array(self.basis), (float(self.shift[0]), float(self.shift[1]))
         self._set(((1, b, shift, False),), basis=b, shift=shift)
-
-    def to_json_dict(self):
-        return {
-            "variant": "shifted_lattice",
-            "basis": self.basis.tolist(),
-            "shift": list(self.shift),
-        }
 
 
 @dataclass(frozen=True)
@@ -224,13 +236,11 @@ class PuncturedLattice(PointSet):
     """basis @ Z^2 with the origin removed."""
 
     basis: np.ndarray
+    variant = "punctured_lattice"
 
     def __post_init__(self):
         b = _basis_array(self.basis)
         self._set(((1, b, _ORIGIN, True),), basis=b)
-
-    def to_json_dict(self):
-        return {"variant": "punctured_lattice", "basis": self.basis.tolist()}
 
 
 @dataclass(frozen=True)
@@ -240,26 +250,18 @@ class ExcludedResidueProduct(PointSet):
     t_step: float
     f_step: float
     nu: int
+    variant = "product_with_excluded_residues"
 
     def __post_init__(self):
-        if self.nu < 2:
-            raise InvalidModulus(f"nu must be >= 2, got {self.nu}")
+        nu = exact_int(self.nu, InvalidModulus, f"nu must be >= 2, got {self.nu}", 2)
         if self.t_step <= 0 or self.f_step <= 0:
             raise InvalidMatrix("steps must be positive")
         full = _basis_array(np.diag([self.t_step, self.f_step]))
-        sub = _basis_array(np.diag([self.t_step, self.nu * self.f_step]))
-        self._set(((1, full, _ORIGIN, False), (-1, sub, _ORIGIN, False)))
+        sub = _basis_array(np.diag([self.t_step, nu * self.f_step]))
+        self._set(((1, full, _ORIGIN, False), (-1, sub, _ORIGIN, False)), nu=nu)
 
     def analytic_density(self):
         return float((1.0 / self.t_step) * (1.0 / self.f_step) * (1.0 - 1.0 / self.nu))
-
-    def to_json_dict(self):
-        return {
-            "variant": "product_with_excluded_residues",
-            "t_step": self.t_step,
-            "f_step": self.f_step,
-            "nu": self.nu,
-        }
 
 
 @dataclass(frozen=True)
@@ -269,6 +271,7 @@ class UnionSet(PointSet):
     """
 
     members: tuple
+    variant = "union"
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -276,9 +279,6 @@ class UnionSet(PointSet):
 
     def analytic_density(self):
         return float(sum(m.analytic_density() for m in self.members))
-
-    def to_json_dict(self):
-        return {"variant": "union", "members": [m.to_json_dict() for m in self.members]}
 
 
 def omega_spec(alpha: float, beta: float, nu: int) -> UnionSet:
@@ -321,8 +321,7 @@ def lower_density_empirical(
     The infimum is approximated over a probe_grid x probe_grid set of window
     centers covering one period cell (sufficient for periodic specs).
     """
-    if probe_grid < 1:
-        raise ValueError("probe_grid must be >= 1")
+    probe_grid = exact_int(probe_grid, ValueError, "probe_grid must be >= 1", 1)
     p1, p2 = spec.period_cell()
     analytic = spec.analytic_density()
     out = []
@@ -340,8 +339,7 @@ def lower_density_empirical(
 def omega_density_formula(alpha: float, beta: float, nu: int) -> float:
     """1/(alpha*beta) + (1 - 1/nu)*alpha*beta, the density lower bound of the
     combined lattice/adjoint orthogonality set."""
-    if nu < 2:
-        raise InvalidModulus(f"nu must be >= 2, got {nu}")
+    nu = exact_int(nu, InvalidModulus, f"nu must be >= 2, got {nu}", 2)
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha, beta must be positive")
     ab = alpha * beta
@@ -395,8 +393,7 @@ def equidistribution_diagnostic(
     zx, zy = float(z[0]), float(z[1])
     if zx == 0.0 and zy == 0.0:
         raise ValueError("z must be nonzero")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    n_samples = exact_int(n_samples, ValueError, "n_samples must be >= 1", 1)
     al, be = float(lat.alpha), float(lat.beta)
     j = np.arange(1, n_samples + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead of warned
@@ -431,26 +428,21 @@ def equidistribution_diagnostic(
     return covering_radius, discrepancy
 
 
-_VARIANTS = {
-    "lattice": lambda d: LatticePoints(np.array(d["basis"], float)),
-    "shifted_lattice": lambda d: ShiftedLattice(
-        np.array(d["basis"], float), tuple(d["shift"])
-    ),
-    "punctured_lattice": lambda d: PuncturedLattice(np.array(d["basis"], float)),
-    "product_with_excluded_residues": lambda d: ExcludedResidueProduct(
-        d["t_step"], d["f_step"], d["nu"]
-    ),
+_BY_TAG = {
+    cls.variant: cls
+    for cls in (LatticePoints, ShiftedLattice, PuncturedLattice, ExcludedResidueProduct, UnionSet)
 }
 
 
 def pointset_from_json(text: str) -> PointSet:
     def build(d: dict) -> PointSet:
-        v = d.get("variant")
-        if v == "union":
-            return UnionSet(tuple(build(m) for m in d["members"]))
-        if v not in _VARIANTS:
-            raise ValueError(f"unknown point-set variant {v!r}")
-        return _VARIANTS[v](d)
+        cls = _BY_TAG.get(d.get("variant"))
+        if cls is None:
+            raise ValueError(f"unknown point-set variant {d.get('variant')!r}")
+        kwargs = {k: v for k, v in d.items() if k != "variant"}
+        if cls is UnionSet:
+            kwargs["members"] = tuple(build(m) for m in kwargs["members"])
+        return cls(**kwargs)
 
     return build(json.loads(text))
 

@@ -1,7 +1,11 @@
-"""Exception types and default tolerances shared across the toolkit.
+"""Exception types, default tolerances and the precondition readers shared
+across the toolkit.
 
 Every precondition named in a module contract maps to one class here, so
-callers (and the CLI) can report the violated precondition by name.
+callers (and the CLI) can report the violated precondition by name.  The
+readers (`check_tolerance`, `exact_int`, `exact_ints`) are the one place that
+decides what a tolerance or an integer parameter is.  This module imports no
+numpy: the exact layer loads without it.
 """
 
 DEFAULT_TOL = 1e-6  # residual threshold of the invariance verdicts
@@ -89,3 +93,34 @@ def check_tolerance(name: str, value: float) -> None:
     """InvalidParameter unless 0 < value < 1, which NaN fails."""
     if not 0 < value < 1:
         raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def exact_int(value, error: type, message: str, low=None, divides=None) -> int:
+    """`value` as a Python int, at least `low` and dividing `divides` when given
+    (`divides` needs `low` >= 1), else error(message).  Integral floats and numpy
+    ints read as ints; 1.5 is rejected, never truncated; big ints stay exact."""
+    if type(value) is not int:
+        try:
+            n = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise error(message) from None
+        if n != value:
+            raise error(message)
+        value = n
+    if (low is not None and value < low) or (divides is not None and divides % value):
+        raise error(message)
+    return value
+
+
+def exact_ints(values, shape: tuple, error: type, message: str, low=None, divides=None) -> tuple:
+    """`exact_int` over every entry of a pair, shape (2,), or a 2x2 matrix, shape
+    (2, 2), returned as nested tuples; error(message) when the shape differs."""
+    try:
+        rows = tuple(values)
+    except TypeError:
+        raise error(message) from None
+    if len(rows) != shape[0]:
+        raise error(message)
+    if len(shape) > 1:
+        return tuple(exact_ints(row, shape[1:], error, message, low, divides) for row in rows)
+    return tuple(exact_int(v, error, message, low, divides) for v in rows)

@@ -28,7 +28,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DEFAULT_RANK_TOL, InvalidLattice, InvalidParameter, ZeroWindow, check_tolerance
+from .errors import (
+    DEFAULT_RANK_TOL,
+    InvalidLattice,
+    InvalidParameter,
+    ZeroWindow,
+    check_tolerance,
+    exact_int,
+    exact_ints,
+)
 
 __all__ = [
     "FiniteGaborSystem",
@@ -55,22 +63,6 @@ __all__ = [
 ]
 
 
-def _exact_ints(values, shape: tuple, message: str, error: type = ValueError) -> list[int]:
-    """The entries of an array of the given shape as exact Python ints.
-
-    error(message) when the shape differs or an entry is not integral:
-    1.5 is rejected, never truncated, and entries beyond int64 stay exact.
-    """
-    try:
-        A = np.asarray(values, dtype=object)
-        exact = [int(v) for v in A.flat] if A.shape == shape else None
-        if exact is None or any(e != v for e, v in zip(exact, A.flat)):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise error(message) from None
-    return exact
-
-
 def tf_shift(f: np.ndarray, t: int, m: int) -> np.ndarray:
     """Apply pi(t, m) = T_t M_m to a length-L signal (indices mod L)."""
     f = np.asarray(f)
@@ -87,7 +79,10 @@ def tf_shifts(f: np.ndarray, t, m) -> np.ndarray:
 
 
 def shift_operator(L: int, t: int, m: int) -> np.ndarray:
-    """The L x L matrix of pi(t, m)."""
+    """The L x L matrix of pi(t, m), for integers L >= 1, t and m."""
+    message = f"shift_operator needs integers L >= 1, t and m, got L={L}, t={t}, m={m}"
+    L = exact_int(L, InvalidParameter, message, 1)
+    t, m = exact_ints((t, m), (2,), InvalidParameter, message)
     n = np.arange(L)
     D = np.exp(2j * np.pi * (m % L) * n / L)
     P = np.roll(np.eye(L), t % L, axis=0)
@@ -112,12 +107,9 @@ class FiniteGaborSystem:
     window: np.ndarray
 
     def __post_init__(self):
-        message = f"L, a and b must be integers: L={self.L}, a={self.a}, b={self.b}"
-        L, a, b = _exact_ints((self.L, self.a, self.b), (3,), message, InvalidLattice)
-        if L < 1:
-            raise InvalidLattice("L must be positive")
-        if a < 1 or b < 1 or L % a or L % b:
-            raise InvalidLattice(f"steps must divide L: L={L}, a={a}, b={b}")
+        L = exact_int(self.L, InvalidLattice, "L must be positive", 1)
+        message = f"steps must divide L: L={L}, a={self.a}, b={self.b}"
+        a, b = exact_ints((self.a, self.b), (2,), InvalidLattice, message, 1, L)
         w = np.array(self.window, dtype=complex)  # a copy: the caller may reuse its array
         if w.shape != (L,):
             raise InvalidLattice("window length must equal L")
@@ -347,9 +339,7 @@ def _window_pair(
     g = np.asarray(g, dtype=complex)
     L = g.shape[0]
     message = f"steps must divide L: L={L}, t_step={t_step}, f_step={f_step}"
-    t_step, f_step = _exact_ints((t_step, f_step), (2,), message, InvalidLattice)
-    if t_step < 1 or f_step < 1 or L % t_step or L % f_step:
-        raise InvalidLattice(message)
+    t_step, f_step = exact_ints((t_step, f_step), (2,), InvalidLattice, message, 1, L)
     return gamma, g, L, t_step, f_step
 
 
@@ -395,8 +385,7 @@ def periodized_gaussian(L: int, c: float) -> np.ndarray:
     Terms are added symmetrically until the next one falls below 1e-17 of
     the running maximum.  For c = pi the result is DFT-invariant.
     """
-    if L < 4:
-        raise InvalidParameter(f"L must be >= 4, got {L}")
+    L = exact_int(L, InvalidParameter, f"L must be >= 4, got {L}", 4)
     if not 0 < c < np.inf:  # a NaN or infinite width never meets the stopping test
         raise InvalidParameter(f"Gaussian width c must be finite and positive, got {c}")
     if c * L < np.pi**2 / np.log(1e17):
@@ -429,10 +418,7 @@ def support_space(
     """
     g = np.asarray(window, dtype=complex)
     L = g.shape[0]
-    message = f"time step must divide L: L={L}, a={a}"
-    (a,) = _exact_ints(a, (), message, InvalidLattice)
-    if a < 1 or L % a:
-        raise InvalidLattice(message)
+    a = exact_int(a, InvalidLattice, f"time step must divide L: L={L}, a={a}", 1, L)
     if not np.any(g):
         raise ZeroWindow("window is zero")
     h = np.tile((np.abs(g) ** 2).reshape(L // a, a).sum(axis=0), L // a)

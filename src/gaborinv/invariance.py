@@ -31,6 +31,8 @@ from .errors import (
     NotUndersampled,
     ZeroInput,
     check_tolerance,
+    exact_int,
+    exact_ints,
 )
 from .gabor import (
     DEFAULT_RANK_TOL,
@@ -38,7 +40,6 @@ from .gabor import (
     FrameBounds,
     SubspaceBasis,
     SystemAnalysis,
-    _exact_ints,
     analyze_system,
     orthonormal_range,
     periodized_gaussian,
@@ -137,14 +138,6 @@ class InvarianceReport:
         }
 
 
-def _validate_refinement(sys: FiniteGaborSystem, refinement: int) -> int:
-    message = f"refinement must divide gcd(a, b) = {gcd(sys.a, sys.b)}, got {refinement}"
-    (r,) = _exact_ints(refinement, (), message, InvalidRefinement)
-    if r < 1 or gcd(sys.a, sys.b) % r:
-        raise InvalidRefinement(message)
-    return r
-
-
 def scan_invariance(
     sys: FiniteGaborSystem,
     refinement: int,
@@ -161,7 +154,9 @@ def scan_invariance(
     "inconclusive".
     """
     check_tolerance("tol", tol)
-    refinement = _validate_refinement(sys, refinement)
+    d = gcd(sys.a, sys.b)
+    message = f"refinement must divide gcd(a, b) = {d}, got {refinement}"
+    refinement = exact_int(refinement, InvalidRefinement, message, 1, d)
     return _scan(analyze_system(sys, rank_tol), refinement, tol)
 
 
@@ -269,16 +264,6 @@ class CriteriaReport:
         }
 
 
-def _validate_nu(sys: FiniteGaborSystem, nu: int) -> int:
-    message = f"nu must divide the time step a={sys.a}, got {nu}"
-    (n,) = _exact_ints(nu, (), message, InvalidNu)
-    if n < 2:
-        raise InvalidNu(f"nu must be >= 2, got {nu}")
-    if sys.a % n:
-        raise InvalidNu(message)
-    return n
-
-
 def _min_principal_angle(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
     """Smallest principal angle between A and B on each of their common
     blocks.  It is read from the smallest sine, a singular value of
@@ -317,7 +302,8 @@ def criteria_engine(
     finite alpha*beta) is recorded in the report.
     """
     check_tolerance("tol", tol)
-    nu = _validate_nu(sys, nu)
+    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
+    exact_int(nu, InvalidNu, f"nu must divide the time step a={sys.a}, got {nu}", 1, sys.a)
     if not np.any(sys.window):
         raise NotFrameSequence("zero window spans nothing")
     return _criteria(analyze_system(sys, rank_tol), nu, tol)
@@ -417,7 +403,8 @@ def dft_vector_relation(
     with F_omega the nu x nu unitary DFT, omega = exp(2 pi i / nu).  The
     identity is unconditional -- it holds whether or not the criteria do.
     """
-    nu = _validate_nu(sys, nu)
+    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
+    exact_int(nu, InvalidNu, f"nu must divide the time step a={sys.a}, got {nu}", 1, sys.a)
     an = analyze_system(sys, rank_tol)
     L, shifts = sys.L, np.arange(nu) * (sys.a // nu)
     _, _, d, images = _slice_blocks(an, nu)
@@ -443,7 +430,7 @@ def small_shift_completeness(
     that union must keep L singular values above rank_tol * s_max.
     """
     check_tolerance("rank_tol", rank_tol)
-    x1, y1, x2, y2 = _exact_ints((v1, v2), (2, 2), "v1 and v2 must be integer pairs")
+    (x1, y1), (x2, y2) = exact_ints((v1, v2), (2, 2), ValueError, "v1 and v2 must be integer pairs")
     det = x1 * y2 - y1 * x2
     if det == 0:
         raise DegenerateInput(f"shift vectors {(x1, y1)}, {(x2, y2)} are collinear")
@@ -528,7 +515,11 @@ def gaussian_corollary_scenario(
     check_tolerance("tol", tol)
     g = periodized_gaussian(L, c)
     sys = FiniteGaborSystem(L, a, b, g)
-    nu, refinement = _validate_nu(sys, nu), _validate_refinement(sys, refinement)
+    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
+    exact_int(nu, InvalidNu, f"nu must divide the time step a={sys.a}, got {nu}", 1, sys.a)
+    d = gcd(sys.a, sys.b)
+    message = f"refinement must divide gcd(a, b) = {d}, got {refinement}"
+    refinement = exact_int(refinement, InvalidRefinement, message, 1, d)
     an = analyze_system(sys, rank_tol)
     crit = _criteria(an, nu, tol)
     scan = _scan(an, refinement, tol)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InvalidIndex, InvalidLattice, InvalidOrder, NotAnExtraShift
+from .errors import InvalidIndex, InvalidLattice, InvalidOrder, NotAnExtraShift, exact_int
 
 RationalLike = Union[Fraction, int, str]
 
@@ -89,6 +89,10 @@ class RationalMatrix2x2:
     def det(self) -> Fraction:
         e = self._e
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
+
+    def string_rows(self) -> list[list[str]]:
+        """The entries as rows of `rational_str`, the JSON form of a matrix."""
+        return [[rational_str(v) for v in row] for row in self._e]
 
     def is_integer(self) -> bool:
         return all(v.denominator == 1 for row in self._e for v in row)
@@ -209,7 +213,7 @@ class ReductionResult:
 
     def to_json_dict(self) -> dict:
         out = {
-            "B": [[rational_str(v) for v in row] for row in self.B.entries],
+            "B": self.B.string_rows(),
             "det_B": rational_str(self.B.det()),
             "alpha": rational_str(self.alpha),
             "beta": rational_str(self.beta),
@@ -290,10 +294,11 @@ def reduce_invariant_shift(
 
     All identities hold exactly in rational arithmetic.
     """
-    if m < 2:
-        raise InvalidOrder(f"m must be >= 2, got {m}")
-    if not (0 <= r < m and 0 <= s < m):
-        raise ValueError(f"need 0 <= r, s < m, got r={r}, s={s}, m={m}")
+    m = exact_int(m, InvalidOrder, f"m must be >= 2, got {m}", 2)
+    message = f"need 0 <= r, s < m, got r={r}, s={s}, m={m}"
+    r, s = exact_int(r, ValueError, message, 0), exact_int(s, ValueError, message, 0)
+    if r >= m or s >= m:
+        raise ValueError(message)
     if r == 0 and s == 0:
         raise NotAnExtraShift("(r, s) = (0, 0) lies in the lattice itself")
     a = as_fraction(a)
@@ -356,8 +361,7 @@ def order_in_lattice(
     With basis^{-1} z = (p_1/q_1, p_2/q_2) in lowest terms, k*z lies in the
     lattice iff q_1 | k and q_2 | k, so the order is exactly lcm(q_1, q_2).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = exact_int(n_max, ValueError, "n_max must be >= 1", 1)
     w1, w2 = lat.inverse.apply(z)
     n = lcm(w1.denominator, w2.denominator)
     return n if n <= n_max else None
@@ -367,17 +371,13 @@ def coset_decomposition(
     sep: SeparableLattice, q: int
 ) -> list[tuple[Fraction, Fraction]]:
     """Representatives (k*alpha/q, 0), k = 0..q-1, of (alpha/q)Z x beta*Z over sep."""
-    if q < 1:
-        raise InvalidIndex(f"coset count q must be >= 1, got {q}")
+    q = exact_int(q, InvalidIndex, f"coset count q must be >= 1, got {q}", 1)
     return [(Fraction(k) * sep.alpha / q, Fraction(0)) for k in range(q)]
 
 
 def lattice_to_json(lat: Lattice2D) -> str:
     """Serialize as {"basis": [["p/q", ...], ...]} with canonical rationals."""
-    payload = {
-        "basis": [[rational_str(v) for v in row] for row in lat.basis.entries]
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps({"basis": lat.basis.string_rows()}, sort_keys=True)
 
 
 def lattice_from_json(text: str) -> Lattice2D:

@@ -34,8 +34,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import NotSymplectic, UnsupportedLength, UnsupportedTransport
-from .gabor import FiniteGaborSystem, _exact_ints, shift_operator, tf_shifts
+from .errors import NotSymplectic, UnsupportedLength, UnsupportedTransport, exact_int, exact_ints
+from .gabor import FiniteGaborSystem, shift_operator, tf_shifts
 
 __all__ = [
     "MetaplecticOperator",
@@ -63,13 +63,7 @@ def rho_operator(L: int, t: int, m: int) -> np.ndarray:
     arguments; for even L it is periodic only up to sign, which the per-point
     phase minimization in `covariance_residual` absorbs.
     """
-    return _rho_phase(L, t, m) * shift_operator(L, t, m)
-
-
-def _mat2(entries) -> tuple:
-    """The entries of a 2x2 integer matrix as exact Python ints."""
-    exact = _exact_ints(entries, (2, 2), "B must be a 2x2 integer matrix")
-    return tuple(exact[:2]), tuple(exact[2:])
+    return shift_operator(L, t, m) * _rho_phase(L, t, m)  # the first reads L, t and m
 
 
 def _mul(A, M, L: int) -> tuple:
@@ -146,9 +140,8 @@ def metaplectic_from_generators(B, L: int) -> MetaplecticOperator:
     to the identity from the right: a DFT is an inverse FFT of every row
     and a chirp scales the columns by one phase vector.
     """
-    (x, y), (c, w) = _mat2(B)
-    if L < 1:
-        raise UnsupportedLength("L must be positive")
+    (x, y), (c, w) = exact_ints(B, (2, 2), ValueError, "B must be a 2x2 integer matrix")
+    L = exact_int(L, UnsupportedLength, "L must be positive", 1)
     det = x * w - y * c
     if det % L != 1 % L:
         raise NotSymplectic(f"det B = {det} != 1 (mod {L})")
@@ -172,7 +165,7 @@ def covariance_residual(op: MetaplecticOperator, z) -> float:
     its rows rolled forward by s; no rho matrix is formed.
     """
     L, U = op.L, op.unitary
-    t, m = (v % L for v in _exact_ints(z, (2,), "z must be an integer pair"))
+    t, m = (v % L for v in exact_ints(z, (2,), ValueError, "z must be an integer pair"))
     (p, q), (u, v) = op.matrix.tolist()
     s, r = (p * t + q * m) % L, (u * t + v * m) % L
     n = np.arange(L)

@@ -1,6 +1,7 @@
 """Counting, windowed density estimates, transformation law, equidistribution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ class TestCountInBox:
         center = (0.0, R + k * math.ulp(R))
         full = count_in_box(LatticePoints(B), center, R)
         assert count_in_box(PuncturedLattice(B), center, R) == full - removed
+
+    def test_sheared_count_memory_is_bounded(self):
+        # the k1 rows (about 3R here) are walked in chunks; held at once they
+        # took 219 MiB under tracemalloc at R = 2**20.  The fuzz takes the rows
+        # k2 = 0..2R: 2R + 1 points on each even row, 2R on each odd one.
+        R = 2**20
+        spec = PuncturedLattice(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        tracemalloc.start()
+        try:
+            n = count_in_box(spec, (0.0, R + 2 * math.ulp(R)), R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == (R + 1) * (2 * R + 1) + R * 2 * R - 1
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize(
         "exact, basis, counts",
@@ -486,3 +502,46 @@ class TestJsonRoundTrip:
         assert "punctured_lattice" in text
         assert "product_with_excluded_residues" in text
         assert "union" in text
+
+    B = np.array([[1.1, 0.3], [0.2, 0.9]])
+    PRODUCT_TEXT = (
+        '{"f_step": 0.6666666666666666, "nu": 3, "t_step": 1.4, '
+        '"variant": "product_with_excluded_residues"}'
+    )
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (LatticePoints(B), '{"basis": [[1.1, 0.3], [0.2, 0.9]], "variant": "lattice"}'),
+            (
+                ShiftedLattice(B, (0.5, -0.25)),
+                '{"basis": [[1.1, 0.3], [0.2, 0.9]], "shift": [0.5, -0.25], '
+                '"variant": "shifted_lattice"}',
+            ),
+            (
+                PuncturedLattice(B),
+                '{"basis": [[1.1, 0.3], [0.2, 0.9]], "variant": "punctured_lattice"}',
+            ),
+            (ExcludedResidueProduct(1.4, 2 / 3, 3), PRODUCT_TEXT),
+            (
+                UnionSet(
+                    (
+                        PuncturedLattice(B),
+                        UnionSet((LatticePoints(np.eye(2)), ExcludedResidueProduct(1.4, 2 / 3, 3))),
+                    )
+                ),
+                '{"members": [{"basis": [[1.1, 0.3], [0.2, 0.9]], "variant": "punctured_lattice"}, '
+                '{"members": [{"basis": [[1.0, 0.0], [0.0, 1.0]], "variant": "lattice"}, '
+                + PRODUCT_TEXT
+                + '], "variant": "union"}], "variant": "union"}',
+            ),
+        ],
+        ids=["lattice", "shifted", "punctured", "product", "nested-union"],
+    )
+    def test_json_text_is_pinned(self, spec, text):
+        assert pointset_to_json(spec) == text
+        assert pointset_to_json(pointset_from_json(text)) == text
+
+    def test_unknown_variant_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown point-set variant"):
+            pointset_from_json('{"variant": "circle", "radius": 1.0}')

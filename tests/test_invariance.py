@@ -10,14 +10,25 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_gabor import fibred_systems, fibre_window
 
+from gaborinv.density import (
+    ExcludedResidueProduct,
+    equidistribution_diagnostic,
+    lower_density_empirical,
+    omega_density_formula,
+    omega_spec,
+)
 from gaborinv.errors import (
     DegenerateInput,
+    InvalidIndex,
     InvalidLattice,
+    InvalidModulus,
     InvalidNu,
+    InvalidOrder,
     InvalidParameter,
     InvalidRefinement,
     NotFrameSequence,
     NotUndersampled,
+    UnsupportedLength,
     ZeroInput,
     ZeroWindow,
 )
@@ -44,7 +55,13 @@ from gaborinv.invariance import (
     scan_invariance,
     small_shift_completeness,
 )
-from gaborinv.symplectic import metaplectic_from_generators, transport_system
+from gaborinv.lattice import (
+    SeparableLattice,
+    coset_decomposition,
+    order_in_lattice,
+    reduce_invariant_shift,
+)
+from gaborinv.symplectic import metaplectic_from_generators, rho_operator, transport_system
 
 
 def gaussian_system(L=120, a=12, b=12, c=np.pi):
@@ -544,6 +561,7 @@ class TestInvarianceTransport:
 
 
 G9 = np.ones(9)
+UNIT = SeparableLattice(1, 1)
 
 
 @pytest.mark.parametrize(
@@ -556,11 +574,28 @@ G9 = np.ones(9)
         (lambda: support_space(periodized_gaussian(120, np.pi), 1.5), InvalidLattice),
         (lambda: janssen_representation(G9, G9, 4.5, 3), InvalidLattice),
         (lambda: cross_frame_operator(G9, G9, 4.5, 3), InvalidLattice),
+        (lambda: ExcludedResidueProduct(1, 1, 2.5), InvalidModulus),
+        (lambda: omega_spec(1, 1, 2.5), InvalidModulus),
+        (lambda: omega_density_formula(1, 1, 2.5), InvalidModulus),
+        (lambda: equidistribution_diagnostic((1.0, 2**0.5), UNIT, 0.6, 2.5), ValueError),
+        (lambda: lower_density_empirical(omega_spec(1.5, 5 / 7, 2), [3.0], 2.5), ValueError),
+        (lambda: periodized_gaussian(12.5, np.pi), InvalidParameter),
+        (lambda: metaplectic_from_generators([[1, 1], [0, 1]], 7.5), UnsupportedLength),
+        (lambda: rho_operator(7.5, 1, 1), InvalidParameter),
+        (lambda: reduce_invariant_shift(1, 1, 1.5, 2, 5), ValueError),
+        (lambda: reduce_invariant_shift(1, 1, 1, 2, 7.5), InvalidOrder),
+        (lambda: coset_decomposition(UNIT, 2.5), InvalidIndex),
+        (lambda: order_in_lattice(("1/2", "1/3"), UNIT.as_lattice(), 2.5), ValueError),
     ],
-    ids=["system", "scan", "criteria", "dft-relation", "support", "janssen", "cross-frame"],
+    ids=[
+        "system", "scan", "criteria", "dft-relation", "support", "janssen", "cross-frame",
+        "product", "omega", "omega-formula", "equidistribution", "probe-grid", "gaussian",
+        "metaplectic", "rho", "reduce-r", "reduce-m", "coset", "order",
+    ],
 )
 def test_non_integral_parameters_raise_typed_errors(call, error):
     # each value divides the number it is checked against (9 % 4.5 == 0, 12 % 1.5 == 0, ...)
+    # or passes its range check; truncated, 2.5 would count, sample or reduce as 2
     with pytest.raises(error):
         call()
 
@@ -577,3 +612,11 @@ def test_integral_floats_and_numpy_ints_read_as_ints():
     assert np.array_equal(S_float, S_int)
     assert np.array_equal(cross_frame_operator(g, g, 4.0, 3), cross_frame_operator(g, g, 4, 3))
     assert np.array_equal(support_space(g, 4.0)[1], support_space(g, 4)[1])
+    assert np.array_equal(periodized_gaussian(12.0, np.pi), g)
+    B = [[1, 1], [0, 1]]
+    U_float, U_int = metaplectic_from_generators(B, 7.0), metaplectic_from_generators(B, 7)
+    assert np.array_equal(U_float.unitary, U_int.unitary) and type(U_float.L) is int
+    product = ExcludedResidueProduct(1, 1, 3.0)
+    assert type(product.nu) is int and product.nu == 3
+    red = reduce_invariant_shift(1, 1, 1, 2, 9.0).to_json_dict()
+    assert red == reduce_invariant_shift(1, 1, np.int64(1), 2, 9).to_json_dict()

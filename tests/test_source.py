@@ -33,3 +33,31 @@ def test_cli_writes_files_only_through_serialize():
         and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")
     ]
     assert "csv" not in imported and not opened
+
+
+def test_no_module_uses_a_private_name_of_another():
+    """A private name is read only in its own module: no `from .x import _y` and
+    no `x._y` on another gaborinv module (shared helpers are public)."""
+    package = Path(gaborinv.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("gaborinv")
+            ):
+                names = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                names = [node.attr]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("_") and not name.endswith("__")
+            ]
+    assert not found
