@@ -175,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _builtin_window(name: str, L: int, a: int, nu: int, c: float) -> np.ndarray:
+def _builtin_window(name: str, L: int, a: int, b: int, nu: int, c: float) -> np.ndarray:
     """The Gaussian g0, or sum_j T_{j a/nu} g0 over nu (gaussian-sum) or L nu/a
-    (periodic-gaussian) copies, normalized."""
+    (periodic-gaussian) copies, normalized; the sums read the lattice first."""
     import numpy as np
 
     from . import gabor
@@ -187,6 +187,7 @@ def _builtin_window(name: str, L: int, a: int, nu: int, c: float) -> np.ndarray:
     g0 = gabor.periodized_gaussian(L, c)
     if name == "gaussian":
         return g0
+    gabor.lattice_steps(L, a, b)  # InvalidLattice before L // (a // nu) divides by a step
     nu = exact_int(nu, InvalidNu, f"builtin window needs nu | a, got nu={nu}, a={a}", 1, a)
     step = a // nu
     copies = nu if name == "gaussian-sum" else L // step
@@ -207,7 +208,7 @@ def _system(args):
         except (OSError, ValueError) as exc:
             raise argparse.ArgumentTypeError(f"cannot read window file: {exc}") from exc
     else:  # dual-window has no --nu; its builtin sums use nu = 2
-        w = _builtin_window(args.window, args.L, args.a, getattr(args, "nu", 2), args.c)
+        w = _builtin_window(args.window, args.L, args.a, args.b, getattr(args, "nu", 2), args.c)
     return gabor.FiniteGaborSystem(args.L, args.a, args.b, w)
 
 

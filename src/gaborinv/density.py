@@ -293,9 +293,12 @@ def omega_spec(alpha: float, beta: float, nu: int) -> UnionSet:
 
 
 def count_in_box(spec: PointSet, center: Sequence[float], R: float) -> int:
-    """Exact number of spec points in center + [-R, R]^2, 0 < R < inf."""
+    """Exact number of spec points in center + [-R, R]^2, 0 < R < inf, center finite."""
     _check_radius(R)
-    return spec.count_in_box((float(center[0]), float(center[1])), float(R))
+    c = (float(center[0]), float(center[1]))
+    if not (math.isfinite(c[0]) and math.isfinite(c[1])):
+        raise InvalidParameter(f"center must be finite, got {c}")
+    return spec.count_in_box(c, float(R))
 
 
 @dataclass(frozen=True)

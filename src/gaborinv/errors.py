@@ -9,7 +9,9 @@ numpy: the exact layer loads without it.
 """
 
 DEFAULT_TOL = 1e-6  # residual threshold of the invariance verdicts
-DEFAULT_RANK_TOL = 1e-8  # spectral cut, relative to the largest singular value
+# spectral cut: an eigenvalue of S is kept when lam > DEFAULT_RANK_TOL * lam_max, a singular
+# value of the slices, K and the completeness blocks when s > DEFAULT_RANK_TOL * s_max
+DEFAULT_RANK_TOL = 1e-8
 
 
 class GaborError(Exception):

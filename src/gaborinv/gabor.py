@@ -40,6 +40,7 @@ from .errors import (
 
 __all__ = [
     "FiniteGaborSystem",
+    "lattice_steps",
     "WalnutCoefficients",
     "SubspaceBasis",
     "FrameBounds",
@@ -97,9 +98,16 @@ def is_hermitian(A: np.ndarray, rtol: float = 1e-10) -> bool:
     return np.linalg.norm(A.conj().T - A) <= rtol * nrm
 
 
+def lattice_steps(L: int, a: int, b: int) -> tuple[int, int, int]:
+    """L >= 1 and the steps a, b dividing it, as ints; InvalidLattice otherwise."""
+    L = exact_int(L, InvalidLattice, "L must be positive", 1)
+    message = f"steps must divide L: L={L}, a={a}, b={b}"
+    return (L, *exact_ints((a, b), (2,), InvalidLattice, message, 1, L))
+
+
 @dataclass(frozen=True)
 class FiniteGaborSystem:
-    """Window plus integer lattice steps (a, b), both dividing L."""
+    """Finite window plus integer lattice steps (a, b), both dividing L."""
 
     L: int
     a: int
@@ -107,12 +115,12 @@ class FiniteGaborSystem:
     window: np.ndarray
 
     def __post_init__(self):
-        L = exact_int(self.L, InvalidLattice, "L must be positive", 1)
-        message = f"steps must divide L: L={L}, a={self.a}, b={self.b}"
-        a, b = exact_ints((self.a, self.b), (2,), InvalidLattice, message, 1, L)
+        L, a, b = lattice_steps(self.L, self.a, self.b)
         w = np.array(self.window, dtype=complex)  # a copy: the caller may reuse its array
         if w.shape != (L,):
             raise InvalidLattice("window length must equal L")
+        if not np.isfinite(w).all():  # an inf entry stalls the SVD of analyze_system
+            raise InvalidParameter("window entries must be finite")
         w.setflags(write=False)
         for name, value in (("L", L), ("a", a), ("b", b), ("window", w)):
             object.__setattr__(self, name, value)
@@ -298,10 +306,13 @@ def analyze_system(
     # the SVD of Z_r resolves an eigenvalue lam of S to eps sqrt(lam_max lam),
     # eigh of Z_r Z_r^H only to eps lam_max; blocks with b > N add zeros
     V, s, _ = np.linalg.svd(Z, full_matrices=False)
-    lam = P * s**2
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected below
+        lam = P * s**2
     spectrum = np.sort(np.concatenate([lam.ravel(), np.zeros(L - lam.size)]))
     if spectrum[-1] <= 0:
         raise ZeroWindow("frame operator is zero")
+    if spectrum[-1] == np.inf:
+        raise InvalidParameter("frame operator overflows: lambda_max is not finite")
     keep = lam > rank_tol * spectrum[-1]  # the one spectral cut; padded zeros never pass
     kept = np.sort(lam[keep])
     frame = FrameBounds(float(kept[0]), float(kept[-1]), kept.size, kept.size == sys.n_time * P)

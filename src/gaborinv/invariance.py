@@ -153,18 +153,18 @@ def scan_invariance(
     "spans_everything"; any residual inside the [tol, 1000*tol] gray band ->
     "inconclusive".
     """
-    check_tolerance("tol", tol)
-    d = gcd(sys.a, sys.b)
-    message = f"refinement must divide gcd(a, b) = {d}, got {refinement}"
-    refinement = exact_int(refinement, InvalidRefinement, message, 1, d)
     return _scan(analyze_system(sys, rank_tol), refinement, tol)
 
 
 def _scan(an: SystemAnalysis, refinement: int, tol: float) -> InvarianceReport:
+    check_tolerance("tol", tol)
+    sys, g = an.system, an.system.window
+    d = gcd(sys.a, sys.b)
+    message = f"refinement must divide gcd(a, b) = {d}, got {refinement}"
+    r = exact_int(refinement, InvalidRefinement, message, 1, d)
     # V is pi(Lambda)-invariant, so P_V commutes with pi(Lambda) and the residual of
     # pi(z) g is Lambda-periodic: one per class (i a/r, j b/r) + Lambda, i, j < r.
-    sys, r, g = an.system, refinement, an.system.window
-    L, st, sf = sys.L, sys.a // refinement, sys.b // refinement
+    L, st, sf = sys.L, sys.a // r, sys.b // r
     cols = tf_shifts(g, np.repeat(np.arange(r) * st, r), np.tile(np.arange(r) * sf, r))
     cols -= an.dual.span.project(cols)
     table = (np.linalg.norm(cols, axis=0) / np.linalg.norm(g)).reshape(r, r)
@@ -301,32 +301,33 @@ def criteria_engine(
     onto K, vanishing on K^perp).  The normalization constant a*b/L (the
     finite alpha*beta) is recorded in the report.
     """
-    check_tolerance("tol", tol)
-    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
-    exact_int(nu, InvalidNu, f"nu must divide the time step a={sys.a}, got {nu}", 1, sys.a)
     if not np.any(sys.window):
         raise NotFrameSequence("zero window spans nothing")
     return _criteria(analyze_system(sys, rank_tol), nu, tol)
 
 
 def _slice_blocks(an: SystemAnalysis, nu: int):
-    """W, the blocks of P, the phases d and the fibres of P M_{s L/a} g on the
-    a/nu Walnut fibres {r + j a/nu : j < n} of the slice L_0, the system
-    (L/b, nu L/a).  On a fibre M_{s L/a} is the constant phase e^{2 pi i s r/a}
-    (left out of the fibres of P M_{s L/a} g) times d_s[j] = exp(2 pi i s j / nu),
-    so L_s has the blocks d_s Q_r and P_s the blocks d_s P_r d_s^*.
+    """nu, read here (an int >= 2 dividing a), W, the blocks of P, the phases d and
+    the fibres of P M_{s L/a} g on the a/nu Walnut fibres {r + j a/nu : j < n} of
+    the slice L_0, the system (L/b, nu L/a).  On a fibre M_{s L/a} is the phase
+    e^{2 pi i s r/a} (left out of the fibres of P M_{s L/a} g) times d_s[j] =
+    exp(2 pi i s j / nu), so L_s has the blocks d_s Q_r and P_s the blocks d_s P_r d_s^*.
     """
     sys, g = an.system, an.system.window
     L, a, b = sys.L, sys.a, sys.b
+    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
+    exact_int(nu, InvalidNu, f"nu must divide the time step a={a}, got {nu}", 1, a)
     n = nu * (L // a)
     W = walnut_fibres(g, L // b, n)
     P = (L / (nu * b)) * W @ walnut_fibres(an.dual.gamma, L // b, n).conj().swapaxes(1, 2)
     d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
     images = np.einsum("rij,srj->sri", P, d[:, None, :] * g.reshape(n, -1).T)
-    return W, P, d, images
+    return nu, W, P, d, images
 
 
 def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
+    check_tolerance("tol", tol)
+    nu, W, P, d, images = _slice_blocks(an, nu)  # (ii), (iii) and the P_s read these
     sys, g, rank_tol = an.system, an.system.window, an.rank_tol
     L, a, b = sys.L, sys.a, sys.b
     gamma = an.dual.gamma
@@ -334,8 +335,6 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
     inner = np.abs(tf_inner_products(g, gamma, L // b, L // a))
     res_iv = float(inner[:, np.arange(a) % nu != 0].max())
 
-    # the rest is read from the Walnut blocks of the slice L_0
-    W, P, d, images = _slice_blocks(an, nu)
     images[0] -= g.reshape(d.shape[1], -1).T
     res_ii = [float(np.linalg.norm(x) / np.linalg.norm(g)) for x in images]
 
@@ -403,11 +402,9 @@ def dft_vector_relation(
     with F_omega the nu x nu unitary DFT, omega = exp(2 pi i / nu).  The
     identity is unconditional -- it holds whether or not the criteria do.
     """
-    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
-    exact_int(nu, InvalidNu, f"nu must divide the time step a={sys.a}, got {nu}", 1, sys.a)
     an = analyze_system(sys, rank_tol)
+    nu, _, _, d, images = _slice_blocks(an, nu)
     L, shifts = sys.L, np.arange(nu) * (sys.a // nu)
-    _, _, d, images = _slice_blocks(an, nu)
     v = (d.conj()[:, None, :] * images).swapaxes(1, 2).reshape(nu, L)
     y = an.dual.span.project(tf_shifts(sys.window, shifts, 0))
     u = y[(np.arange(L)[:, None] + shifts) % L, np.arange(nu)].T
@@ -512,14 +509,8 @@ def gaussian_corollary_scenario(
     """
     if a * b <= L:
         raise NotUndersampled(f"need a*b > L, got a*b = {a * b} <= L = {L}")
-    check_tolerance("tol", tol)
     g = periodized_gaussian(L, c)
     sys = FiniteGaborSystem(L, a, b, g)
-    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
-    exact_int(nu, InvalidNu, f"nu must divide the time step a={sys.a}, got {nu}", 1, sys.a)
-    d = gcd(sys.a, sys.b)
-    message = f"refinement must divide gcd(a, b) = {d}, got {refinement}"
-    refinement = exact_int(refinement, InvalidRefinement, message, 1, d)
     an = analyze_system(sys, rank_tol)
     crit = _criteria(an, nu, tol)
     scan = _scan(an, refinement, tol)
@@ -537,8 +528,8 @@ def gaussian_corollary_scenario(
         a=sys.a,
         b=sys.b,
         c=float(c),
-        nu=nu,
-        refinement=refinement,
+        nu=crit.nu,
+        refinement=scan.refinement,
         frame=an.frame,
         criteria=crit,
         scan=scan,

@@ -411,6 +411,40 @@ def test_rejected_input_writes_no_manifest(tmp_path, capsys, args, code, message
     assert not (tmp_path / "run_manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["criteria", "--nu", "2"], ["scan", "--refinement", "2"], ["dual-window"]]
+)
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([0.1] * 3 + [math.nan] + [0.1] * 8, "window entries must be finite"),
+        # an IndexError traceback before lambda_max was checked
+        ([1e200] + [2e199] * 11, "frame operator overflows: lambda_max is not finite"),
+    ],
+    ids=["nan", "overflow"],
+)
+def test_unusable_window_file_exit_2(tmp_path, capsys, command, entries, message):
+    rows = "".join(f"{i},{v!r},0.0\n" for i, v in enumerate(entries))
+    (tmp_path / "w.csv").write_text("index,real,imag\n" + rows)
+    code = run(
+        tmp_path, command[0], "--L", "12", "--a", "4", "--b", "4", *command[1:],
+        "--window", f"@{tmp_path / 'w.csv'}",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"InvalidParameter: {message}\n"
+
+
+@pytest.mark.parametrize("a", ["0", "-12"])
+def test_summed_window_reads_the_steps_first(tmp_path, capsys, a):
+    # a = 0 divided by zero building the window, a = -12 warned on 0/0
+    code = run(
+        tmp_path, "scan", "--L", "120", "--a", a, "--b", "12",
+        "--window", "periodic-gaussian", "--refinement", "1",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"InvalidLattice: steps must divide L: L=120, a={a}, b=12\n"
+
+
 @pytest.mark.parametrize("c", [math.pi, 0.05])
 @pytest.mark.parametrize("L, a, nu", [(480, 40, 2), (48, 12, 4), (144, 12, 3)])
 @pytest.mark.parametrize("name", ["gaussian", "gaussian-sum", "periodic-gaussian"])
@@ -424,7 +458,7 @@ def test_builtin_window_is_the_loop_sum_bit_for_bit(name, L, a, nu, c):
         copies = nu if name == "gaussian-sum" else L // step  # 24 at (480, 40, 2)
         w = sum(tf_shift(g0, j * step, 0) for j in range(copies))
         expected = w / np.linalg.norm(w)
-    assert np.array_equal(_builtin_window(name, L, a, nu, c), expected)
+    assert np.array_equal(_builtin_window(name, L, a, a, nu, c), expected)
 
 
 def test_exact_commands_leave_numpy_unloaded(tmp_path):

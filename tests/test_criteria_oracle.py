@@ -33,8 +33,8 @@ RANK_TOL, TOL = 1e-8, 1e-6
 WINDOWS = ("gaussian", "gaussian-sum", "periodic-gaussian")  # the CLI's builtins
 
 
-def builtin_window(L, a, nu, name):
-    return _builtin_window(name, L, a, nu, math.pi)
+def builtin_window(L, a, b, nu, name):
+    return _builtin_window(name, L, a, b, nu, math.pi)
 
 
 def numerical_rank(A, rank_tol):
@@ -55,7 +55,7 @@ def shifted_systems(draw):
     name = draw(st.sampled_from(WINDOWS))
     t, m = draw(st.integers(0, L - 1)), draw(st.integers(0, L - 1))
     phase = np.exp(2j * np.pi * draw(st.floats(0, 1)))
-    w = phase * tf_shift(builtin_window(L, a, nu, name), t, m)
+    w = phase * tf_shift(builtin_window(L, a, b, nu, name), t, m)
     return FiniteGaborSystem(L, a, b, w), nu
 
 

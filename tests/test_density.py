@@ -180,6 +180,13 @@ class TestCountInBox:
         for spec in (LatticePoints(exact), LatticePoints(basis)):
             assert [count_in_box(spec, c, R) for c, R in boxes] == counts
 
+    @pytest.mark.parametrize("basis", [np.eye(2), [[1.0, 0.5], [0.0, 1.0]]], ids=["axes", "shear"])
+    @pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_center_rejected(self, basis, center):
+        # nan and inf raised an untyped ValueError, or on the shear an OverflowError
+        with pytest.raises(InvalidParameter, match="center must be finite"):
+            count_in_box(LatticePoints(basis), center, 2.0)
+
     @pytest.mark.filterwarnings("error")
     def test_subnormal_shear_counts_without_overflow_warning(self):
         # dividing by the basis entry 5e-324 overflows to the interval's exact limit +-inf

@@ -122,6 +122,14 @@ class TestGaborMatrix:
         with pytest.raises(InvalidLattice):
             FiniteGaborSystem(12, 5, 4, random_signal(12))
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_window_rejected(self, entry):
+        # an inf entry stalled the SVD in analyze_system; a nan one failed to converge
+        w = np.full(12, 0.1)
+        w[3] = entry
+        with pytest.raises(InvalidParameter, match="window entries must be finite"):
+            FiniteGaborSystem(12, 4, 4, w)
+
     def test_window_is_a_read_only_copy(self):
         # np.asarray kept a complex caller array by reference: w[:] = 0 zeroed the system
         w = np.exp(-np.arange(8.0) ** 2).astype(complex)
@@ -227,6 +235,13 @@ class TestCanonicalDual:
         sys = FiniteGaborSystem(8, 4, 4, np.zeros(8))
         with pytest.raises(ZeroWindow):
             canonical_dual(sys)
+
+    def test_overflowing_spectrum_rejected(self):
+        # (L/b) s^2 overflowed to inf, every eigenvalue failed the cut: IndexError on kept[0]
+        w = np.full(12, 2e199)
+        w[0] = 1e200
+        with pytest.raises(InvalidParameter, match="frame operator overflows"):
+            analyze_system(FiniteGaborSystem(12, 4, 4, w))
 
 
 class TestFrameBounds:

@@ -35,6 +35,13 @@ def test_cli_writes_files_only_through_serialize():
     assert "csv" not in imported and not opened
 
 
+def test_each_parameter_rule_has_one_message():
+    """nu and the refinement are read where they are first used, once in the package."""
+    text = "".join(path.read_text() for path in Path(gaborinv.__file__).parent.glob("*.py"))
+    for message in ("nu must divide the time step", "refinement must divide gcd(a, b)"):
+        assert text.count(message) == 1, message
+
+
 def test_no_module_uses_a_private_name_of_another():
     """A private name is read only in its own module: no `from .x import _y` and
     no `x._y` on another gaborinv module (shared helpers are public)."""
