@@ -11,7 +11,10 @@ one rule over the terms.
 Counting is by integer-range enumeration -- index ranges are computed in
 closed form per window, never by scanning floating point points -- with a
 boundary fuzz of 1e-9 (4 ulps where that is larger) so closed boxes
-[-R, R]^2 count their boundary points.
+[-R, R]^2 count their boundary points.  A count takes an array of window
+centers: the windowed estimators count each radius over the whole probe grid
+in one batched pass, in chunks that hold at most _ROWS_PER_CHUNK
+(center, row) pairs, so their memory does not grow with the grid or R.
 
 Also provides the density transformation law under invertible matrices and
 an equidistribution diagnostic for irrational line orbits modulo a lattice.
@@ -33,7 +36,7 @@ from .errors import InvalidMatrix, InvalidModulus, InvalidParameter, exact_int
 from .lattice import Lattice2D, SeparableLattice
 
 BOUNDARY_FUZZ = 1e-9
-_ROWS_PER_CHUNK = 1 << 16  # k1 rows per pass of a sheared count: its memory is bounded
+_ROWS_PER_CHUNK = 1 << 16  # (center, k1 row) pairs per pass of a count: its memory is bounded
 
 __all__ = [
     "PointSet",
@@ -57,9 +60,10 @@ __all__ = [
 _ORIGIN = (0.0, 0.0)
 
 
-def _fuzz(v: float) -> float:
-    """The boundary fuzz at v: BOUNDARY_FUZZ, or 4 ulps where rounding exceeds it."""
-    return max(BOUNDARY_FUZZ, 4 * math.ulp(v))
+def _fuzz(v):
+    """The boundary fuzz at v, elementwise: BOUNDARY_FUZZ, or 4 ulps where rounding
+    exceeds it."""
+    return np.maximum(BOUNDARY_FUZZ, 4 * np.spacing(np.abs(v)))
 
 
 def _check_radius(R: float) -> None:
@@ -68,35 +72,53 @@ def _check_radius(R: float) -> None:
         raise InvalidParameter(f"R must lie in (0, inf), got {R!r}")
 
 
-def _axis_range(step: float, lo: float, hi: float) -> tuple[int, int]:
-    """First and last k with k*step in [lo, hi], boundary included via fuzz;
-    (1, 0) when hi < lo."""
-    if hi < lo:
-        return 1, 0
-    u, v = hi / step, lo / step
-    return math.ceil(v - _fuzz(v)), math.floor(u + _fuzz(u))
+def _box_counts(x0, x1, y0, y1) -> np.ndarray:
+    """The index ranges' product max(x1 - x0 + 1, 0) * max(y1 - y0 + 1, 0) exactly,
+    for arrays of integer-valued floats: int64 where the float product is below
+    2**53 (so it and its factors are exact), else Python ints."""
+
+    def count(x0, x1, y0, y1):
+        return np.maximum(x1 - x0 + 1, 0) * np.maximum(y1 - y0 + 1, 0)
+
+    n = count(x0, x1, y0, y1)
+    if n.max() < 2.0**53:
+        return n.astype(np.int64)
+    return count(*(np.frompyfunc(int, 1, 1)(w) for w in (x0, x1, y0, y1)))
 
 
-def _count_general_lattice(basis: np.ndarray, center, R: float) -> tuple[int, bool]:
-    """Count basis@k inside center + [-R, R]^2, and whether k = 0 is counted.
+def _lattice_count(basis: np.ndarray, cx: np.ndarray, cy: np.ndarray, R: float):
+    """The count of basis @ Z^2 in each box (cx, cy) + [-R, R]^2, and whether it
+    includes k = 0: two arrays over the centers.
 
-    Enumerates k1 over the bounding range of the pulled-back box, in chunks of
-    _ROWS_PER_CHUNK rows, and counts the admissible k2 per k1 from the two
-    closed-form interval constraints.
+    A diagonal basis counts each axis in closed form.  Otherwise k1 runs over one
+    range covering every center's pulled-back box, at most _ROWS_PER_CHUNK
+    (center, row) pairs per pass, and the admissible k2 of each pair are counted
+    from the two closed-form interval constraints; a row outside a center's box
+    has an empty interval and counts 0.
     """
-    cx, cy = center
+    (p, q), (u, v) = basis.tolist()
+    if q == 0.0 and u == 0.0:
+        ends = []
+        for step, c in ((abs(p), cx), (abs(v), cy)):
+            lo, hi = (c - R) / step, (c + R) / step
+            ends += [np.ceil(lo - _fuzz(lo)), np.floor(hi + _fuzz(hi))]
+        x0, x1, y0, y1 = ends
+        return _box_counts(x0, x1, y0, y1), (x0 <= 0) & (0 <= x1) & (y0 <= 0) & (0 <= y1)
     binv = np.linalg.inv(basis)
-    corners = np.array(
-        [[cx - R, cx - R, cx + R, cx + R], [cy - R, cy + R, cy - R, cy + R]]
-    )
-    k = binv @ corners
-    start, stop = int(np.floor(k[0].min())) - 1, int(np.ceil(k[0].max())) + 2
-    total, origin = 0, False
-    for row in range(start, stop, _ROWS_PER_CHUNK):
-        k1 = np.arange(row, min(row + _ROWS_PER_CHUNK, stop))
-        lo, hi, ok = np.full(k1.shape, -np.inf), np.full(k1.shape, np.inf), np.ones(k1.shape, bool)
-        for p, q, c in ((basis[0, 0], basis[0, 1], cx), (basis[1, 0], basis[1, 1], cy)):
-            fz = _fuzz(abs(c) + R)
+    k = [binv[0, 0] * x + binv[0, 1] * y for x in (cx - R, cx + R) for y in (cy - R, cy + R)]
+    start = int(np.floor(min(w.min() for w in k))) - 1
+    stop = int(np.ceil(max(w.max() for w in k))) + 2
+    rows = max(1, _ROWS_PER_CHUNK // cx.size)
+    axes = [
+        (basis[0, 0], basis[0, 1], cx[:, None], _fuzz(np.abs(cx) + R)[:, None]),
+        (basis[1, 0], basis[1, 1], cy[:, None], _fuzz(np.abs(cy) + R)[:, None]),
+    ]
+    total, origin = np.zeros(cx.size, np.int64), np.zeros(cx.size, bool)
+    for row in range(start, stop, rows):
+        k1 = np.arange(row, min(row + rows, stop))
+        shape = (cx.size, k1.size)
+        lo, hi, ok = np.full(shape, -np.inf), np.full(shape, np.inf), np.ones(shape, bool)
+        for p, q, c, fz in axes:
             if q == 0.0:
                 ok &= (p * k1 >= c - R - fz) & (p * k1 <= c + R + fz)
             else:
@@ -107,21 +129,11 @@ def _count_general_lattice(basis: np.ndarray, center, R: float) -> tuple[int, bo
                 lo = np.maximum(lo, np.minimum(u, v))
                 hi = np.minimum(hi, np.maximum(u, v))
         first, last = np.where(ok, np.ceil(lo), np.inf), np.floor(hi)
-        total += int(np.maximum(last - first + 1, 0.0).sum())
+        total += np.maximum(last - first + 1, 0.0).sum(axis=1).astype(np.int64)
         i = -row  # the row k1 = 0
         if 0 <= i < k1.size:
-            origin = bool(first[i] <= 0 <= last[i])
+            origin = (first[:, i] <= 0) & (0 <= last[:, i])
     return total, origin
-
-
-def _lattice_count(basis: np.ndarray, center, R: float) -> tuple[int, bool]:
-    """The count of basis @ Z^2 in center + [-R, R]^2 and whether it includes k = 0."""
-    (p, q), (u, v) = basis.tolist()
-    if q == 0.0 and u == 0.0:
-        x0, x1 = _axis_range(abs(p), center[0] - R, center[0] + R)
-        y0, y1 = _axis_range(abs(v), center[1] - R, center[1] + R)
-        return (x1 - x0 + 1) * (y1 - y0 + 1), x0 <= 0 <= x1 and y0 <= 0 <= y1
-    return _count_general_lattice(basis, center, R)
 
 
 def _basis_array(lat) -> np.ndarray:
@@ -155,11 +167,17 @@ class PointSet:
 
     def count_in_box(self, center, R: float) -> int:
         """The signed count of the terms in center + [-R, R]^2."""
+        return int(self._counts(np.array([center[0]], float), np.array([center[1]], float), R)[0])
+
+    def _counts(self, cx: np.ndarray, cy: np.ndarray, R: float) -> np.ndarray:
+        """The signed count of the terms in each box (cx, cy) + [-R, R]^2."""
         total = 0
         for sign, basis, shift, punctured in self.terms:
-            n, origin = _lattice_count(basis, (center[0] - shift[0], center[1] - shift[1]), R)
+            n, origin = _lattice_count(basis, cx - shift[0], cy - shift[1], R)
             # k = 0 leaves a punctured count only if the count, with its fuzz, took it
-            total += sign * (n - (punctured and origin))
+            if punctured:
+                n = n - origin.astype(n.dtype)
+            total = total + sign * n
         return total
 
     def analytic_density(self) -> float:
@@ -322,7 +340,9 @@ def lower_density_empirical(
     """Estimate theta_R = inf_x #(spec in x + [-R,R]^2) / (2R)^2 per R, 0 < R < inf.
 
     The infimum is approximated over a probe_grid x probe_grid set of window
-    centers covering one period cell (sufficient for periodic specs).
+    centers (i*p1/probe_grid, j*p2/probe_grid) covering one period cell
+    (sufficient for periodic specs), counted per R in chunks of at most
+    _ROWS_PER_CHUNK centers.
     """
     probe_grid = exact_int(probe_grid, ValueError, "probe_grid must be >= 1", 1)
     p1, p2 = spec.period_cell()
@@ -330,13 +350,17 @@ def lower_density_empirical(
     out = []
     for R in R_list:
         _check_radius(R)
-        best = min(
-            spec.count_in_box((i * p1 / probe_grid, j * p2 / probe_grid), R)
-            for i in range(probe_grid)
-            for j in range(probe_grid)
-        )
-        out.append(DensityEstimate(float(R), best / (2.0 * R) ** 2, analytic))
+        best = min(spec._counts(cx, cy, R).min() for cx, cy in _probe_centers(p1, p2, probe_grid))
+        out.append(DensityEstimate(float(R), int(best) / (2.0 * R) ** 2, analytic))
     return out
+
+
+def _probe_centers(p1: float, p2: float, g: int):
+    """The centers (i*p1/g, j*p2/g), 0 <= i, j < g, as (cx, cy) arrays of at most
+    _ROWS_PER_CHUNK centers each."""
+    for start in range(0, g * g, _ROWS_PER_CHUNK):
+        i, j = np.divmod(np.arange(start, min(start + _ROWS_PER_CHUNK, g * g)), g)
+        yield i * p1 / g, j * p2 / g
 
 
 def omega_density_formula(alpha: float, beta: float, nu: int) -> float:

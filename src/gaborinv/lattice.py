@@ -7,6 +7,10 @@ reduction of an extra invariant time-frequency shift to the form (d*alpha/m, 0),
 adjoint lattices, coset decompositions, and order-finding in the quotient
 group R^2 / Lambda.
 
+Each computed rational is built once, by one `Fraction(n, d)` from the integer
+numerators and denominators of its operands: one gcd, and no intermediate
+Fractions.  No value goes through a float.
+
 All operations are pure functions on immutable values; there is no shared
 mutable state, so concurrent use is safe.
 """
@@ -14,6 +18,7 @@ mutable state, so concurrent use is safe.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -41,15 +46,20 @@ __all__ = [
 ]
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce int / "p/q" string / Fraction to an exact Fraction."""
-    if isinstance(x, Fraction):
+    """Coerce an integer (numpy integers too) / "p/q" string / Fraction to an
+    exact Fraction; a float is rejected."""
+    if isinstance(x, Fraction):  # first: the hot path
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    try:
+        return Fraction(operator.index(x))
+    except TypeError:
+        raise TypeError(f"cannot interpret {x!r} as an exact rational") from None
 
 
 def rational_str(x: Fraction) -> str:
@@ -59,11 +69,21 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _dot(w: Fraction, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
+    """w*x + y*z, built from the numerators and denominators in one Fraction."""
+    (wn, wd), (xn, xd) = w.as_integer_ratio(), x.as_integer_ratio()
+    (yn, yd), (zn, zd) = y.as_integer_ratio(), z.as_integer_ratio()
+    d1, d2 = wd * xd, yd * zd
+    return Fraction(wn * xn * d2 + yn * zn * d1, d1 * d2)
+
+
 class RationalMatrix2x2:
     """Immutable 2x2 matrix with exact rational entries.
 
     Supports the handful of operations the lattice algebra needs: product,
-    inverse, determinant, vector application, and integrality tests.
+    inverse, determinant, vector application, and integrality tests.  Each
+    computes on integer numerators and denominators and builds every result
+    entry with one Fraction.
     """
 
     __slots__ = ("_e",)
@@ -74,21 +94,37 @@ class RationalMatrix2x2:
             raise ValueError("expected a 2x2 array of rationals")
         self._e = rows
 
+    @classmethod
+    def _of(cls, e11: Fraction, e12: Fraction, e21: Fraction, e22: Fraction):
+        """The matrix of four entries that are already Fractions: no coercion."""
+        m = object.__new__(cls)
+        m._e = ((e11, e12), (e21, e22))
+        return m
+
     @staticmethod
     def identity() -> "RationalMatrix2x2":
-        return RationalMatrix2x2([[1, 0], [0, 1]])
+        return _IDENTITY
 
     @staticmethod
     def diagonal(a: RationalLike, b: RationalLike) -> "RationalMatrix2x2":
-        return RationalMatrix2x2([[a, 0], [0, b]])
+        return RationalMatrix2x2._of(as_fraction(a), _ZERO, _ZERO, as_fraction(b))
 
     @property
     def entries(self) -> tuple:
         return self._e
 
+    def _ratios(self) -> list[tuple[int, int]]:
+        """The entries' (numerator, denominator) pairs, row by row."""
+        return [v.as_integer_ratio() for row in self._e for v in row]
+
+    def _det_parts(self) -> tuple[int, int]:
+        """det = n / d as the integers (n, d), d > 0, not reduced."""
+        (an, ad), (bn, bd), (cn, cd), (dn, dd) = self._ratios()
+        d1, d2 = ad * dd, bd * cd
+        return an * dn * d2 - bn * cn * d1, d1 * d2
+
     def det(self) -> Fraction:
-        e = self._e
-        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
+        return Fraction(*self._det_parts())
 
     def string_rows(self) -> list[list[str]]:
         """The entries as rows of `rational_str`, the JSON form of a matrix."""
@@ -98,27 +134,30 @@ class RationalMatrix2x2:
         return all(v.denominator == 1 for row in self._e for v in row)
 
     def inv(self) -> "RationalMatrix2x2":
-        d = self.det()
-        if d == 0:
+        n, d = self._det_parts()
+        if n == 0:
             raise InvalidLattice("singular matrix has no inverse")
-        e = self._e
-        return RationalMatrix2x2(
-            [[e[1][1] / d, -e[0][1] / d], [-e[1][0] / d, e[0][0] / d]]
+        # each entry p/q of the adjugate, divided by n/d, is p*d / (q*n)
+        (an, ad), (bn, bd), (cn, cd), (en, ed) = self._ratios()
+        return RationalMatrix2x2._of(
+            Fraction(en * d, ed * n),
+            Fraction(-bn * d, bd * n),
+            Fraction(-cn * d, cd * n),
+            Fraction(an * d, ad * n),
         )
 
     def __matmul__(self, other: "RationalMatrix2x2") -> "RationalMatrix2x2":
-        a, b = self._e, other._e
-        return RationalMatrix2x2(
-            [
-                [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-                [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-            ]
+        (a, b), (c, d) = self._e
+        (p, q), (r, s) = other._e
+        return RationalMatrix2x2._of(
+            _dot(a, p, b, r), _dot(a, q, b, s), _dot(c, p, d, r), _dot(c, q, d, s)
         )
 
     def apply(self, v: Sequence[RationalLike]) -> tuple[Fraction, Fraction]:
-        x, y = (as_fraction(c) for c in v)
-        e = self._e
-        return (e[0][0] * x + e[0][1] * y, e[1][0] * x + e[1][1] * y)
+        x, y = v
+        x, y = as_fraction(x), as_fraction(y)
+        (a, b), (c, d) = self._e
+        return (_dot(a, x, b, y), _dot(c, x, d, y))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix2x2) and self._e == other._e
@@ -129,6 +168,9 @@ class RationalMatrix2x2:
     def __repr__(self) -> str:
         e = self._e
         return f"RationalMatrix2x2([[{e[0][0]}, {e[0][1]}], [{e[1][0]}, {e[1][1]}]])"
+
+
+_IDENTITY = RationalMatrix2x2._of(_ONE, _ZERO, _ZERO, _ONE)  # immutable, so shared
 
 
 @dataclass(frozen=True)
@@ -166,16 +208,18 @@ class SeparableLattice:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        object.__setattr__(self, "beta", as_fraction(self.beta))
-        if self.alpha <= 0 or self.beta <= 0:
+        alpha, beta = as_fraction(self.alpha), as_fraction(self.beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        if alpha.numerator <= 0 or beta.numerator <= 0:
             raise InvalidLattice("separable lattice needs alpha, beta > 0")
 
     def as_lattice(self) -> Lattice2D:
         return Lattice2D(RationalMatrix2x2.diagonal(self.alpha, self.beta))
 
     def density(self) -> Fraction:
-        return 1 / (self.alpha * self.beta)
+        (an, ad), (bn, bd) = self.alpha.as_integer_ratio(), self.beta.as_integer_ratio()
+        return Fraction(ad * bd, an * bn)
 
 
 @dataclass(frozen=True)
@@ -209,7 +253,8 @@ class ReductionResult:
         return Lattice2D(RationalMatrix2x2.diagonal(a, b))
 
     def reduced_shift(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(self.d) * self.alpha / self.m, Fraction(0))
+        n, d = self.alpha.as_integer_ratio()
+        return (Fraction(self.d * n, d * self.m), _ZERO)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -235,7 +280,8 @@ class ReductionResult:
 
 def density(lat: Lattice2D) -> Fraction:
     """Exact lattice density |det basis|^{-1}."""
-    return 1 / abs(lat.basis.det())
+    n, d = lat.basis._det_parts()
+    return Fraction(d, abs(n))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -260,12 +306,12 @@ def separate(lat: Lattice2D) -> tuple[RationalMatrix2x2, SeparableLattice]:
     Returns (C, sep) with det C = 1 and C @ lat = sep.alpha*Z x sep.beta*Z
     exactly.
     """
-    e = lat.basis.entries
-    q = lcm(*(v.denominator for row in e for v in row))
-    (m11, m12), (m21, m22) = ([int(v * q) for v in row] for row in e)
+    ratios = lat.basis._ratios()
+    q = lcm(*(d for _, d in ratios))
+    m11, m12, m21, m22 = (n * (q // d) for n, d in ratios)
     x, y, h = _xgcd(m21, m22)  # the unimodular columns (-m22/h, m21/h), (x, y)
     f = m11 * x + m12 * y
-    shear = RationalMatrix2x2([[1, Fraction(-f, h)], [0, 1]])
+    shear = RationalMatrix2x2._of(_ONE, Fraction(-f, h), _ZERO, _ONE)
     sep = SeparableLattice(Fraction(abs(m11 * m22 - m12 * m21) // h, q), Fraction(h, q))
     return shear, sep
 
@@ -301,9 +347,9 @@ def reduce_invariant_shift(
         raise ValueError(message)
     if r == 0 and s == 0:
         raise NotAnExtraShift("(r, s) = (0, 0) lies in the lattice itself")
-    a = as_fraction(a)
-    b = as_fraction(b)
-    if a <= 0 or b <= 0:
+    a, b = as_fraction(a), as_fraction(b)
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    if an <= 0 or bn <= 0:
         raise ValueError("lattice steps a, b must be positive")
 
     if s == 0 or r == 0:
@@ -325,16 +371,16 @@ def reduce_invariant_shift(
     rho, sigma = r // d, s // d
     rho_t = -pow(sigma, -1, rho) % rho or rho  # sigma*rho_t = -1 mod rho
     sigma_t = (1 + sigma * rho_t) // rho
-    B = RationalMatrix2x2(
-        [
-            [Fraction(sigma_t) * b / (Fraction(rho_t) * a), -1],
-            [-sigma * rho_t, (a / b) * rho * rho_t],
-        ]
+    B = RationalMatrix2x2._of(
+        Fraction(sigma_t * bn * ad, bd * rho_t * an),
+        Fraction(-1),
+        Fraction(-sigma * rho_t),
+        Fraction(an * bd * rho * rho_t, ad * bn),
     )
     return ReductionResult(
         B=B,
-        alpha=b / rho_t,
-        beta=Fraction(rho_t) * a,
+        alpha=Fraction(bn, bd * rho_t),
+        beta=Fraction(rho_t * an, ad),
         d=d,
         m=m,
         fourier_swap=False,
@@ -350,7 +396,8 @@ def reduce_invariant_shift(
 
 def adjoint_lattice(sep: SeparableLattice) -> SeparableLattice:
     """Adjoint of alpha*Z x beta*Z, namely (1/beta)*Z x (1/alpha)*Z."""
-    return SeparableLattice(1 / sep.beta, 1 / sep.alpha)
+    (an, ad), (bn, bd) = sep.alpha.as_integer_ratio(), sep.beta.as_integer_ratio()
+    return SeparableLattice(Fraction(bd, bn), Fraction(ad, an))
 
 
 def order_in_lattice(
@@ -372,7 +419,8 @@ def coset_decomposition(
 ) -> list[tuple[Fraction, Fraction]]:
     """Representatives (k*alpha/q, 0), k = 0..q-1, of (alpha/q)Z x beta*Z over sep."""
     q = exact_int(q, InvalidIndex, f"coset count q must be >= 1, got {q}", 1)
-    return [(Fraction(k) * sep.alpha / q, Fraction(0)) for k in range(q)]
+    n, d = sep.alpha.as_integer_ratio()
+    return [(Fraction(k * n, d * q), _ZERO) for k in range(q)]
 
 
 def lattice_to_json(lat: Lattice2D) -> str:

@@ -91,6 +91,18 @@ def sheared(d1, d2, s1, s2):
     return np.diag([d1, d2]) @ np.array([[1 + s1 * s2, s1], [s2, 1.0]])
 
 
+def every_set(basis, shift, product):
+    """Each of the five set classes with its oracle pieces."""
+    sets = [
+        (LatticePoints(basis), lattice_points(basis)),
+        (ShiftedLattice(basis, shift), lattice_points(basis, shift)),
+        (PuncturedLattice(basis), punctured_points(basis)),
+        (ExcludedResidueProduct(*product), product_points(*product)),
+    ]
+    union = UnionSet((sets[1][0], sets[2][0], sets[3][0]))
+    return sets + [(union, sets[1][1] + sets[2][1] + sets[3][1])]
+
+
 steps = st.floats(0.25, 3.0)
 shears = st.floats(-1.0, 1.0)
 diagonal_bases = st.tuples(steps, st.sampled_from([-1.0, 1.0]), steps).map(
@@ -111,23 +123,66 @@ pairs = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     B=maps,
 )
 def test_every_set_and_its_image_count_what_enumeration_gives(basis, shift, product, center, R, B):
-    sets = [
-        (LatticePoints(basis), lattice_points(basis)),
-        (ShiftedLattice(basis, shift), lattice_points(basis, shift)),
-        (PuncturedLattice(basis), punctured_points(basis)),
-        (ExcludedResidueProduct(*product), product_points(*product)),
-    ]
-    sets.append(
-        (
-            UnionSet((sets[1][0], sets[2][0], sets[3][0])),
-            sets[1][1] + sets[2][1] + sets[3][1],
-        )
-    )
-    for spec, pieces in sets:
+    for spec, pieces in every_set(basis, shift, product):
         want, want_moved = oracle_count(pieces, center, R), oracle_count(pieces, center, R, B)
         assume(want is not None and want_moved is not None)
         assert count_in_box(spec, center, R) == want, spec
         assert spec.transformed(B).count_in_box(center, R) == want_moved, spec
+
+
+def probe_oracle(spec, pieces, R, grid, M=np.eye(2)):
+    """The least oracle count over lower_density_empirical's probe centers, or
+    None when the fuzz decides one of them."""
+    p1, p2 = spec.period_cell()
+    counts = [
+        oracle_count(pieces, (i * p1 / grid, j * p2 / grid), R, M)
+        for i in range(grid)
+        for j in range(grid)
+    ]
+    return None if None in counts else min(counts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    basis=bases,
+    shift=pairs,
+    product=st.tuples(steps, steps, st.integers(2, 5)),
+    R=st.floats(0.25, 3.0),
+    grid=st.integers(1, 4),
+    B=maps,
+)
+def test_estimate_is_the_least_enumerated_count_at_the_probe_centers(
+    basis, shift, product, R, grid, B
+):
+    for spec, pieces in every_set(basis, shift, product):
+        moved = spec.transformed(B)
+        want = probe_oracle(spec, pieces, R, grid)
+        want_moved = probe_oracle(moved, pieces, R, grid, B)
+        assume(want is not None and want_moved is not None)
+        assert lower_density_empirical(spec, [R], grid)[0].theta == want / (2.0 * R) ** 2, spec
+        theta_moved = lower_density_empirical(moved, [R], grid)[0].theta
+        assert theta_moved == want_moved / (2.0 * R) ** 2, spec
+
+
+@pytest.mark.parametrize("R", [0.3, 0.6, 1.0, 2.5])
+def test_punctured_estimate_on_both_sides_of_the_origin_row(R):
+    # k1 = (x - y)/2: the probe centers of the cell [0, 2) x [0, 2) lie on both
+    # sides of the row k1 = 0, and the boxes with R < 1.6 hold the origin for
+    # some centers only
+    basis = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    spec = PuncturedLattice(basis)
+    p1, p2 = spec.period_cell()
+    k1 = [(i * p1 / 5 - j * p2 / 5) / 2 for i in range(5) for j in range(5)]
+    assert min(k1) < 0 < max(k1)
+    want = probe_oracle(spec, punctured_points(basis), R, 5)
+    assert lower_density_empirical(spec, [R], 5)[0].theta == want / (2.0 * R) ** 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_shear_estimate_is_the_least_enumerated_count():
+    basis = [[1.0, 5e-324], [0.0, 1.0]]
+    want = probe_oracle(LatticePoints(basis), lattice_points(basis), 2.0, 4)
+    assert lower_density_empirical(LatticePoints(basis), [2.0], 4)[0].theta == want / 16.0
 
 
 class TestCountInBox:
@@ -162,6 +217,44 @@ class TestCountInBox:
             tracemalloc.stop()
         assert n == (R + 1) * (2 * R + 1) + R * 2 * R - 1
         assert peak < 32 * 2**20
+
+    def test_sheared_estimate_memory_is_bounded(self):
+        # 16 centers times about 3R = 49k rows: held at once, those (center, row)
+        # pairs would take a dozen arrays of 6 MiB each
+        R, grid = 2.0**14, 4
+        spec = PuncturedLattice(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        tracemalloc.start()
+        try:
+            theta = lower_density_empirical(spec, [R], grid)[0].theta
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rows k2 in cy + [-R, R] hold the k1 in cx - k2/2 + [-R, R]; every value
+        # is dyadic, so the closed-form floor and ceil are exact; less the origin
+        p1, p2 = spec.period_cell()
+        counts = []
+        for i in range(grid):
+            for j in range(grid):
+                cx, cy = i * p1 / grid, j * p2 / grid
+                k2 = np.arange(math.ceil(cy - R), math.floor(cy + R) + 1)
+                k1 = np.floor(cx + R - k2 / 2) - np.ceil(cx - R - k2 / 2) + 1
+                counts.append(int(k1.sum()) - 1)
+        assert theta == min(counts) / (2 * R) ** 2
+        assert peak < 16 * 2**20
+
+    def test_diagonal_estimate_memory_is_bounded(self):
+        # 1024**2 = 1M probe centers: held at once, a count over them would take
+        # a dozen arrays of 8 MiB each.  Off the grid lines a box of radius 2
+        # holds 4 columns and 8 rows.
+        spec = LatticePoints(np.diag([1.0, 0.5]))
+        tracemalloc.start()
+        try:
+            theta = lower_density_empirical(spec, [2.0], 1024)[0].theta
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert theta == 4 * 8 / 4.0**2
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize(
         "exact, basis, counts",
@@ -234,6 +327,11 @@ class TestCountInBox:
             assert count_in_box(u, (0.2, 0.1), R) == count_in_box(
                 a, (0.2, 0.1), R
             ) + count_in_box(b, (0.2, 0.1), R)
+
+    @pytest.mark.parametrize("R", [-1.0, -2.5])
+    def test_negative_radius_counts_nothing_on_the_axes(self, R):
+        # the method does not check R; an empty index range is 0 points, never fewer
+        assert LatticePoints(np.diag([1.0, 0.5])).count_in_box((0.3, 0.2), R) == 0
 
     def test_boundary_points_count_as_inside(self):
         assert count_in_box(LatticePoints(np.eye(2)), (0, 0), 1.0) == 9

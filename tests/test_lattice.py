@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,3 +306,122 @@ class TestInvariantsAndJson:
     def test_lattice_equality_detects_difference(self):
         assert not lat([[1, 0], [0, 1]]).same_lattice(lat([[2, 0], [0, 1]]))
         assert lat([[1, 0], [0, 1]]).same_lattice(lat([[1, 5], [0, 1]]))
+
+
+class TestNumpyIntegers:
+    """A numpy integer is an exact rational, as the integer parameters already are."""
+
+    def test_separable_lattice(self):
+        sep = SeparableLattice(np.int64(2), 1)
+        assert (sep.alpha, sep.beta) == (2, 1) and type(sep.alpha) is Fraction
+
+    def test_reduction(self):
+        want = reduce_invariant_shift(48, 40, 1, 0, 3)
+        assert reduce_invariant_shift(np.int64(48), 40, 1, 0, 3) == want
+
+    def test_order(self):
+        assert order_in_lattice((np.int64(1), F(1, 3)), lat([[1, 0], [0, 1]]), 10) == 3
+
+    @pytest.mark.parametrize("x", [1.5, 2.0, np.float64(2.0)])
+    def test_floats_are_rejected(self, x):
+        with pytest.raises(TypeError, match="exact rational"):
+            as_fraction(x)
+
+
+# -- oracle: the integer kernels against plain Fraction formulas ---------------------
+# Rationals of both signs, with numerators and denominators past 2**64.
+
+def o_det(m):
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def o_matmul(m, n):
+    return [[sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def o_inv(m):
+    (a, b), (c, d) = m
+    det = o_det(m)
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
+def o_apply(m, v):
+    return tuple(m[i][0] * v[0] + m[i][1] * v[1] for i in range(2))
+
+
+def o_integral(values):
+    return all(v.denominator == 1 for v in values)
+
+
+def all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+big = st.integers(-(2**70), 2**70)
+rationals = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(F, big, st.integers(1, 2**70)),
+)
+positive = st.builds(F, st.integers(1, 2**70), st.integers(1, 2**70)) | st.fractions(
+    min_value="1/12", max_value=12, max_denominator=12
+)
+matrices = st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=2)
+invertible = matrices.filter(lambda m: o_det(m) != 0)
+
+
+class TestIntegerKernelsOracle:
+    @settings(max_examples=200)
+    @given(invertible, matrices, st.tuples(rationals, rationals))
+    def test_matrix_kernels(self, rows, other, v):
+        m, n = RationalMatrix2x2(rows), RationalMatrix2x2(other)
+        assert m.det() == o_det(rows) and type(m.det()) is Fraction
+        for got, want in ((m.inv(), o_inv(rows)), (m @ n, o_matmul(rows, other))):
+            assert [list(row) for row in got.entries] == want
+            assert all_fractions(x for row in got.entries for x in row)
+        assert m.apply(v) == o_apply(rows, v) and all_fractions(m.apply(v))
+        lattice = Lattice2D(m)
+        assert lattice.contains(v) == o_integral(o_apply(o_inv(rows), v))
+        assert density(lattice) == 1 / abs(o_det(rows)) and type(density(lattice)) is Fraction
+        if o_det(other) != 0:
+            u = o_matmul(o_inv(rows), other)
+            want = o_integral(x for row in u for x in row) and abs(o_det(u)) == 1
+            assert lattice.same_lattice(Lattice2D(n)) == want
+
+    @settings(max_examples=100)
+    @given(invertible)
+    def test_separate(self, rows):
+        C, sep = separate(Lattice2D(RationalMatrix2x2(rows)))
+        assert C.det() == 1 and all_fractions(x for row in C.entries for x in row)
+        assert all_fractions((sep.alpha, sep.beta))
+        moved = o_matmul([list(row) for row in C.entries], rows)
+        assert Lattice2D(RationalMatrix2x2(moved)).same_lattice(sep.as_lattice())
+
+    @given(positive, positive, st.integers(1, 12))
+    def test_separable_kernels(self, al, be, q):
+        sep = SeparableLattice(al, be)
+        assert sep.density() == 1 / (al * be) and type(sep.density()) is Fraction
+        adj = adjoint_lattice(sep)
+        assert (adj.alpha, adj.beta) == (1 / be, 1 / al) and all_fractions((adj.alpha, adj.beta))
+        reps = coset_decomposition(sep, q)
+        assert reps == [(k * al / q, 0) for k in range(q)]
+        assert all_fractions(x for rep in reps for x in rep)
+
+    @settings(max_examples=200)
+    @given(positive, positive, st.integers(2, 60), st.data())
+    def test_reduction(self, a, b, m, data):
+        r, s = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        if (r, s) == (0, 0):
+            return
+        res = reduce_invariant_shift(a, b, r, s, m)
+        if r and s:
+            rho, sigma, rho_t, sigma_t = res.rho, res.sigma, res.rho_t, res.sigma_t
+            B = [[sigma_t * b / (rho_t * a), -1], [-sigma * rho_t, (a / b) * rho * rho_t]]
+            assert (res.alpha, res.beta) == (b / rho_t, rho_t * a)
+        else:
+            B = [[1, 0], [0, 1]]
+            assert (res.alpha, res.beta) == ((b, a) if r == 0 else (a, b))
+        assert [list(row) for row in res.B.entries] == B
+        assert all_fractions([res.alpha, res.beta, *res.B.entries[0], *res.B.entries[1]])
+        assert res.reduced_shift() == (res.d * res.alpha / res.m, 0)
+        assert all_fractions(res.reduced_shift())

@@ -6,6 +6,16 @@ from pathlib import Path
 import gaborinv
 
 
+def imported_names(tree) -> set:
+    """The names a module's import statements bring in, and the modules they name."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
 def test_no_assert_statements():
     """`python -O` strips assert, so no runtime check may rely on one."""
     found = [
@@ -20,19 +30,27 @@ def test_no_assert_statements():
 def test_cli_writes_files_only_through_serialize():
     """The file formats are decided in one module: cli imports no csv and opens no file."""
     tree = ast.parse((Path(gaborinv.__file__).parent / "cli.py").read_text())
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     opened = [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (getattr(node.func, "id", None) == "open" or getattr(node.func, "attr", None) == "open")
     ]
-    assert "csv" not in imported and not opened
+    assert "csv" not in imported_names(tree) and not opened
+
+
+def test_exact_layer_has_no_float():
+    """No exact computation goes through a float: lattice imports no numpy, calls
+    no float and holds no float literal, so the exact commands load no numpy."""
+    tree = ast.parse((Path(gaborinv.__file__).parent / "lattice.py").read_text())
+    floats = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+    ]
+    assert not any((name or "").split(".")[0] == "numpy" for name in imported_names(tree))
+    assert not floats
 
 
 def test_each_parameter_rule_has_one_message():
