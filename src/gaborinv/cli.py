@@ -5,8 +5,10 @@ equidistribution, dual-window.  Long-form flags only.  Every run writes
 run_manifest.json (config echo, library version, calibrated constants) into
 --output-dir, so identical flags reproduce byte-identical outputs.
 
-Exit codes: 0 success, 1 parse error, 2 precondition violation,
-3 analysis-level negative verdict.
+Exit codes: 0 success, 1 parse error, 2 precondition violation (the
+violated class named on stderr: a toolkit error, a ValueError, or a
+MemoryError for an input too large to hold), 3 analysis-level negative
+verdict.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, lattice, serialize
-from .errors import (
-    DEFAULT_RANK_TOL, DEFAULT_TOL, GaborError, InvalidNu, NotFrameSequence, exact_int
-)
+from .errors import DEFAULT_RANK_TOL, DEFAULT_TOL, GaborError, InvalidNu, exact_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,18 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--output-dir", default=".", help="where result files go")
-        sp.add_argument("--seed", type=int, default=0, help="echoed into the manifest")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-
     sp = sub.add_parser("reduce", help="reduce an extra invariant shift (exact)")
     sp.add_argument("--a", type=_rational, required=True)
     sp.add_argument("--b", type=_rational, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    common(sp)
 
     sp = sub.add_parser("separate", help="separable reduction of a rational lattice")
     sp.add_argument(
@@ -111,14 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="row-major rationals 'p/q,p/q;p/q,p/q'",
     )
-    common(sp)
 
     sp = sub.add_parser("order", help="order of a rational point in the quotient")
     sp.add_argument("--zx", type=_rational, required=True)
     sp.add_argument("--zy", type=_rational, required=True)
     sp.add_argument("--basis", type=_basis, default="1,0;0,1", help="lattice basis (default Z^2)")
     sp.add_argument("--n-max", type=int, default=10**6)
-    common(sp)
 
     def system_flags(sp, window=True):
         sp.add_argument("--L", type=int, required=True)
@@ -137,13 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("criteria", help="the four duality criteria")
     system_flags(sp)
     sp.add_argument("--nu", type=int, required=True)
-    common(sp)
 
     sp = sub.add_parser("scan", help="invariance scan on a refined grid")
     system_flags(sp)
     sp.add_argument("--nu", type=int, default=2, help="used by builtin windows")
     sp.add_argument("--refinement", type=int, required=True)
-    common(sp)
 
     sp = sub.add_parser("density", help="empirical lower Beurling density")
     sp.add_argument("--set", dest="which", default="omega", choices=["omega", "lattice"])
@@ -152,13 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=int, default=2)
     sp.add_argument("--R", type=_real_list, required=True, help="comma list of radii")
     sp.add_argument("--probe-grid", type=int, default=32)
-    common(sp)
 
     sp = sub.add_parser("gaussian", help="full undersampled-Gaussian pipeline")
     system_flags(sp, window=False)
     sp.add_argument("--nu", type=int, default=2)
     sp.add_argument("--refinement", type=int, required=True)
-    common(sp)
 
     sp = sub.add_parser("equidistribution", help="orbit density diagnostic")
     sp.add_argument("--z", type=_pair, required=True, help="direction 'x,y' (sqrt2 ok)")
@@ -166,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-step", type=_real_or_named, default=(math.sqrt(5) - 1) / 2)
     sp.add_argument("--alpha", type=_rational, default=Fraction(1))
     sp.add_argument("--beta", type=_rational, default=Fraction(1))
-    common(sp)
 
     sp = sub.add_parser("dual-window", help="canonical dual window gamma = S^+ g")
     system_flags(sp)
-    common(sp)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--output-dir", default=".", help="where result files go")
     return p
 
 
@@ -348,14 +336,8 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:  # --window is resolved after parsing
         _sys.stderr.write(f"{parser.prog} {args.command}: error: argument --window: {exc}\n")
         return PARSE_ERROR
-    except NotFrameSequence as exc:
-        _sys.stderr.write(f"NotFrameSequence: {exc}\n")
-        return VERDICT_NEGATIVE
-    except GaborError as exc:
+    except (GaborError, ValueError, MemoryError) as exc:
         _sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return PRECONDITION_ERROR
-    except ValueError as exc:
-        _sys.stderr.write(f"InvalidParameter: {exc}\n")
         return PRECONDITION_ERROR
     serialize.dump_json(outdir / "run_manifest.json", _manifest(args, constants))
     _sys.stdout.write(serialize.dump_json(outdir / f"{args.command}_result.json", payload))

@@ -66,10 +66,10 @@ def _fuzz(v):
     return np.maximum(BOUNDARY_FUZZ, 4 * np.spacing(np.abs(v)))
 
 
-def _check_radius(R: float) -> None:
-    """InvalidParameter unless 0 < R < inf, which NaN fails."""
-    if not 0 < R < math.inf:
-        raise InvalidParameter(f"R must lie in (0, inf), got {R!r}")
+def _check_positive(name: str, value: float) -> None:
+    """InvalidParameter unless 0 < value < inf, which NaN fails."""
+    if not 0 < value < math.inf:
+        raise InvalidParameter(f"{name} must lie in (0, inf), got {value!r}")
 
 
 def _box_counts(x0, x1, y0, y1) -> np.ndarray:
@@ -80,7 +80,8 @@ def _box_counts(x0, x1, y0, y1) -> np.ndarray:
     def count(x0, x1, y0, y1):
         return np.maximum(x1 - x0 + 1, 0) * np.maximum(y1 - y0 + 1, 0)
 
-    n = count(x0, x1, y0, y1)
+    with np.errstate(over="ignore"):  # a product beyond the float range takes the int path
+        n = count(x0, x1, y0, y1)
     if n.max() < 2.0**53:
         return n.astype(np.int64)
     return count(*(np.frompyfunc(int, 1, 1)(w) for w in (x0, x1, y0, y1)))
@@ -166,8 +167,12 @@ class PointSet:
         object.__setattr__(self, "terms", terms)
 
     def count_in_box(self, center, R: float) -> int:
-        """The signed count of the terms in center + [-R, R]^2."""
-        return int(self._counts(np.array([center[0]], float), np.array([center[1]], float), R)[0])
+        """The signed count of the terms in center + [-R, R]^2, 0 < R < inf, center finite."""
+        _check_positive("R", R)
+        cx, cy = float(center[0]), float(center[1])
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise InvalidParameter(f"center must be finite, got {(cx, cy)}")
+        return int(self._counts(np.array([cx]), np.array([cy]), float(R))[0])
 
     def _counts(self, cx: np.ndarray, cy: np.ndarray, R: float) -> np.ndarray:
         """The signed count of the terms in each box (cx, cy) + [-R, R]^2."""
@@ -311,12 +316,8 @@ def omega_spec(alpha: float, beta: float, nu: int) -> UnionSet:
 
 
 def count_in_box(spec: PointSet, center: Sequence[float], R: float) -> int:
-    """Exact number of spec points in center + [-R, R]^2, 0 < R < inf, center finite."""
-    _check_radius(R)
-    c = (float(center[0]), float(center[1]))
-    if not (math.isfinite(c[0]) and math.isfinite(c[1])):
-        raise InvalidParameter(f"center must be finite, got {c}")
-    return spec.count_in_box(c, float(R))
+    """Exact number of spec points in center + [-R, R]^2: `spec.count_in_box`."""
+    return spec.count_in_box(center, R)
 
 
 @dataclass(frozen=True)
@@ -344,14 +345,18 @@ def lower_density_empirical(
     (sufficient for periodic specs), counted per R in chunks of at most
     _ROWS_PER_CHUNK centers.
     """
-    probe_grid = exact_int(probe_grid, ValueError, "probe_grid must be >= 1", 1)
+    probe_grid = exact_int(probe_grid, InvalidParameter, "probe_grid must be >= 1", 1)
     p1, p2 = spec.period_cell()
     analytic = spec.analytic_density()
     out = []
     for R in R_list:
-        _check_radius(R)
+        _check_positive("R", R)
         best = min(spec._counts(cx, cy, R).min() for cx, cy in _probe_centers(p1, p2, probe_grid))
-        out.append(DensityEstimate(float(R), int(best) / (2.0 * R) ** 2, analytic))
+        try:
+            theta = int(best) / (2.0 * R) ** 2
+        except OverflowError:
+            raise InvalidParameter(f"R = {R!r}: the window's area or count overflows") from None
+        out.append(DensityEstimate(float(R), theta, analytic))
     return out
 
 
@@ -367,8 +372,8 @@ def omega_density_formula(alpha: float, beta: float, nu: int) -> float:
     """1/(alpha*beta) + (1 - 1/nu)*alpha*beta, the density lower bound of the
     combined lattice/adjoint orthogonality set."""
     nu = exact_int(nu, InvalidModulus, f"nu must be >= 2, got {nu}", 2)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha, beta must be positive")
+    _check_positive("alpha", alpha)
+    _check_positive("beta", beta)
     ab = alpha * beta
     return 1.0 / ab + (1.0 - 1.0 / nu) * ab
 
@@ -392,8 +397,10 @@ def density_transform_check(
 def interval_count_bounds(beta: float, R: float) -> tuple[float, float, int]:
     """Counting bounds (beta*R - 1, beta*R + 1) and the exact count of
     (1/beta)*Z in the closed interval [0, R]."""
-    if beta <= 0 or R <= 0:
-        raise ValueError("beta and R must be positive")
+    _check_positive("beta", beta)
+    _check_positive("R", R)
+    if beta * R == math.inf:
+        raise InvalidParameter(f"beta*R overflows: beta={beta!r}, R={R!r}")
     exact = int(math.floor(beta * R + _fuzz(beta * R))) + 1
     lo, hi = beta * R - 1.0, beta * R + 1.0
     if not lo <= exact <= hi:
@@ -419,8 +426,8 @@ def equidistribution_diagnostic(
     """
     zx, zy = float(z[0]), float(z[1])
     if zx == 0.0 and zy == 0.0:
-        raise ValueError("z must be nonzero")
-    n_samples = exact_int(n_samples, ValueError, "n_samples must be >= 1", 1)
+        raise InvalidParameter("z must be nonzero")
+    n_samples = exact_int(n_samples, InvalidParameter, "n_samples must be >= 1", 1)
     al, be = float(lat.alpha), float(lat.beta)
     j = np.arange(1, n_samples + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead of warned

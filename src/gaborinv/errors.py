@@ -2,7 +2,8 @@
 across the toolkit.
 
 Every precondition named in a module contract maps to one class here, so
-callers (and the CLI) can report the violated precondition by name.  The
+callers (and the CLI) can report the violated precondition by name; a scalar
+out of its range is `InvalidParameter`, which is also a `ValueError`.  The
 readers (`check_tolerance`, `exact_int`, `exact_ints`) are the one place that
 decides what a tolerance or an integer parameter is.  This module imports no
 numpy: the exact layer loads without it.
@@ -45,12 +46,12 @@ class InvalidMatrix(GaborError):
 
 
 # finite Gabor model
-class InvalidParameter(GaborError):
+class InvalidParameter(GaborError, ValueError):
     """Scalar parameter out of its admissible range (e.g. Gaussian width c <= 0)."""
 
 
 class ZeroWindow(GaborError):
-    """The window is (numerically) zero."""
+    """Every entry of the window is zero."""
 
 
 class ZeroInput(GaborError):
@@ -64,10 +65,6 @@ class InvalidRefinement(GaborError):
 
 class InvalidNu(GaborError):
     """nu < 2 or nu does not divide the time step."""
-
-
-class NotFrameSequence(GaborError):
-    """The system is not a frame for its span (zero/degenerate window)."""
 
 
 class DegenerateInput(GaborError):

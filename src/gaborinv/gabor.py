@@ -66,10 +66,7 @@ __all__ = [
 
 def tf_shift(f: np.ndarray, t: int, m: int) -> np.ndarray:
     """Apply pi(t, m) = T_t M_m to a length-L signal (indices mod L)."""
-    f = np.asarray(f)
-    L = f.shape[0]
-    n = np.arange(L)
-    return np.roll(np.exp(2j * np.pi * (m % L) * n / L) * f, t % L)
+    return tf_shifts(np.asarray(f), t, m)[:, 0]
 
 
 def tf_shifts(f: np.ndarray, t, m) -> np.ndarray:
@@ -169,7 +166,7 @@ class SubspaceBasis:
         if np.linalg.norm(gram - kept[:, None, :] * np.eye(q.shape[2])) > 1e-10 * max(
             1.0, np.sqrt(ranks.sum())
         ):
-            raise ValueError("blocks are not orthonormal")
+            raise InvalidParameter("blocks are not orthonormal")
         object.__setattr__(self, "blocks", q)
         object.__setattr__(self, "ranks", ranks)
 
@@ -298,9 +295,12 @@ def analyze_system(
     Eigenvalues above rank_tol * lambda_max (over all blocks) are inverted in
     gamma = S^+ g, the rest dropped; the retained eigenvectors, kept in their
     L/b blocks, span ran(S), the space the system spans; the invariance scan,
-    criterion (i) and the DFT-vector identity read this span.
+    criterion (i) and the DFT-vector identity read this span.  ZeroWindow for
+    an all-zero window, InvalidParameter when lambda_max leaves the float range.
     """
     check_tolerance("rank_tol", rank_tol)
+    if not np.any(sys.window):
+        raise ZeroWindow("frame operator is zero")
     L, P = sys.L, sys.n_freq
     Z = walnut_fibres(sys.window, sys.a, sys.b)
     # the SVD of Z_r resolves an eigenvalue lam of S to eps sqrt(lam_max lam),
@@ -309,8 +309,8 @@ def analyze_system(
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
         lam = P * s**2
     spectrum = np.sort(np.concatenate([lam.ravel(), np.zeros(L - lam.size)]))
-    if spectrum[-1] <= 0:
-        raise ZeroWindow("frame operator is zero")
+    if spectrum[-1] == 0:  # g != 0: (L/b) s^2 underflowed in every block
+        raise InvalidParameter("frame operator underflows: lambda_max is 0")
     if spectrum[-1] == np.inf:
         raise InvalidParameter("frame operator overflows: lambda_max is not finite")
     keep = lam > rank_tol * spectrum[-1]  # the one spectral cut; padded zeros never pass

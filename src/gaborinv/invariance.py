@@ -26,8 +26,8 @@ from .errors import (
     DEFAULT_TOL,
     DegenerateInput,
     InvalidNu,
+    InvalidParameter,
     InvalidRefinement,
-    NotFrameSequence,
     NotUndersampled,
     ZeroInput,
     check_tolerance,
@@ -99,12 +99,12 @@ class InvarianceReport:
 
     def _class_of(self, points) -> tuple:
         """Classes (i mod r, j mod r) of grid points (i a/r, j b/r), one (t, m) pair
-        or an (n, 2) array of them; ValueError if any lies off the grid."""
+        or an (n, 2) array of them; InvalidParameter if any lies off the grid."""
         p, step = np.asarray(points), (self.a // self.refinement, self.b // self.refinement)
         inside = p.shape[-1:] == (2,) and np.all((0 <= p) & (p < self.L))
         q = p.astype(int) if inside else p
         if not (inside and np.all(q == p) and not np.any(q % step)):
-            raise ValueError(f"{points} lies off the scanned grid")
+            raise InvalidParameter(f"{points} lies off the scanned grid")
         return tuple((q // step % self.refinement).T)
 
     def residual_of(self, point) -> float:
@@ -301,8 +301,6 @@ def criteria_engine(
     onto K, vanishing on K^perp).  The normalization constant a*b/L (the
     finite alpha*beta) is recorded in the report.
     """
-    if not np.any(sys.window):
-        raise NotFrameSequence("zero window spans nothing")
     return _criteria(analyze_system(sys, rank_tol), nu, tol)
 
 
@@ -427,7 +425,8 @@ def small_shift_completeness(
     that union must keep L singular values above rank_tol * s_max.
     """
     check_tolerance("rank_tol", rank_tol)
-    (x1, y1), (x2, y2) = exact_ints((v1, v2), (2, 2), ValueError, "v1 and v2 must be integer pairs")
+    message = "v1 and v2 must be integer pairs"
+    (x1, y1), (x2, y2) = exact_ints((v1, v2), (2, 2), InvalidParameter, message)
     det = x1 * y2 - y1 * x2
     if det == 0:
         raise DegenerateInput(f"shift vectors {(x1, y1)}, {(x2, y2)} are collinear")

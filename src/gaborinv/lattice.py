@@ -24,7 +24,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InvalidIndex, InvalidLattice, InvalidOrder, NotAnExtraShift, exact_int
+from .errors import (
+    InvalidIndex, InvalidLattice, InvalidOrder, InvalidParameter, NotAnExtraShift, exact_int
+)
 
 RationalLike = Union[Fraction, int, str]
 
@@ -91,7 +93,7 @@ class RationalMatrix2x2:
     def __init__(self, entries: Sequence[Sequence[RationalLike]]):
         rows = tuple(tuple(as_fraction(v) for v in row) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("expected a 2x2 array of rationals")
+            raise InvalidParameter("expected a 2x2 array of rationals")
         self._e = rows
 
     @classmethod
@@ -342,15 +344,15 @@ def reduce_invariant_shift(
     """
     m = exact_int(m, InvalidOrder, f"m must be >= 2, got {m}", 2)
     message = f"need 0 <= r, s < m, got r={r}, s={s}, m={m}"
-    r, s = exact_int(r, ValueError, message, 0), exact_int(s, ValueError, message, 0)
+    r, s = exact_int(r, InvalidParameter, message, 0), exact_int(s, InvalidParameter, message, 0)
     if r >= m or s >= m:
-        raise ValueError(message)
+        raise InvalidParameter(message)
     if r == 0 and s == 0:
         raise NotAnExtraShift("(r, s) = (0, 0) lies in the lattice itself")
     a, b = as_fraction(a), as_fraction(b)
     (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
     if an <= 0 or bn <= 0:
-        raise ValueError("lattice steps a, b must be positive")
+        raise InvalidParameter("lattice steps a, b must be positive")
 
     if s == 0 or r == 0:
         swap, k = r == 0, r or s  # the r = 0 case is s = 0 with the axes swapped
@@ -408,7 +410,7 @@ def order_in_lattice(
     With basis^{-1} z = (p_1/q_1, p_2/q_2) in lowest terms, k*z lies in the
     lattice iff q_1 | k and q_2 | k, so the order is exactly lcm(q_1, q_2).
     """
-    n_max = exact_int(n_max, ValueError, "n_max must be >= 1", 1)
+    n_max = exact_int(n_max, InvalidParameter, "n_max must be >= 1", 1)
     w1, w2 = lat.inverse.apply(z)
     n = lcm(w1.denominator, w2.denominator)
     return n if n <= n_max else None

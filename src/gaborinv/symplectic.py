@@ -34,7 +34,9 @@ from math import gcd
 
 import numpy as np
 
-from .errors import NotSymplectic, UnsupportedLength, UnsupportedTransport, exact_int, exact_ints
+from .errors import (
+    InvalidParameter, NotSymplectic, UnsupportedLength, UnsupportedTransport, exact_int, exact_ints
+)
 from .gabor import FiniteGaborSystem, shift_operator, tf_shifts
 
 __all__ = [
@@ -140,7 +142,7 @@ def metaplectic_from_generators(B, L: int) -> MetaplecticOperator:
     to the identity from the right: a DFT is an inverse FFT of every row
     and a chirp scales the columns by one phase vector.
     """
-    (x, y), (c, w) = exact_ints(B, (2, 2), ValueError, "B must be a 2x2 integer matrix")
+    (x, y), (c, w) = exact_ints(B, (2, 2), InvalidParameter, "B must be a 2x2 integer matrix")
     L = exact_int(L, UnsupportedLength, "L must be positive", 1)
     det = x * w - y * c
     if det % L != 1 % L:
@@ -165,7 +167,7 @@ def covariance_residual(op: MetaplecticOperator, z) -> float:
     its rows rolled forward by s; no rho matrix is formed.
     """
     L, U = op.L, op.unitary
-    t, m = (v % L for v in exact_ints(z, (2,), ValueError, "z must be an integer pair"))
+    t, m = (v % L for v in exact_ints(z, (2,), InvalidParameter, "z must be an integer pair"))
     (p, q), (u, v) = op.matrix.tolist()
     s, r = (p * t + q * m) % L, (u * t + v * m) % L
     n = np.arange(L)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gaborinv
+from gaborinv import cli
 from gaborinv.cli import _builtin_window, main
 from gaborinv.gabor import periodized_gaussian, tf_shift
 
@@ -120,7 +121,7 @@ class TestCriteria:
         assert code == 2
         assert "InvalidNu" in capsys.readouterr().err
 
-    def test_zero_window_file_exit_3(self, tmp_path, capsys):
+    def test_zero_window_file_exit_2(self, tmp_path, capsys):
         sig = tmp_path / "zero.csv"
         sig.write_text(
             "index,real,imag\n" + "\n".join(f"{i},0.0,0.0" for i in range(16)) + "\n"
@@ -129,8 +130,8 @@ class TestCriteria:
             tmp_path, "criteria", "--L", "16", "--a", "4", "--b", "4",
             "--nu", "2", "--window", f"@{sig}",
         )
-        assert code == 3
-        assert "NotFrameSequence" in capsys.readouterr().err
+        assert code == 2  # a precondition, as for scan and dual-window
+        assert capsys.readouterr().err == "ZeroWindow: frame operator is zero\n"
 
 
     @pytest.mark.parametrize(
@@ -216,8 +217,10 @@ class TestScanDensityGaussianEquid:
             (["--R", "5", "--alpha", "0"], "InvalidMatrix: lattice basis is singular"),
             (["--R", "5", "--set", "lattice", "--alpha", "inf"], "InvalidMatrix: lattice basis entries must be finite"),
             (["--R", "20", "--probe-grid", "0"], "InvalidParameter: probe_grid must be >= 1"),
+            # an OverflowError traceback, exit 1, at int(best) / (2R)^2
+            (["--R", "1e300"], "InvalidParameter: R = 1e+300: the window's area or count overflows"),
         ],
-        ids=["R-inf", "R-nan", "alpha-0", "lattice-alpha-inf", "probe-grid-0"],
+        ids=["R-inf", "R-nan", "alpha-0", "lattice-alpha-inf", "probe-grid-0", "R-1e300"],
     )
     def test_density_precondition_exit_2(self, tmp_path, capsys, args, message):
         assert run(tmp_path, "density", *args) == 2
@@ -247,6 +250,20 @@ class TestScanDensityGaussianEquid:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["covering_radius"] < 0.05
+
+    @pytest.mark.parametrize(
+        "exc", [MemoryError("cannot allocate"), ValueError("stray")], ids=["memory", "value"]
+    )
+    def test_unexpected_error_is_named_exit_2(self, tmp_path, capsys, monkeypatch, exc):
+        # a MemoryError (equidistribution --n 100000000000) ended in a traceback, and any
+        # ValueError was printed as InvalidParameter
+        def fail(args, outdir):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "equidistribution", fail)
+        assert run(tmp_path, "equidistribution", "--z", "1,sqrt2") == 2
+        assert capsys.readouterr().err == f"{type(exc).__name__}: {exc}\n"
+        assert not (tmp_path / "run_manifest.json").exists()
 
     @pytest.mark.parametrize(
         "args",
@@ -401,8 +418,14 @@ class TestDeterminism:
         ),
         (["order", "--zx", "1/2", "--zy", "1/3", "--n-max", "0"], 2, "InvalidParameter: n_max must be >= 1"),
         (["equidistribution", "--z", "1,sqrt2", "--n", "0"], 2, "InvalidParameter: n_samples must be >= 1"),
+        # both flags were only echoed into the manifest
+        (["separate", "--basis", "1,0;0,1", "--seed", "3"], 1, "error: unrecognized arguments: --seed 3"),
+        (["density", "--R", "20", "--format", "csv"], 1, "error: unrecognized arguments: --format csv"),
     ],
-    ids=["criteria-tol", "equidistribution-z", "reduce-r", "order-n-max", "equidistribution-n"],
+    ids=[
+        "criteria-tol", "equidistribution-z", "reduce-r", "order-n-max", "equidistribution-n",
+        "separate-seed", "density-format",
+    ],
 )
 def test_rejected_input_writes_no_manifest(tmp_path, capsys, args, code, message):
     assert run(tmp_path, *args) == code
@@ -420,8 +443,10 @@ def test_rejected_input_writes_no_manifest(tmp_path, capsys, args, code, message
         ([0.1] * 3 + [math.nan] + [0.1] * 8, "window entries must be finite"),
         # an IndexError traceback before lambda_max was checked
         ([1e200] + [2e199] * 11, "frame operator overflows: lambda_max is not finite"),
+        # a nonzero window that was reported as ZeroWindow
+        ([1e-200] + [2e-201] * 11, "frame operator underflows: lambda_max is 0"),
     ],
-    ids=["nan", "overflow"],
+    ids=["nan", "overflow", "underflow"],
 )
 def test_unusable_window_file_exit_2(tmp_path, capsys, command, entries, message):
     rows = "".join(f"{i},{v!r},0.0\n" for i, v in enumerate(entries))

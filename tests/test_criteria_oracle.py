@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaborinv.cli import _builtin_window
@@ -27,6 +27,7 @@ from gaborinv.invariance import (
     criteria_engine,
     gaussian_corollary_scenario,
     membership_residual,
+    scan_invariance,
 )
 
 RANK_TOL, TOL = 1e-8, 1e-6
@@ -210,3 +211,15 @@ def test_gaussian_scenario_matches_dense_oracle(L, a, b):
     gram = np.linalg.eigvalsh(D.conj().T @ D)
     assert rep.condition_number == pytest.approx(gram[-1] / gram[0], rel=1e-10)
     assert tuple(rep.frame)[2:] == ref["frame"][2:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_systems().filter(lambda case: case[0].b % case[1] == 0))
+def test_criterion_i_agrees_with_the_scan(case):
+    """For nu | gcd(a, b) the scan with refinement nu tests T_{a/nu} too: criterion
+    (i) holds iff (a/nu, 0) is detected, wherever res_i is decided by a factor 10."""
+    sys, nu = case
+    rep = criteria_engine(sys, nu, TOL)
+    assume(not TOL / 10 <= rep.res_i <= 10 * TOL)
+    detected = (sys.a // nu, 0) in scan_invariance(sys, nu, TOL).invariant_set
+    assert rep.holds["i"] == detected

@@ -328,10 +328,12 @@ class TestCountInBox:
                 a, (0.2, 0.1), R
             ) + count_in_box(b, (0.2, 0.1), R)
 
-    @pytest.mark.parametrize("R", [-1.0, -2.5])
-    def test_negative_radius_counts_nothing_on_the_axes(self, R):
-        # the method does not check R; an empty index range is 0 points, never fewer
-        assert LatticePoints(np.diag([1.0, 0.5])).count_in_box((0.3, 0.2), R) == 0
+    @pytest.mark.parametrize("basis", [np.eye(2), [[1.0, 0.5], [0.0, 1.0]]], ids=["axes", "shear"])
+    @pytest.mark.parametrize("R", [-2.0, 0.0, math.nan, math.inf])
+    def test_method_checks_the_radius(self, basis, R):
+        # at R = -2 the shear counted the |R| box (16) and the axes 0
+        with pytest.raises(InvalidParameter, match="R must lie in"):
+            LatticePoints(basis).count_in_box((0.3, 0.2), R)
 
     def test_boundary_points_count_as_inside(self):
         assert count_in_box(LatticePoints(np.eye(2)), (0, 0), 1.0) == 9
@@ -421,6 +423,12 @@ class TestPreconditions:
         with pytest.raises(InvalidParameter, match="R must lie in"):
             lower_density_empirical(spec, [5.0, R], probe_grid=2)
 
+    @pytest.mark.parametrize("R", [6e153, 1e300], ids=["count", "area"])
+    def test_overflowing_window_is_a_typed_error(self, R):
+        # int(best) / (2R)^2 raised OverflowError: the count, then the area, leaves the float range
+        with pytest.raises(InvalidParameter, match="overflows"):
+            lower_density_empirical(omega_spec(1.0, 1.0, 2), [R], probe_grid=2)
+
 
 class TestLowerDensity:
     def test_unit_lattice_window_bounds(self):
@@ -480,6 +488,12 @@ class TestOmegaFormula:
     def test_rejects_nu(self):
         with pytest.raises(InvalidModulus):
             omega_density_formula(1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_steps_must_be_positive_and_finite(self, alpha, beta):
+        # nan returned nan
+        with pytest.raises(InvalidParameter, match="must lie in"):
+            omega_density_formula(alpha, beta, 2)
 
 
 class TestTransformLaw:
@@ -553,6 +567,16 @@ class TestIntervalCounts:
         # the fuzz counts the point 10, beyond the upper bound beta*R + 1
         with pytest.raises(InvalidParameter):
             interval_count_bounds(1.0, 10 - 5e-10)
+
+    @pytest.mark.parametrize(
+        "beta, R, message",
+        [(math.inf, 1.0, "beta must lie in"), (1.0, math.nan, "R must lie in"),
+         (1e200, 1e200, "beta[*]R overflows")],
+    )
+    def test_non_finite_input_is_a_typed_error(self, beta, R, message):
+        # inf and an overflowing beta*R raised OverflowError
+        with pytest.raises(InvalidParameter, match=message):
+            interval_count_bounds(beta, R)
 
 
 class TestEquidistribution:

@@ -26,7 +26,6 @@ from gaborinv.errors import (
     InvalidOrder,
     InvalidParameter,
     InvalidRefinement,
-    NotFrameSequence,
     NotUndersampled,
     UnsupportedLength,
     ZeroInput,
@@ -320,8 +319,9 @@ class TestCriteriaEngine:
             criteria_engine(gaussian_system(), 5)
 
     def test_zero_window_rejected(self):
+        # the one zero-window rule of analyze_system, as for the scan and the dual
         sys = FiniteGaborSystem(12, 4, 4, np.zeros(12))
-        with pytest.raises(NotFrameSequence):
+        with pytest.raises(ZeroWindow):
             criteria_engine(sys, 2)
 
     def test_gamma_l0_diagnostic_reported(self):

@@ -86,3 +86,45 @@ def test_no_module_uses_a_private_name_of_another():
                 if name.startswith("_") and not name.endswith("__")
             ]
     assert not found
+
+
+def test_preconditions_raise_their_class_not_a_bare_value_error():
+    """A violated precondition is a toolkit class (InvalidParameter is also a
+    ValueError); only the file readers raise a bare ValueError for a bad file."""
+    readers = {("serialize", "load_signal_csv"), ("serialize", "load_operator_binary"),
+               ("density", "pointset_from_json")}
+    found = []
+    for path in sorted(Path(gaborinv.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    named = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", "") in (
+                    "exact_int", "exact_ints"
+                ):
+                    named = node.args[1:] + [k.value for k in node.keywords if k.arg == "error"]
+                else:
+                    continue
+                if any(getattr(n, "id", None) == "ValueError" for n in named) and (
+                    path.stem, getattr(top, "name", None)
+                ) not in readers:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_every_error_class_is_used():
+    """Each class in `errors` is named by some other module of the package."""
+    package = Path(gaborinv.__file__).parent
+    classes = {
+        node.name
+        for node in ast.parse((package / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    used = {
+        node.id
+        for path in package.glob("*.py")
+        if path.stem != "errors"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name)
+    }
+    assert classes <= used, sorted(classes - used)
