@@ -16,6 +16,11 @@ S = D D^H couples n only with n + j L/b (Walnut 1992; Zibulski & Zeevi 1997):
 on each fibre {r + j L/b : j < b} it is the b x b block (L/b) Z_r Z_r^H with
 Z_r[j, k] = g[r + j L/b - k a], so S is factored as L/b blocks, never as an
 L x L matrix; the span of the system stays in these blocks (`SubspaceBasis`).
+Only G = gcd(a, L/b) of the blocks are distinct: with x (L/b) = G mod a and
+y = (x L/b - G)/a, block r0 + q G is Z_r0[(j + q x) mod b, (k + q y) mod L/a],
+a row and column roll of block r0 < G (Strohmer 1998; Sondergaard 2012).  So
+`fibre_svd` factors the G orbit representatives only, and every Walnut-block
+SVD of the package goes through it.
 The Walnut and Janssen forms are scattered from these blocks and from the
 inner-product table, and the windows pi(t_i, m_i) f are one gather
 (`tf_shifts`).  Matrices are never mutated and all functions are pure.
@@ -24,6 +29,7 @@ inner-product table, and the windows pi(t_i, m_i) f are one gather
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,6 +52,8 @@ __all__ = [
     "FrameBounds",
     "DualWindowResult",
     "SystemAnalysis",
+    "FibreSVD",
+    "fibre_svd",
     "tf_shift",
     "tf_shifts",
     "shift_operator",
@@ -244,6 +252,11 @@ def orthonormal_range(
     all blocks.
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return _cut(U, s, rank_tol)
+
+
+def _cut(U: np.ndarray, s: np.ndarray, rank_tol: float) -> SubspaceBasis:
+    """The columns of U with s > rank_tol * s_max over all blocks, as a basis."""
     keep = s > rank_tol * s.max(initial=0.0)
     return SubspaceBasis((U * keep[..., None, :]).reshape(-1, *U.shape[-2:]))
 
@@ -255,10 +268,61 @@ def walnut_fibres(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
     {r + j P : j < f_step} is P * Z[r] Z[r]^H, and it vanishes between fibres.
     The fibre of a signal x is x.reshape(f_step, P).T[r].  A stack of
     windows g[:, i] gives Z[r, j, k, i], the fibres of the union of their systems.
+    With G = gcd(t_step, P), x P = G mod t_step and y = (x P - G)/t_step,
+    Z[r0 + q G][j, k] = Z[r0][(j + q x) mod f_step, (k + q y) mod L/t_step]
+    for r0 < G, because q G + j P - k t_step = (j + q x) P - (k + q y) t_step:
+    pure index algebra, so it holds bit for bit for any window or stack.
+    """
+    return _fibres(g, t_step, f_step, g.shape[0] // f_step)
+
+
+def _fibres(g: np.ndarray, t_step: int, f_step: int, blocks: int) -> np.ndarray:
+    """The first `blocks` Walnut blocks of `walnut_fibres`, one index gather."""
+    L = g.shape[0]
+    r, j, k = np.ogrid[:blocks, :f_step, : L // t_step]
+    return g[(r + j * (L // f_step) - k * t_step) % L]
+
+
+class FibreSVD(NamedTuple):
+    """Left singular factors of the Walnut blocks of (t_step, f_step), one per orbit.
+
+    Block r = r0 + q G of `walnut_fibres` (G = gcd(t_step, L/f_step), r0 < G)
+    is block r0 with its rows rolled by q x and its columns by q y, so it has
+    the singular values s[r0] and the left singular vectors U[r0] with row j
+    read from row rows[r, j] = (j + q x) mod f_step: `orbit[r]` is r0.
+    """
+
+    U: np.ndarray  # (G, f_step, c): left singular vectors of blocks r0 < G
+    s: np.ndarray  # (G, c): their singular values, descending
+    orbit: np.ndarray  # (P,): r0 of block r
+    rows: np.ndarray  # (P, f_step): the rolled row index of block r
+
+    def expand(self, blocks: np.ndarray) -> np.ndarray:
+        """(G, f_step, ...) arrays on the representatives as (P, f_step, ...) on every block."""
+        return blocks[self.orbit[:, None], self.rows]
+
+    def range(self, rank_tol: float) -> SubspaceBasis:
+        """The representatives' part of the column space, cut as by `orthonormal_range`:
+        every block shares its representative's singular values, so s_max is theirs."""
+        return _cut(self.U, self.s, rank_tol)
+
+
+def fibre_svd(g: np.ndarray, t_step: int, f_step: int) -> FibreSVD:
+    """One batched SVD of the G = gcd(t_step, L/f_step) distinct Walnut blocks.
+
+    The window or stack g and the steps are as in `walnut_fibres`; a stack's
+    blocks are (f_step, (L/t_step) * windows) matrices.  x is the inverse of
+    P/G modulo t_step/G, so x P = G mod t_step (x = 0 when G = t_step).
+    Expanding to all blocks is one gather, `FibreSVD.expand`.
     """
     L = g.shape[0]
-    r, j, k = np.ogrid[: L // f_step, :f_step, : L // t_step]
-    return g[(r + j * (L // f_step) - k * t_step) % L]
+    P = L // f_step
+    G = gcd(t_step, P)
+    Z = _fibres(g, t_step, f_step, G)
+    U, s, _ = np.linalg.svd(Z.reshape(G, f_step, -1), full_matrices=False)
+    q, orbit = np.divmod(np.arange(P), G)
+    rows = (np.arange(f_step) + (q * pow(P // G, -1, t_step // G))[:, None]) % f_step
+    return FibreSVD(U, s, orbit, rows)
 
 
 def tf_inner_products(f: np.ndarray, h: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
@@ -296,29 +360,33 @@ def analyze_system(
     gamma = S^+ g, the rest dropped; the retained eigenvectors, kept in their
     L/b blocks, span ran(S), the space the system spans; the invariance scan,
     criterion (i) and the DFT-vector identity read this span.  ZeroWindow for
-    an all-zero window, InvalidParameter when lambda_max leaves the float range.
+    an all-zero window, InvalidParameter when lambda_max or the reciprocal of a
+    kept eigenvalue leaves the float range.
     """
     check_tolerance("rank_tol", rank_tol)
     if not np.any(sys.window):
         raise ZeroWindow("frame operator is zero")
     L, P = sys.L, sys.n_freq
-    Z = walnut_fibres(sys.window, sys.a, sys.b)
     # the SVD of Z_r resolves an eigenvalue lam of S to eps sqrt(lam_max lam),
     # eigh of Z_r Z_r^H only to eps lam_max; blocks with b > N add zeros
-    V, s, _ = np.linalg.svd(Z, full_matrices=False)
+    fib = fibre_svd(sys.window, sys.a, sys.b)
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-        lam = P * s**2
+        lam = (P * fib.s**2)[fib.orbit]
     spectrum = np.sort(np.concatenate([lam.ravel(), np.zeros(L - lam.size)]))
     if spectrum[-1] == 0:  # g != 0: (L/b) s^2 underflowed in every block
         raise InvalidParameter("frame operator underflows: lambda_max is 0")
     if spectrum[-1] == np.inf:
         raise InvalidParameter("frame operator overflows: lambda_max is not finite")
     keep = lam > rank_tol * spectrum[-1]  # the one spectral cut; padded zeros never pass
+    with np.errstate(over="ignore"):  # 1/lam of a subnormal lam is inf, rejected below
+        inv = keep / np.where(keep, lam, 1.0)
+    if not np.isfinite(inv).all():
+        raise InvalidParameter("frame operator underflows: a kept 1/lambda is not finite")
     kept = np.sort(lam[keep])
     frame = FrameBounds(float(kept[0]), float(kept[-1]), kept.size, kept.size == sys.n_time * P)
-    inv = keep / np.where(keep, lam, 1.0)
-    blocks = (V * inv[:, None, :]) @ V.conj().swapaxes(1, 2)
-    gamma = (blocks @ sys.window.reshape(sys.b, P).T[..., None])[..., 0].T.ravel()
+    V = fib.expand(fib.U)
+    x = sys.window.reshape(sys.b, P).T[..., None]  # the fibres of g
+    gamma = (V @ (inv[..., None] * (V.conj().swapaxes(1, 2) @ x)))[..., 0].T.ravel()
     span = SubspaceBasis(V * keep[:, None, :])
     return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span))
 

@@ -41,6 +41,7 @@ from .gabor import (
     SubspaceBasis,
     SystemAnalysis,
     analyze_system,
+    fibre_svd,
     orthonormal_range,
     periodized_gaussian,
     tf_inner_products,
@@ -305,7 +306,7 @@ def criteria_engine(
 
 
 def _slice_blocks(an: SystemAnalysis, nu: int):
-    """nu, read here (an int >= 2 dividing a), W, the blocks of P, the phases d and
+    """nu, read here (an int >= 2 dividing a), the blocks of P, the phases d and
     the fibres of P M_{s L/a} g on the a/nu Walnut fibres {r + j a/nu : j < n} of
     the slice L_0, the system (L/b, nu L/a).  On a fibre M_{s L/a} is the phase
     e^{2 pi i s r/a} (left out of the fibres of P M_{s L/a} g) times d_s[j] =
@@ -320,12 +321,12 @@ def _slice_blocks(an: SystemAnalysis, nu: int):
     P = (L / (nu * b)) * W @ walnut_fibres(an.dual.gamma, L // b, n).conj().swapaxes(1, 2)
     d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
     images = np.einsum("rij,srj->sri", P, d[:, None, :] * g.reshape(n, -1).T)
-    return nu, W, P, d, images
+    return nu, P, d, images
 
 
 def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
     check_tolerance("tol", tol)
-    nu, W, P, d, images = _slice_blocks(an, nu)  # (ii), (iii) and the P_s read these
+    nu, P, d, images = _slice_blocks(an, nu)  # (ii), (iii) and the P_s read these
     sys, g, rank_tol = an.system, an.system.window, an.rank_tol
     L, a, b = sys.L, sys.a, sys.b
     gamma = an.dual.gamma
@@ -336,17 +337,23 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
     images[0] -= g.reshape(d.shape[1], -1).T
     res_ii = [float(np.linalg.norm(x) / np.linalg.norm(g)) for x in images]
 
-    Q0 = orthonormal_range(W, rank_tol)
+    # slice block r0 + q G is block r0 with its rows rolled by q x, and d_s rolled by
+    # q x is d_s times the constant w^(-s q x): the stack of the others for block r is
+    # the rolled stack for r0 with one phase per slice, of the same ranks and angles
+    slice_fib = fibre_svd(g, L // b, d.shape[1])
+    Q0_reps = slice_fib.range(rank_tol)
+    Q0 = SubspaceBasis(slice_fib.expand(Q0_reps.blocks))
     others = orthonormal_range(
-        np.concatenate([d[s, :, None] * Q0.blocks for s in range(1, nu)], axis=2), rank_tol
+        np.concatenate([d[s, :, None] * Q0_reps.blocks for s in range(1, nu)], axis=2), rank_tol
     )
-    angles = _min_principal_angle(Q0, others)[(Q0.ranks > 0) & (others.ranks > 0)]
+    angles = _min_principal_angle(Q0_reps, others)[(Q0_reps.ranks > 0) & (others.ranks > 0)]
     gap = float(angles.min()) if angles.size else float(np.pi / 2)
     # K is the adjoint system (L/b, L/a): its block r + c a/nu is the class
     # j = c mod nu of slice block r, so PK is class-diagonal and commutes with
     # every d_s.  Each identity of the P_s = d_s P d_s^* is then one of P:
     # P_s P_r = d_s (P d_{r-s} P) d_r^* and sum_s P_s = nu P on j1 = j2 mod nu.
-    K = orthonormal_range(walnut_fibres(g, L // b, L // a), rank_tol)
+    adjoint_fib = fibre_svd(g, L // b, L // a)
+    K = SubspaceBasis(adjoint_fib.expand(adjoint_fib.range(rank_tol).blocks))
     PKc = (K.blocks @ K.blocks.conj().swapaxes(1, 2)).reshape(nu, a // nu, L // a, L // a)
     PK = np.einsum("crjk,cd->rjckd", PKc, np.eye(nu)).reshape(P.shape)
     j = np.arange(d.shape[1]) % nu
@@ -401,7 +408,7 @@ def dft_vector_relation(
     identity is unconditional -- it holds whether or not the criteria do.
     """
     an = analyze_system(sys, rank_tol)
-    nu, _, _, d, images = _slice_blocks(an, nu)
+    nu, _, d, images = _slice_blocks(an, nu)
     L, shifts = sys.L, np.arange(nu) * (sys.a // nu)
     v = (d.conj()[:, None, :] * images).swapaxes(1, 2).reshape(nu, L)
     y = an.dual.span.project(tf_shifts(sys.window, shifts, 0))
@@ -436,9 +443,8 @@ def small_shift_completeness(
     o1 = d // gcd(x1, y1, d)
     V = np.array([[x1 % d, x2 % d], [y1 % d, y2 % d]])
     t, m = V @ np.stack(np.divmod(np.arange(n_cls), n_cls // o1)) % d
-    Z = walnut_fibres(tf_shifts(sys.window, t, m), d, d)
-    s = np.linalg.svd(Z.reshape(L // d, d, -1), compute_uv=False)
-    return int(np.sum(s > rank_tol * s.max())) == L
+    s = fibre_svd(tf_shifts(sys.window, t, m), d, d).s  # one block per orbit: (L/d)/G each
+    return int(np.sum(s > rank_tol * s.max())) * (L // d) // len(s) == L
 
 
 @dataclass(frozen=True)

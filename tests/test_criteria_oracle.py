@@ -167,6 +167,9 @@ def dense_oracle(sys, nu):
 @example((FiniteGaborSystem(27, 9, 3, periodic_window(27, 9, 1)), 3))
 @example((FiniteGaborSystem(48, 12, 8, periodic_window(48, 3, 3)), 4))
 @example((FiniteGaborSystem(24, 4, 12, parity_window(24)), 2))
+# the large-L benchmark systems at quarter size; the Gaussian's Walnut blocks fall in 2 orbits
+@example((FiniteGaborSystem(240, 24, 24, builtin_window(240, 24, 24, 2, "gaussian")), 2))
+@example((FiniteGaborSystem(240, 20, 24, builtin_window(240, 20, 24, 2, "periodic-gaussian")), 2))
 def test_criteria_engine_matches_dense_oracle(case):
     sys, nu = case
     rep = criteria_engine(sys, nu)

@@ -1,5 +1,7 @@
 """Finite Gabor model: shifts, frame operators, duals, Walnut/Janssen forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from gaborinv.gabor import (
     SubspaceBasis,
     analyze_system,
     canonical_dual,
+    fibre_svd,
     cross_frame_operator,
     frame_bounds,
     frame_operator_direct,
@@ -23,6 +26,7 @@ from gaborinv.gabor import (
     support_space,
     tf_shift,
     tf_shifts,
+    walnut_fibres,
 )
 
 RNG = np.random.default_rng(90125)
@@ -243,6 +247,29 @@ class TestCanonicalDual:
         with pytest.raises(InvalidParameter, match="frame operator overflows"):
             analyze_system(FiniteGaborSystem(12, 4, 4, w))
 
+    @staticmethod
+    def tiny_system(scale):
+        w = np.full(12, scale / 5)
+        w[0] = scale
+        return FiniteGaborSystem(12, 4, 4, w)
+
+    def test_tiny_normal_spectrum_is_analysed(self):
+        # lambda_max is about 1e-300, still normal: 1/lambda is finite (warnings are errors)
+        an = analyze_system(self.tiny_system(1e-150))
+        assert np.isfinite(an.dual.gamma).all()
+        S, g = frame_operator_direct(an.system), an.system.window
+        assert np.linalg.norm(S @ an.dual.gamma - g) < 1e-8 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_subnormal_spectrum_rejected(self, scale):
+        # lambda_max is subnormal: 1/lambda overflowed and gamma held inf and nan
+        with pytest.raises(InvalidParameter, match="underflows: a kept 1/lambda is not finite"):
+            analyze_system(self.tiny_system(scale))
+
+    def test_vanishing_spectrum_rejected(self):
+        with pytest.raises(InvalidParameter, match="underflows: lambda_max is 0"):
+            analyze_system(self.tiny_system(1e-170))
+
 
 class TestFrameBounds:
     def test_orthonormal_case(self):
@@ -319,6 +346,59 @@ def test_fibred_analysis_matches_dense_eigh(sys):
     assert np.linalg.norm(dual.gamma - S_pinv @ sys.window) <= tol * np.linalg.norm(dual.gamma)
     assert dual.span.rank == rank
     assert np.linalg.norm(dual.span.projector() - Vk @ Vk.conj().T) <= tol * np.sqrt(rank)
+
+
+def check_fibre_svd(g, t, f):
+    """fibre_svd(g, t, f) against the rolled blocks and a per-block SVD.  With
+    P = L/f, G = gcd(t, P), x P = G mod t and y = (x P - G)/t, block r0 + q G
+    is Z[r0][(j + q x) mod f, (k + q y) mod L/t]."""
+    L = g.shape[0]
+    P = L // f
+    G = math.gcd(t, P)
+    x = pow(P // G, -1, t // G)
+    y = (x * P - G) // t
+    q, r0 = np.divmod(np.arange(P), G)
+    Z = walnut_fibres(g, t, f)
+    rows = (np.arange(f) + q[:, None] * x) % f
+    cols = (np.arange(L // t) + q[:, None] * y) % (L // t)
+    assert np.array_equal(Z, Z[r0[:, None, None], rows[:, :, None], cols[:, None, :]])
+
+    fib = fibre_svd(g, t, f)
+    assert fib.U.shape[0] == fib.s.shape[0] == G
+    np.testing.assert_array_equal(fib.orbit, r0)
+    np.testing.assert_array_equal(fib.rows, rows)
+    U, s = fib.expand(fib.U), fib.s[fib.orbit]
+    blocks = Z.reshape(P, f, -1)
+    ref = np.linalg.svd(blocks, compute_uv=False)
+    atol = 1e-12 * ref.max(axis=1, initial=0.0)[:, None]
+    assert np.all(np.abs(s - ref) <= atol)
+    gram = U.conj().swapaxes(1, 2) @ U
+    assert np.abs(gram - np.eye(U.shape[2])).max(initial=0.0) <= 1e-12
+    assert np.all(np.abs(np.linalg.norm(blocks.conj().swapaxes(1, 2) @ U, axis=1) - s) <= atol)
+
+
+@pytest.mark.parametrize("windows", [1, 3])
+def test_fibre_svd_matches_every_block(windows):
+    """Every L <= 72 and every t, f | L, on one random window or a stack of three."""
+    rng = np.random.default_rng(windows)
+    for L in range(1, 73):
+        divs = [d for d in range(1, L + 1) if L % d == 0]
+        g = rng.normal(size=(L, windows)) + 1j * rng.normal(size=(L, windows))
+        for t in divs:
+            for f in divs:
+                check_fibre_svd(g[:, 0] if windows == 1 else g, t, f)
+
+
+@pytest.mark.parametrize(
+    "L, t, f, G",
+    [(60, 6, 12, 1), (72, 12, 6, 12), (480, 48, 48, 2), (480, 10, 20, 2)],
+    ids=["G=1", "G=P", "large-L analysis", "large-L slice"],
+)
+def test_fibre_svd_orbit_count(L, t, f, G):
+    """Named cases: one orbit, no repeated block, and two benchmark shapes."""
+    g = fibre_window(L, "gaussian", L)
+    assert fibre_svd(g, t, f).s.shape[0] == G
+    check_fibre_svd(g, t, f)
 
 
 class TestCrossAndJanssen:
