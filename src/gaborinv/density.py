@@ -409,6 +409,8 @@ def interval_count_bounds(beta: float, R: float) -> tuple[float, float, int]:
 
 
 _COVER_GRID, _DISC_GRID = 200, 20  # cells per side of the covering and discrepancy grids
+_COVER_CHUNK = 1 << 16  # elements per temporary of the covering-radius search
+_COVER_SLACK = 1e-9  # relative margin that keeps the search's bounds safe from rounding
 
 
 def equidistribution_diagnostic(
@@ -420,9 +422,12 @@ def equidistribution_diagnostic(
     """Covering radius and box-count discrepancy of {t_j z mod Lambda}.
 
     Samples t_j = j*t_step for j = 1..n_samples.  The covering radius is the
-    maximal toroidal distance from a _COVER_GRID x _COVER_GRID set of cell
-    points to the sample set; the discrepancy is the worst absolute error of
-    anchored-box empirical measures on a _DISC_GRID x _DISC_GRID partition.
+    maximum over the centers of a _COVER_GRID x _COVER_GRID partition of the
+    cell of sqrt(min over samples of dx*dx + dy*dy), with the toroidal
+    dx = min(|qx - px|, alpha - |qx - px|) and dy alike: that float exactly,
+    found by an exact local search that never pairs every center with every
+    sample (`_covering_radius`).  The discrepancy is the worst absolute error
+    of anchored-box empirical measures on a _DISC_GRID x _DISC_GRID partition.
     """
     zx, zy = float(z[0]), float(z[1])
     if zx == 0.0 and zy == 0.0:
@@ -440,15 +445,7 @@ def equidistribution_diagnostic(
     # float rounding can land exactly on the period; fold it back
     pts[:, 0] %= al
     pts[:, 1] %= be
-
-    from scipy.spatial import cKDTree  # deferred: most of the CLI's import time
-
-    tree = cKDTree(pts, boxsize=(al, be))
-    gx = (np.arange(_COVER_GRID) + 0.5) * (al / _COVER_GRID)
-    gy = (np.arange(_COVER_GRID) + 0.5) * (be / _COVER_GRID)
-    mx, my = np.meshgrid(gx, gy, indexing="ij")
-    dists, _ = tree.query(np.stack([mx.ravel(), my.ravel()], axis=1))
-    covering_radius = float(dists.max())
+    covering_radius = _covering_radius(pts[:, 0], pts[:, 1], al, be)
 
     hist, _, _ = np.histogram2d(
         pts[:, 0], pts[:, 1], bins=[_DISC_GRID, _DISC_GRID], range=[[0, al], [0, be]]
@@ -460,6 +457,146 @@ def equidistribution_diagnostic(
     area_frac = (ii / _DISC_GRID) * (jj / _DISC_GRID)
     discrepancy = float(np.max(np.abs(cum - area_frac)))
     return covering_radius, discrepancy
+
+
+def _torus_sq(cx, cy, px, py, al: float, be: float):
+    """dx*dx + dy*dy with dx = min(|cx - px|, al - |cx - px|) and dy alike, broadcast."""
+    dx, dy = np.abs(cx - px), np.abs(cy - py)
+    dx, dy = np.minimum(dx, al - dx), np.minimum(dy, be - dy)
+    return dx * dx + dy * dy
+
+
+def _covering_radius(x: np.ndarray, y: np.ndarray, al: float, be: float) -> float:
+    """max over the _COVER_GRID**2 cell centers of sqrt(min over samples (x, y)
+    of _torus_sq), bit for bit.  Besides sorted copies of the samples, every
+    temporary holds at most _COVER_CHUNK elements.
+
+    Each sample lies in the cell of one center.  Every sample updates the
+    centers within a window of cells around its own that reaches twice the
+    mean spacing sqrt(al*be/n); a center whose minimum lies inside the
+    window's inner radius has its exact value.  Only the maximum is returned,
+    so another center matters only while its minimum, an upper bound, exceeds
+    the largest exact value.  For those, the distance e to the nearest
+    occupied cell bounds the value from below by (e - half a cell diagonal)**2,
+    and that cell's samples bound it from above; the ones whose upper bound
+    exceeds the best lower bound are searched exactly over the cells inside
+    that bound, largest bound first, dropping the rest as the best value grows.
+    """
+    G, n = _COVER_GRID, x.size
+    hx, hy = al / G, be / G
+    gx, gy = (np.arange(G) + 0.5) * hx, (np.arange(G) + 0.5) * hy
+    cell = np.minimum((x * (G / al)).astype(np.int64), G - 1) * G
+    cell += np.minimum((y * (G / be)).astype(np.int64), G - 1)
+    order = np.argsort(cell)
+    x, y, cell = x[order], y[order], cell[order]
+    start = np.searchsorted(cell, np.arange(G * G + 1))  # cell c holds start[c]:start[c + 1]
+
+    reach = 2.0 * math.sqrt(al) * math.sqrt(be / n)
+    (ox, rx), (oy, ry) = _cell_window(reach / hx), _cell_window(reach / hy)
+    best = np.full(G * G, np.inf)
+    step = max(1, _COVER_CHUNK // (ox.size * oy.size))
+    for s in range(0, n, step):
+        ci, cj = np.divmod(cell[s : s + step, None], G)
+        ti, tj = (ci + ox) % G, (cj + oy) % G
+        f = _torus_sq(gx[ti][:, :, None], gy[tj][:, None, :], x[s : s + step, None, None],
+                      y[s : s + step, None, None], al, be)
+        np.minimum.at(best, (ti[:, :, None] * G + tj[:, None, :]).ravel(), f.ravel())
+    exact = best <= min(rx * hx, ry * hy) ** 2 * (1 - _COVER_SLACK)
+    top = float(best[exact].max(initial=0.0))
+    rest = np.flatnonzero(~exact & (best > top))
+    if rest.size == 0:
+        return math.sqrt(top)
+
+    e, near = _nearest_occupied_cell(np.diff(start).reshape(G, G) > 0, hx, hy)
+    e, near = e.ravel()[rest], near.ravel()[rest]
+    half = 0.5 * math.hypot(hx, hy) * (1 + _COVER_SLACK)
+    top = max(top, float((np.maximum(e - half, 0.0) ** 2).max()) * (1 - _COVER_SLACK))
+    keep = (e + half) ** 2 * (1 + _COVER_SLACK) > top
+    rest, near = rest[keep], near[keep]
+    ci, cj = np.divmod(rest, G)
+    # the samples of the nearest occupied cell give an upper bound close to the value
+    near_min = _ranges_min(start[near], start[near + 1], gx[ci], gy[cj], x, y, al, be)
+    upper = np.minimum(best[rest], near_min)
+    order = np.argsort(-upper)
+    rest, upper = rest[order], upper[order]
+    batch = 16  # doubles: the first centers searched usually settle the maximum
+    while rest.size:
+        # column offsets -k..k reach every sample within sqrt(upper)
+        reach = np.sqrt(upper[:batch] * (1 + _COVER_SLACK))
+        k = np.minimum(np.ceil(reach / hx + 0.5), G // 2).astype(np.int64)
+        ncol = np.minimum(2 * k + 1, G)
+        b = max(1, int(np.searchsorted(np.cumsum(ncol), _COVER_CHUNK, side="right")))
+        owner = np.repeat(np.arange(b), ncol[:b])
+        off = np.arange(owner.size) - np.repeat(np.cumsum(ncol[:b]) - ncol[:b] + k[:b], ncol[:b])
+        ci, cj = np.divmod(rest[owner], G)
+        gap = np.maximum(np.abs(off) - 0.5, 0.0) * hx * (1 - _COVER_SLACK)
+        dy = np.sqrt(np.maximum(upper[owner] * (1 + _COVER_SLACK) - gap * gap, 0.0))
+        lo = np.floor((gy[cj] - dy) / hy - 1e-6).astype(np.int64)
+        hi = np.floor((gy[cj] + dy) / hy + 1e-6).astype(np.int64)
+        whole = hi - lo + 1 >= G
+        lo, hi = np.where(whole, 0, lo % G), np.where(whole, G - 1, hi - lo + lo % G)
+        base = (ci + off) % G * G  # rows lo..hi of the column, the part beyond G - 1 wrapped
+        value = np.full(b, np.inf)
+        for a, z in ((lo, np.minimum(hi, G - 1) + 1), (0, np.maximum(hi - G + 1, 0))):
+            found = _ranges_min(start[base + a], start[base + z], gx[ci], gy[cj], x, y, al, be)
+            np.minimum.at(value, owner, found)
+        top = max(top, float(value.max()))
+        keep = upper[b:] > top
+        rest, upper, batch = rest[b:][keep], upper[b:][keep], 2 * batch
+    return math.sqrt(top)
+
+
+def _cell_window(reach: float) -> tuple[np.ndarray, float]:
+    """Cell offsets -w..w with w + 1/2 >= reach (in cells), and the window's inner
+    radius w + 1/2; every cell once, radius inf, when the window would wrap."""
+    w = max(0, math.ceil(min(reach, _COVER_GRID) - 0.5))
+    if 2 * w + 1 >= _COVER_GRID:
+        return np.arange(_COVER_GRID), math.inf
+    return np.arange(-w, w + 1), w + 0.5
+
+
+def _nearest_occupied_cell(occupied: np.ndarray, hx: float, hy: float):
+    """For each cell of the periodic grid, the distance from its center to the
+    nearest occupied cell's center, and that cell's flat index: the nearest
+    occupied row in each column, then the minimum over column offsets, nearest
+    first, until the offset alone exceeds every distance."""
+    G = occupied.shape[0]
+    k, j = np.arange(3 * G), np.arange(G)
+    tiled = np.tile(occupied, 3)
+    below = np.maximum.accumulate(np.where(tiled, k, -2 * G), axis=1)[:, G : 2 * G]
+    above = np.minimum.accumulate(np.where(tiled, k, 5 * G)[:, ::-1], axis=1)[:, ::-1]
+    above = above[:, G : 2 * G]
+    row = np.where(j + G - below <= above - j - G, below, above) - G
+    col2 = np.where(occupied.any(axis=1)[:, None], ((row - j) * hy) ** 2, np.inf)
+    twice = np.concatenate([col2, col2])  # twice[first + i] is column (i + first) % G
+    e2, src = col2.copy(), np.repeat(j[:, None], G, axis=1)
+    for s in range(1, G // 2 + 1):
+        if (s * hx) ** 2 >= e2.max():
+            break
+        for first in (G - s, s):  # the columns s to the left, then to the right
+            cand = (s * hx) ** 2 + twice[first : first + G]
+            better = cand < e2
+            np.copyto(e2, cand, where=better)
+            np.copyto(src, (j[:, None] + first) % G, where=better)
+    return np.sqrt(e2), src * G + row[src, j] % G
+
+
+def _ranges_min(lo, hi, cx, cy, x, y, al: float, be: float) -> np.ndarray:
+    """min of _torus_sq from (cx[r], cy[r]) over the samples lo[r]:hi[r], inf for an
+    empty range, _COVER_CHUNK samples at a time."""
+    out = np.full(lo.size, np.inf)
+    size = hi - lo
+    nz = np.flatnonzero(size > 0)
+    end = np.cumsum(size[nz])
+    total = int(end[-1]) if nz.size else 0
+    for b in range(0, total, _COVER_CHUNK):
+        flat = np.arange(b, min(b + _COVER_CHUNK, total))
+        r = np.searchsorted(end, flat, side="right")
+        idx = lo[nz[r]] + flat - (end[r] - size[nz[r]])
+        f = _torus_sq(cx[nz[r]], cy[nz[r]], x[idx], y[idx], al, be)
+        first = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        np.minimum.at(out, nz[r[first]], np.minimum.reduceat(f, first))
+    return out
 
 
 _BY_TAG = {

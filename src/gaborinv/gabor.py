@@ -19,8 +19,9 @@ L x L matrix; the span of the system stays in these blocks (`SubspaceBasis`).
 Only G = gcd(a, L/b) of the blocks are distinct: with x (L/b) = G mod a and
 y = (x L/b - G)/a, block r0 + q G is Z_r0[(j + q x) mod b, (k + q y) mod L/a],
 a row and column roll of block r0 < G (Strohmer 1998; Sondergaard 2012).  So
-`fibre_svd` factors the G orbit representatives only, and every Walnut-block
-SVD of the package goes through it.
+`fibre_svd` factors the G orbit representatives only, `fibre_singular_values`
+gives their values alone, and every Walnut-block SVD of the package goes
+through one of the two.
 The Walnut and Janssen forms are scattered from these blocks and from the
 inner-product table, and the windows pi(t_i, m_i) f are one gather
 (`tf_shifts`).  Matrices are never mutated and all functions are pure.
@@ -54,6 +55,7 @@ __all__ = [
     "SystemAnalysis",
     "FibreSVD",
     "fibre_svd",
+    "fibre_singular_values",
     "tf_shift",
     "tf_shifts",
     "shift_operator",
@@ -315,14 +317,22 @@ def fibre_svd(g: np.ndarray, t_step: int, f_step: int) -> FibreSVD:
     P/G modulo t_step/G, so x P = G mod t_step (x = 0 when G = t_step).
     Expanding to all blocks is one gather, `FibreSVD.expand`.
     """
-    L = g.shape[0]
-    P = L // f_step
-    G = gcd(t_step, P)
-    Z = _fibres(g, t_step, f_step, G)
-    U, s, _ = np.linalg.svd(Z.reshape(G, f_step, -1), full_matrices=False)
+    U, s, _ = np.linalg.svd(_representatives(g, t_step, f_step), full_matrices=False)
+    P, G = g.shape[0] // f_step, U.shape[0]
     q, orbit = np.divmod(np.arange(P), G)
     rows = (np.arange(f_step) + (q * pow(P // G, -1, t_step // G))[:, None]) % f_step
     return FibreSVD(U, s, orbit, rows)
+
+
+def fibre_singular_values(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
+    """`fibre_svd(g, t_step, f_step).s` without the singular vectors: (G, c), descending."""
+    return np.linalg.svd(_representatives(g, t_step, f_step), compute_uv=False)
+
+
+def _representatives(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
+    """The G = gcd(t_step, L/f_step) distinct Walnut blocks as a (G, f_step, c) stack."""
+    G = gcd(t_step, g.shape[0] // f_step)
+    return _fibres(g, t_step, f_step, G).reshape(G, f_step, -1)
 
 
 def tf_inner_products(f: np.ndarray, h: np.ndarray, t_step: int, f_step: int) -> np.ndarray:

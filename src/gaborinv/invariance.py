@@ -41,6 +41,7 @@ from .gabor import (
     SubspaceBasis,
     SystemAnalysis,
     analyze_system,
+    fibre_singular_values,
     fibre_svd,
     orthonormal_range,
     periodized_gaussian,
@@ -443,7 +444,8 @@ def small_shift_completeness(
     o1 = d // gcd(x1, y1, d)
     V = np.array([[x1 % d, x2 % d], [y1 % d, y2 % d]])
     t, m = V @ np.stack(np.divmod(np.arange(n_cls), n_cls // o1)) % d
-    s = fibre_svd(tf_shifts(sys.window, t, m), d, d).s  # one block per orbit: (L/d)/G each
+    # one block per orbit, standing for (L/d)/G blocks each
+    s = fibre_singular_values(tf_shifts(sys.window, t, m), d, d)
     return int(np.sum(s > rank_tol * s.max())) * (L // d) // len(s) == L
 
 

@@ -291,7 +291,7 @@ class TestScanDensityGaussianEquid:
     )
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
     def test_equidistribution_non_finite_samples_exit_2(self, tmp_path, capsys, args):
-        # these exited 2 only through scipy's "data must be finite", after numpy warnings
+        # non-finite samples are rejected before any distance is taken, without numpy warnings
         assert run(tmp_path, "equidistribution", "--z", "1,1", "--n", "100", *args) == 2
         err = capsys.readouterr().err
         assert err.startswith("InvalidParameter: every sample j*t_step*z must be finite")
@@ -538,12 +538,17 @@ def test_tolerance_flag_defaults_are_the_library_defaults():
         assert args.rank_tol == gabor.DEFAULT_RANK_TOL
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    """scipy.spatial, most of the import time, loads only for the equidistribution diagnostic."""
+def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path):
+    """No command needs scipy: a cold equidistribution run, the package's one
+    nearest-sample search, leaves every scipy module unloaded."""
+    script = f"""
+import sys
+from gaborinv.cli import main
+
+code = main(["equidistribution", "--z", "1,sqrt2", "--n", "1000", "--output-dir", {str(tmp_path)!r}])
+print(code, [name for name in sys.modules if name.split(".")[0] == "scipy"])
+"""
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, gaborinv.cli; print('scipy.spatial' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
     )
-    assert proc.stdout.strip() == "False", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr

@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaborinv.density import (
@@ -612,9 +613,76 @@ class TestEquidistribution:
     )
     @pytest.mark.filterwarnings("error")
     def test_rejects_non_finite_samples(self, z, t_step):
-        # j * t_step * z overflowed or was NaN; the modulo warned and scipy raised a ValueError
+        # j * t_step * z overflows or is NaN: the modulo would warn, and no distance to
+        # such a sample is a number
         with pytest.raises(InvalidParameter, match="must be finite"):
             equidistribution_diagnostic(z, SeparableLattice(1, 1), t_step, 10)
+
+
+def orbit(z, cell, t_step, n):
+    """The diagnostic's samples j*t_step*z mod the cell, j = 1..n, and the cell's sides."""
+    al, be = float(cell.alpha), float(cell.beta)
+    j = np.arange(1, n + 1, dtype=float)
+    x, y = (j * t_step * z[0]) % al, (j * t_step * z[1]) % be
+    return x % al, y % be, al, be
+
+
+def cell_centers(al, be):
+    """The centers of the diagnostic's 200 x 200 partition of the cell."""
+    return (np.arange(200) + 0.5) * (al / 200), (np.arange(200) + 0.5) * (be / 200)
+
+
+def covering_radius_oracle(z, cell, t_step, n):
+    """Every center against every sample: sqrt of the largest min of dx*dx + dy*dy,
+    dx = min(|qx - px|, alpha - |qx - px|) and dy alike."""
+    x, y, al, be = orbit(z, cell, t_step, n)
+    gx, gy = cell_centers(al, be)
+    dy = np.abs(gy[:, None] - y)
+    dy = np.minimum(dy, be - dy)
+    dy2, total = dy * dy, np.empty_like(dy)
+    worst = 0.0
+    for qx in gx:
+        dx = np.abs(qx - x)
+        dx = np.minimum(dx, al - dx)
+        worst = max(worst, float(np.add(dx * dx, dy2, out=total).min(axis=1).max()))
+    return math.sqrt(worst)
+
+
+irrational = st.tuples(st.just(1.0), st.sampled_from([math.sqrt(2), math.sqrt(3), math.pi, math.e]))
+sides = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(1, 7), Fraction(5)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    z=st.one_of(irrational, st.sampled_from([(1.0, 0.0), (1.0, 2.0), (0.0, 1.0)])),
+    t_step=st.sampled_from([GOLDEN, 0.1]),
+    n=st.sampled_from([1, 2, 100, 10_000]),
+    alpha=sides,
+    beta=sides,
+)
+@example(z=(1.0, math.sqrt(2)), t_step=GOLDEN, n=10_000, alpha=Fraction(1), beta=Fraction(1))
+@example(z=(1.0, 0.0), t_step=GOLDEN, n=10_000, alpha=Fraction(1), beta=Fraction(1))
+@example(z=(1.0, 2.0), t_step=GOLDEN, n=10_000, alpha=Fraction(1), beta=Fraction(1))
+@example(z=(1.0, math.sqrt(2)), t_step=0.1, n=10_000, alpha=Fraction(1), beta=Fraction(1))
+def test_covering_radius_is_the_brute_force_float(z, t_step, n, alpha, beta):
+    cell = SeparableLattice(alpha, beta)
+    cov, _ = equidistribution_diagnostic(z, cell, t_step, n)
+    assert cov == covering_radius_oracle(z, cell, t_step, n)
+
+
+@pytest.mark.parametrize("zy", [math.sqrt(2), math.sqrt(3), math.pi])
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+def test_covering_radius_matches_periodic_kdtree(zy, beta):
+    """The benchmark's nine orbits at its n = 20000, against scipy's periodic kd-tree."""
+    spatial = pytest.importorskip("scipy.spatial")
+    cell = SeparableLattice(1, beta)
+    x, y, al, be = orbit((1.0, zy), cell, GOLDEN, 20_000)
+    gx, gy = cell_centers(al, be)
+    qx, qy = np.meshgrid(gx, gy, indexing="ij")
+    tree = spatial.cKDTree(np.stack([x, y], axis=1), boxsize=(al, be))
+    dists, _ = tree.query(np.stack([qx.ravel(), qy.ravel()], axis=1))
+    cov, _ = equidistribution_diagnostic((1.0, zy), cell, GOLDEN, 20_000)
+    assert cov == float(dists.max())
 
 
 class TestJsonRoundTrip:

@@ -13,6 +13,7 @@ from gaborinv.gabor import (
     SubspaceBasis,
     analyze_system,
     canonical_dual,
+    fibre_singular_values,
     fibre_svd,
     cross_frame_operator,
     frame_bounds,
@@ -349,9 +350,9 @@ def test_fibred_analysis_matches_dense_eigh(sys):
 
 
 def check_fibre_svd(g, t, f):
-    """fibre_svd(g, t, f) against the rolled blocks and a per-block SVD.  With
-    P = L/f, G = gcd(t, P), x P = G mod t and y = (x P - G)/t, block r0 + q G
-    is Z[r0][(j + q x) mod f, (k + q y) mod L/t]."""
+    """fibre_svd(g, t, f) and fibre_singular_values against the rolled blocks and
+    a per-block SVD.  With P = L/f, G = gcd(t, P), x P = G mod t and
+    y = (x P - G)/t, block r0 + q G is Z[r0][(j + q x) mod f, (k + q y) mod L/t]."""
     L = g.shape[0]
     P = L // f
     G = math.gcd(t, P)
@@ -372,6 +373,7 @@ def check_fibre_svd(g, t, f):
     ref = np.linalg.svd(blocks, compute_uv=False)
     atol = 1e-12 * ref.max(axis=1, initial=0.0)[:, None]
     assert np.all(np.abs(s - ref) <= atol)
+    assert np.all(np.abs(fibre_singular_values(g, t, f)[fib.orbit] - ref) <= atol)
     gram = U.conj().swapaxes(1, 2) @ U
     assert np.abs(gram - np.eye(U.shape[2])).max(initial=0.0) <= 1e-12
     assert np.all(np.abs(np.linalg.norm(blocks.conj().swapaxes(1, 2) @ U, axis=1) - s) <= atol)

@@ -27,6 +27,19 @@ def test_no_assert_statements():
     assert not found
 
 
+def test_no_module_imports_scipy():
+    """numpy is the package's one numerical dependency."""
+    found = [
+        path.name
+        for path in sorted(Path(gaborinv.__file__).parent.glob("*.py"))
+        if any(
+            (name or "").split(".")[0] == "scipy"
+            for name in imported_names(ast.parse(path.read_text()))
+        )
+    ]
+    assert not found
+
+
 def test_cli_writes_files_only_through_serialize():
     """The file formats are decided in one module: cli imports no csv and opens no file."""
     tree = ast.parse((Path(gaborinv.__file__).parent / "cli.py").read_text())
