@@ -24,7 +24,11 @@ gives their values alone, and every Walnut-block SVD of the package goes
 through one of the two.
 The Walnut and Janssen forms are scattered from these blocks and from the
 inner-product table, and the windows pi(t_i, m_i) f are one gather
-(`tf_shifts`).  Matrices are never mutated and all functions are pure.
+(`tf_shifts`).  Matrices are never mutated.  The one stored state is the
+analysis of a system: `analyze_system` keeps its `SystemAnalysis` on the
+`FiniteGaborSystem`, one per rank_tol, with read-only arrays, so the criteria,
+the scan, the dual window and the frame bounds of one system share one
+factorization; every other function is pure.
 """
 
 from __future__ import annotations
@@ -120,6 +124,8 @@ class FiniteGaborSystem:
     a: int
     b: int
     window: np.ndarray
+    # the SystemAnalysis of each rank_tol, filled by analyze_system; a replaced system starts empty
+    _analyses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L, a, b = lattice_steps(self.L, self.a, self.b)
@@ -351,7 +357,9 @@ class SystemAnalysis:
 
     `eigenvalues` is the ascending spectrum of S, the union of the spectra of
     its L/b Walnut blocks, from one batched SVD; `frame` and `dual` are
-    read from it.
+    read from it.  `analyze_system` stores it on the system, so every caller
+    holds the same object: `eigenvalues`, `dual.gamma`, `dual.span.blocks`
+    and `dual.span.ranks` are read-only.
     """
 
     system: FiniteGaborSystem
@@ -372,8 +380,21 @@ def analyze_system(
     criterion (i) and the DFT-vector identity read this span.  ZeroWindow for
     an all-zero window, InvalidParameter when lambda_max or the reciprocal of a
     kept eigenvalue leaves the float range.
+
+    The analysis is computed on the first call for each rank_tol and stored on
+    the system; later calls, also from `canonical_dual`, `frame_bounds`, the
+    criteria engine and the scan, return the stored object.  A call that
+    raises stores nothing.
     """
     check_tolerance("rank_tol", rank_tol)
+    an = sys._analyses.get(rank_tol)
+    if an is None:  # two concurrent first calls both compute; both get the one stored
+        an = sys._analyses.setdefault(rank_tol, _analyze(sys, rank_tol))
+    return an
+
+
+def _analyze(sys: FiniteGaborSystem, rank_tol: float) -> SystemAnalysis:
+    """The body of `analyze_system`, on a checked rank_tol, with read-only arrays."""
     if not np.any(sys.window):
         raise ZeroWindow("frame operator is zero")
     L, P = sys.L, sys.n_freq
@@ -398,6 +419,8 @@ def analyze_system(
     x = sys.window.reshape(sys.b, P).T[..., None]  # the fibres of g
     gamma = (V @ (inv[..., None] * (V.conj().swapaxes(1, 2) @ x)))[..., 0].T.ravel()
     span = SubspaceBasis(V * keep[:, None, :])
+    for shared in (spectrum, gamma, span.blocks, span.ranks):
+        shared.setflags(write=False)
     return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span))
 
 

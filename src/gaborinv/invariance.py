@@ -155,12 +155,9 @@ def scan_invariance(
     "spans_everything"; any residual inside the [tol, 1000*tol] gray band ->
     "inconclusive".
     """
-    return _scan(analyze_system(sys, rank_tol), refinement, tol)
-
-
-def _scan(an: SystemAnalysis, refinement: int, tol: float) -> InvarianceReport:
+    an = analyze_system(sys, rank_tol)
     check_tolerance("tol", tol)
-    sys, g = an.system, an.system.window
+    g = sys.window
     d = gcd(sys.a, sys.b)
     message = f"refinement must divide gcd(a, b) = {d}, got {refinement}"
     r = exact_int(refinement, InvalidRefinement, message, 1, d)
@@ -303,32 +300,10 @@ def criteria_engine(
     onto K, vanishing on K^perp).  The normalization constant a*b/L (the
     finite alpha*beta) is recorded in the report.
     """
-    return _criteria(analyze_system(sys, rank_tol), nu, tol)
-
-
-def _slice_blocks(an: SystemAnalysis, nu: int):
-    """nu, read here (an int >= 2 dividing a), the blocks of P, the phases d and
-    the fibres of P M_{s L/a} g on the a/nu Walnut fibres {r + j a/nu : j < n} of
-    the slice L_0, the system (L/b, nu L/a).  On a fibre M_{s L/a} is the phase
-    e^{2 pi i s r/a} (left out of the fibres of P M_{s L/a} g) times d_s[j] =
-    exp(2 pi i s j / nu), so L_s has the blocks d_s Q_r and P_s the blocks d_s P_r d_s^*.
-    """
-    sys, g = an.system, an.system.window
-    L, a, b = sys.L, sys.a, sys.b
-    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
-    exact_int(nu, InvalidNu, f"nu must divide the time step a={a}, got {nu}", 1, a)
-    n = nu * (L // a)
-    W = walnut_fibres(g, L // b, n)
-    P = (L / (nu * b)) * W @ walnut_fibres(an.dual.gamma, L // b, n).conj().swapaxes(1, 2)
-    d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
-    images = np.einsum("rij,srj->sri", P, d[:, None, :] * g.reshape(n, -1).T)
-    return nu, P, d, images
-
-
-def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
+    an = analyze_system(sys, rank_tol)
     check_tolerance("tol", tol)
     nu, P, d, images = _slice_blocks(an, nu)  # (ii), (iii) and the P_s read these
-    sys, g, rank_tol = an.system, an.system.window, an.rank_tol
+    g = sys.window
     L, a, b = sys.L, sys.a, sys.b
     gamma = an.dual.gamma
     res_i = membership_residual(an.dual.span, tf_shift(g, a // nu, 0))
@@ -397,6 +372,25 @@ def _criteria(an: SystemAnalysis, nu: int, tol: float) -> CriteriaReport:
         frame=an.frame,
         adjoint_inner_products=inner,
     )
+
+
+def _slice_blocks(an: SystemAnalysis, nu: int):
+    """nu, read here (an int >= 2 dividing a), the blocks of P, the phases d and
+    the fibres of P M_{s L/a} g on the a/nu Walnut fibres {r + j a/nu : j < n} of
+    the slice L_0, the system (L/b, nu L/a).  On a fibre M_{s L/a} is the phase
+    e^{2 pi i s r/a} (left out of the fibres of P M_{s L/a} g) times d_s[j] =
+    exp(2 pi i s j / nu), so L_s has the blocks d_s Q_r and P_s the blocks d_s P_r d_s^*.
+    """
+    sys, g = an.system, an.system.window
+    L, a, b = sys.L, sys.a, sys.b
+    nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
+    exact_int(nu, InvalidNu, f"nu must divide the time step a={a}, got {nu}", 1, a)
+    n = nu * (L // a)
+    W = walnut_fibres(g, L // b, n)
+    P = (L / (nu * b)) * W @ walnut_fibres(an.dual.gamma, L // b, n).conj().swapaxes(1, 2)
+    d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
+    images = np.einsum("rij,srj->sri", P, d[:, None, :] * g.reshape(n, -1).T)
+    return nu, P, d, images
 
 
 def dft_vector_relation(
@@ -519,8 +513,8 @@ def gaussian_corollary_scenario(
     g = periodized_gaussian(L, c)
     sys = FiniteGaborSystem(L, a, b, g)
     an = analyze_system(sys, rank_tol)
-    crit = _criteria(an, nu, tol)
-    scan = _scan(an, refinement, tol)
+    crit = criteria_engine(sys, nu, tol, rank_tol)
+    scan = scan_invariance(sys, refinement, tol, rank_tol)
 
     ips = tf_inner_products(an.dual.gamma, g, sys.a, sys.b)  # <gamma, pi(k a, l b) g>
     ips[0, 0] -= 1.0

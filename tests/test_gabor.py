@@ -1,13 +1,16 @@
 """Finite Gabor model: shifts, frame operators, duals, Walnut/Janssen forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaborinv import gabor
 from gaborinv.errors import InvalidLattice, InvalidParameter, ZeroWindow
+from gaborinv.invariance import criteria_engine, dft_vector_relation, scan_invariance
 from gaborinv.gabor import (
     FiniteGaborSystem,
     SubspaceBasis,
@@ -288,6 +291,70 @@ class TestFrameBounds:
         fb = frame_bounds(FiniteGaborSystem(120, 12, 12, g))
         assert fb.is_riesz_sequence
         assert fb.rank == 100
+
+
+class TestStoredAnalysis:
+    @staticmethod
+    def system():
+        return FiniteGaborSystem(48, 8, 8, tf_shift(periodized_gaussian(48, np.pi), 5, 3))
+
+    def test_repeated_calls_share_one_analysis(self):
+        sys = self.system()
+        an = analyze_system(sys)
+        assert analyze_system(sys) is an
+        assert canonical_dual(sys) is an.dual and frame_bounds(sys) is an.frame
+
+    def test_each_rank_tol_has_its_own_analysis(self):
+        sys = self.system()
+        an, coarse = analyze_system(sys), analyze_system(sys, 1e-6)
+        assert coarse is not an and coarse.rank_tol == 1e-6
+        assert analyze_system(sys, 1e-6) is coarse and analyze_system(sys) is an
+
+    @pytest.mark.parametrize(
+        "sys, error",
+        [
+            (FiniteGaborSystem(8, 4, 4, np.zeros(8)), ZeroWindow),
+            (TestCanonicalDual.tiny_system(1e-170), InvalidParameter),
+        ],
+    )
+    def test_a_failed_analysis_raises_on_every_call(self, sys, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                analyze_system(sys)
+
+    def test_replaced_system_is_analysed_afresh(self):
+        sys = self.system()
+        an = analyze_system(sys)
+        assert analyze_system(replace(sys)) is not an
+        moved = replace(sys, window=tf_shift(sys.window, 1, 0))
+        fresh = analyze_system(FiniteGaborSystem(48, 8, 8, moved.window))
+        np.testing.assert_array_equal(analyze_system(moved).dual.gamma, fresh.dual.gamma)
+        assert not np.array_equal(fresh.dual.gamma, an.dual.gamma)
+
+    def test_shared_arrays_are_read_only(self):
+        sys = self.system()
+        before = criteria_engine(sys, 2).to_json_dict()
+        an = analyze_system(sys)
+        for shared in (canonical_dual(sys).gamma, an.dual.span.blocks, an.dual.span.ranks,
+                       an.eigenvalues):
+            with pytest.raises(ValueError):
+                shared[(0,) * shared.ndim] = 0
+        assert criteria_engine(sys, 2).to_json_dict() == before
+
+    def test_one_factorization_per_system(self, monkeypatch):
+        sys, calls = self.system(), []
+
+        def counted(g, t_step, f_step):
+            calls.append((t_step, f_step))
+            return fibre_svd(g, t_step, f_step)
+
+        monkeypatch.setattr(gabor, "fibre_svd", counted)
+        criteria_engine(sys, 2)
+        scan_invariance(sys, 2)
+        canonical_dual(sys)
+        frame_bounds(sys)
+        dft_vector_relation(sys, 2)
+        assert calls.count((sys.a, sys.b)) == 1
 
 
 @st.composite

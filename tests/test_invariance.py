@@ -170,9 +170,10 @@ class TestScan:
             scan_invariance(FiniteGaborSystem(8, 4, 4, np.zeros(8)), refinement=2)
 
     def test_span_stays_in_blocks_at_large_L(self):
-        # a dense L x rank span at L = 2048 alone takes 64 MiB
-        sys = gaussian_system(2048, 32, 32)
+        # a dense L x rank span at L = 2048 alone takes 64 MiB; each run gets a fresh
+        # system, so that the scan's budget also covers the analysis it stores
         for run, budget in ((analyze_system, 16), (lambda s: scan_invariance(s, 4), 32)):
+            sys = gaussian_system(2048, 32, 32)
             tracemalloc.start()
             try:
                 run(sys)
