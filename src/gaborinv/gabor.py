@@ -21,14 +21,18 @@ y = (x L/b - G)/a, block r0 + q G is Z_r0[(j + q x) mod b, (k + q y) mod L/a],
 a row and column roll of block r0 < G (Strohmer 1998; Sondergaard 2012).  So
 `fibre_svd` factors the G orbit representatives only, `fibre_singular_values`
 gives their values alone, and every Walnut-block SVD of the package goes
-through one of the two.
+through one of the two.  The adjoint system (L/b, L/a) needs none of its own:
+its block r0 < G (the same G) is block r0 of (a, b) transposed, with its rows
+and columns index-reversed (Walnut duality; Janssen 1995), so
+`FibreSVD.adjoint` reads its factors from the right singular vectors.
 The Walnut and Janssen forms are scattered from these blocks and from the
 inner-product table, and the windows pi(t_i, m_i) f are one gather
 (`tf_shifts`).  Matrices are never mutated.  The one stored state is the
-analysis of a system: `analyze_system` keeps its `SystemAnalysis` on the
-`FiniteGaborSystem`, one per rank_tol, with read-only arrays, so the criteria,
-the scan, the dual window and the frame bounds of one system share one
-factorization; every other function is pure.
+analysis of a system: `analyze_system` keeps its `SystemAnalysis`, with the
+`FibreSVD` it came from, on the `FiniteGaborSystem`, one per rank_tol, with
+read-only arrays, so the criteria, the scan, the dual window and the frame
+bounds of one system share one factorization, and the criteria read the
+adjoint system's from it; every other function is pure.
 """
 
 from __future__ import annotations
@@ -292,7 +296,7 @@ def _fibres(g: np.ndarray, t_step: int, f_step: int, blocks: int) -> np.ndarray:
 
 
 class FibreSVD(NamedTuple):
-    """Left singular factors of the Walnut blocks of (t_step, f_step), one per orbit.
+    """Singular factors of the Walnut blocks of (t_step, f_step), one per orbit.
 
     Block r = r0 + q G of `walnut_fibres` (G = gcd(t_step, L/f_step), r0 < G)
     is block r0 with its rows rolled by q x and its columns by q y, so it has
@@ -304,30 +308,59 @@ class FibreSVD(NamedTuple):
     s: np.ndarray  # (G, c): their singular values, descending
     orbit: np.ndarray  # (P,): r0 of block r
     rows: np.ndarray  # (P, f_step): the rolled row index of block r
+    Vh: np.ndarray  # (G, c, L/t_step): their right singular vectors, as rows
 
     def expand(self, blocks: np.ndarray) -> np.ndarray:
         """(G, f_step, ...) arrays on the representatives as (P, f_step, ...) on every block."""
         return blocks[self.orbit[:, None], self.rows]
+
+    def expand_basis(self, basis: SubspaceBasis) -> SubspaceBasis:
+        """A checked basis on the representatives, such as `range`, on every block.
+        A row permutation keeps orthonormality and ranks bit for bit, so the
+        expansion is one gather and the Gram matrices are not formed again."""
+        out = object.__new__(SubspaceBasis)
+        object.__setattr__(out, "blocks", self.expand(basis.blocks))
+        object.__setattr__(out, "ranks", basis.ranks[self.orbit])
+        return out
 
     def range(self, rank_tol: float) -> SubspaceBasis:
         """The representatives' part of the column space, cut as by `orthonormal_range`:
         every block shares its representative's singular values, so s_max is theirs."""
         return _cut(self.U, self.s, rank_tol)
 
+    def adjoint(self) -> FibreSVD:
+        """The factors of the adjoint system (L/f_step, L/t_step), for one window.
+
+        Its block r0 is block r0 here transposed, with row k read from row
+        -k mod L/t_step and column j from column -j mod f_step (Walnut duality;
+        Janssen 1995), so its left singular vectors are Vh[r0]^T with the rows
+        so reversed, its singular values are s, and no SVD is computed.
+        """
+        G, f_step, _ = self.U.shape
+        P, N = len(self.orbit), self.Vh.shape[2]
+        U = self.Vh.swapaxes(1, 2)[:, -np.arange(N) % N]
+        Vh = self.U.swapaxes(1, 2)[:, :, -np.arange(f_step) % f_step]
+        return FibreSVD(U, self.s, *_orbit_map(P * f_step, P, N, G), Vh)
+
 
 def fibre_svd(g: np.ndarray, t_step: int, f_step: int) -> FibreSVD:
     """One batched SVD of the G = gcd(t_step, L/f_step) distinct Walnut blocks.
 
     The window or stack g and the steps are as in `walnut_fibres`; a stack's
-    blocks are (f_step, (L/t_step) * windows) matrices.  x is the inverse of
-    P/G modulo t_step/G, so x P = G mod t_step (x = 0 when G = t_step).
-    Expanding to all blocks is one gather, `FibreSVD.expand`.
+    blocks are (f_step, (L/t_step) * windows) matrices.  Expanding to all
+    blocks is one gather, `FibreSVD.expand`.
     """
-    U, s, _ = np.linalg.svd(_representatives(g, t_step, f_step), full_matrices=False)
-    P, G = g.shape[0] // f_step, U.shape[0]
+    U, s, Vh = np.linalg.svd(_representatives(g, t_step, f_step), full_matrices=False)
+    return FibreSVD(U, s, *_orbit_map(g.shape[0], t_step, f_step, U.shape[0]), Vh)
+
+
+def _orbit_map(L: int, t_step: int, f_step: int, G: int) -> tuple[np.ndarray, np.ndarray]:
+    """`FibreSVD.orbit` and `FibreSVD.rows` of the blocks of (t_step, f_step) on C^L.
+    x is the inverse of P/G modulo t_step/G, so x P = G mod t_step (x = 0 when
+    G = t_step)."""
+    P = L // f_step
     q, orbit = np.divmod(np.arange(P), G)
-    rows = (np.arange(f_step) + (q * pow(P // G, -1, t_step // G))[:, None]) % f_step
-    return FibreSVD(U, s, orbit, rows)
+    return orbit, (np.arange(f_step) + (q * pow(P // G, -1, t_step // G))[:, None]) % f_step
 
 
 def fibre_singular_values(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
@@ -356,10 +389,12 @@ class SystemAnalysis:
     """The one spectral factorization of a system that its consumers share.
 
     `eigenvalues` is the ascending spectrum of S, the union of the spectra of
-    its L/b Walnut blocks, from one batched SVD; `frame` and `dual` are
-    read from it.  `analyze_system` stores it on the system, so every caller
-    holds the same object: `eigenvalues`, `dual.gamma`, `dual.span.blocks`
-    and `dual.span.ranks` are read-only.
+    its L/b Walnut blocks, from one batched SVD, `fibres`; `frame` and `dual`
+    are read from it, and the criteria engine reads the adjoint system's
+    blocks from `fibres.adjoint()`.  `analyze_system` stores it on the system,
+    so every caller holds the same object: `eigenvalues`, `dual.gamma`,
+    `dual.span.blocks`, `dual.span.ranks` and the arrays of `fibres` are
+    read-only.
     """
 
     system: FiniteGaborSystem
@@ -367,6 +402,7 @@ class SystemAnalysis:
     eigenvalues: np.ndarray
     frame: FrameBounds
     dual: DualWindowResult
+    fibres: FibreSVD
 
 
 def analyze_system(
@@ -419,9 +455,9 @@ def _analyze(sys: FiniteGaborSystem, rank_tol: float) -> SystemAnalysis:
     x = sys.window.reshape(sys.b, P).T[..., None]  # the fibres of g
     gamma = (V @ (inv[..., None] * (V.conj().swapaxes(1, 2) @ x)))[..., 0].T.ravel()
     span = SubspaceBasis(V * keep[:, None, :])
-    for shared in (spectrum, gamma, span.blocks, span.ranks):
+    for shared in (spectrum, gamma, span.blocks, span.ranks, *fib):
         shared.setflags(write=False)
-    return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span))
+    return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span), fib)
 
 
 def canonical_dual(

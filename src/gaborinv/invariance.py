@@ -318,7 +318,7 @@ def criteria_engine(
     # the rolled stack for r0 with one phase per slice, of the same ranks and angles
     slice_fib = fibre_svd(g, L // b, d.shape[1])
     Q0_reps = slice_fib.range(rank_tol)
-    Q0 = SubspaceBasis(slice_fib.expand(Q0_reps.blocks))
+    Q0 = slice_fib.expand_basis(Q0_reps)
     others = orthonormal_range(
         np.concatenate([d[s, :, None] * Q0_reps.blocks for s in range(1, nu)], axis=2), rank_tol
     )
@@ -328,8 +328,9 @@ def criteria_engine(
     # j = c mod nu of slice block r, so PK is class-diagonal and commutes with
     # every d_s.  Each identity of the P_s = d_s P d_s^* is then one of P:
     # P_s P_r = d_s (P d_{r-s} P) d_r^* and sum_s P_s = nu P on j1 = j2 mod nu.
-    adjoint_fib = fibre_svd(g, L // b, L // a)
-    K = SubspaceBasis(adjoint_fib.expand(adjoint_fib.range(rank_tol).blocks))
+    # Its blocks are the system's own, transposed and index-reversed (Walnut duality).
+    adjoint_fib = an.fibres.adjoint()
+    K = adjoint_fib.expand_basis(adjoint_fib.range(rank_tol))
     PKc = (K.blocks @ K.blocks.conj().swapaxes(1, 2)).reshape(nu, a // nu, L // a, L // a)
     PK = np.einsum("crjk,cd->rjckd", PKc, np.eye(nu)).reshape(P.shape)
     j = np.arange(d.shape[1]) % nu

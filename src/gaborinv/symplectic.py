@@ -22,14 +22,17 @@ Neuhauser 2009): B = J^k, a single lower shear, or
 
     B = L_{-t} J L_{-x} J L_{c'} J L_{-y} J,     L_u = [[1, 0], [u, 1]],
 
-a word of four DFTs and at most four chirps (`_factor_words`).  U_B is that
-word applied to the identity: each DFT is one inverse FFT per row and each
-chirp one phase vector, so no dense generator matrix is formed.
+a word of four DFTs and at most four chirps (`_factor_words`).  The operator
+acts on vectors through that word (`MetaplecticOperator.apply`): each DFT is
+one inverse FFT and each chirp one phase vector, O(L log L) per column, so
+`transport_system` forms no L x L array.  The dense U_B is built only when
+`unitary` is read, for the covariance identity: the word applied to the
+identity, one inverse FFT per row for each DFT, kept on the operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -73,14 +76,75 @@ def _mul(A, M, L: int) -> tuple:
     return tuple(tuple(sum(a * m for a, m in zip(row, col)) % L for col in zip(*M)) for row in A)
 
 
+def _chirp(c: int, L: int) -> np.ndarray:
+    """The phase vector w^{c n^2 (L+1)/2} of the chirp c; (L + 1)/2 = 2^{-1} mod odd L."""
+    n2, half = np.arange(L) ** 2 % L, (L + 1) // 2
+    return np.exp(2j * np.pi * (n2 * (c * half % L) % L) / L)
+
+
+def _word_on_identity(factors: tuple, L: int) -> np.ndarray:
+    """The dense U_B: the factor word applied to the identity from the right."""
+    U = np.eye(L, dtype=complex)
+    for f in factors:  # U <- U F; W is symmetric, so U W is the inverse FFT of each row
+        if f == _DFT:
+            U = np.fft.ifft(U, axis=1, norm="ortho")  # W[m, n] = L^{-1/2} w^{+mn}
+        else:
+            U *= _chirp(f[1], L)
+    return U
+
+
+class _DenseUnitary:
+    """The `unitary` field of `MetaplecticOperator`: the matrix given to the
+    constructor, or else the word applied to the identity, built on the first
+    read and kept on the operator.  The field's default is this descriptor,
+    which stands for "none given"."""
+
+    def __set__(self, op, U):
+        op.__dict__["_given"] = None if U is self else U
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            return self
+        U = op.__dict__["_given"]
+        if U is None:  # two concurrent first reads may both build; the results are equal
+            U = op.__dict__.get("_dense")
+            if U is None:
+                U = op.__dict__["_dense"] = _word_on_identity(op.factors, op.L)
+        return U
+
+
 @dataclass(frozen=True)
 class MetaplecticOperator:
-    """Unitary realizing a mod-L symplectic matrix, with its generator trace."""
+    """Unitary realizing a mod-L symplectic matrix, with its generator trace.
+
+    `apply` runs the factor word on vectors; `unitary` is the dense L x L
+    matrix, built from the word when first read unless one was given.
+    """
 
     matrix: np.ndarray  # 2x2 integer, det = 1 mod L
-    unitary: np.ndarray  # L x L
     L: int
     factors: tuple  # (("dft",) | ("chirp", c), ...)
+    unitary: np.ndarray = field(default=_DenseUnitary(), repr=False)  # L x L
+
+    def apply(self, x) -> np.ndarray:
+        """U_B x for a signal or the columns of an (L, k) stack.
+
+        The factor word acts from the right: each DFT is an inverse FFT along
+        axis 0 and each chirp scales by its phase vector, O(L log L) per column.
+        An operator given an explicit `unitary` applies that matrix instead.
+        """
+        x = np.asarray(x, dtype=complex)
+        if x.ndim not in (1, 2) or x.shape[0] != self.L:
+            raise InvalidParameter(f"apply needs a length-{self.L} signal or ({self.L}, k) stack")
+        given = self.__dict__["_given"]
+        if given is not None:
+            return given @ x
+        for f in reversed(self.factors):
+            if f == _DFT:
+                x = np.fft.ifft(x, axis=0, norm="ortho")
+            else:
+                x = (_chirp(f[1], self.L) * x.T).T  # scales row n of x
+        return x
 
     def factorization_trace(self) -> list[dict]:
         """JSON-ready list of the generators composing the unitary."""
@@ -138,9 +202,8 @@ def metaplectic_from_generators(B, L: int) -> MetaplecticOperator:
     """Build U_B for an integer matrix with det B = 1 mod L.
 
     L must be odd whenever the factorization needs chirps; pure DFT powers
-    (B = J^k mod L) are available for every L.  The factor word is applied
-    to the identity from the right: a DFT is an inverse FFT of every row
-    and a chirp scales the columns by one phase vector.
+    (B = J^k mod L) are available for every L.  Only the factor word is
+    computed here; `apply` and the dense `unitary` are read from it.
     """
     (x, y), (c, w) = exact_ints(B, (2, 2), InvalidParameter, "B must be a 2x2 integer matrix")
     L = exact_int(L, UnsupportedLength, "L must be positive", 1)
@@ -149,14 +212,7 @@ def metaplectic_from_generators(B, L: int) -> MetaplecticOperator:
         raise NotSymplectic(f"det B = {det} != 1 (mod {L})")
     B = ((x % L, y % L), (c % L, w % L))
     factors = tuple(_factor_words(B, L))
-    n2, half = np.arange(L) ** 2 % L, (L + 1) // 2  # half = 2^{-1} mod odd L
-    U = np.eye(L, dtype=complex)
-    for f in factors:  # U <- U F; W is symmetric, so U W is the inverse FFT of each row
-        if f == _DFT:
-            U = np.fft.ifft(U, axis=1, norm="ortho")  # W[m, n] = L^{-1/2} w^{+mn}
-        else:
-            U *= np.exp(2j * np.pi * (n2 * (f[1] * half % L) % L) / L)
-    return MetaplecticOperator(matrix=np.array(B, dtype=np.int64), unitary=U, L=L, factors=factors)
+    return MetaplecticOperator(matrix=np.array(B, dtype=np.int64), L=L, factors=factors)
 
 
 def covariance_residual(op: MetaplecticOperator, z) -> float:
@@ -206,7 +262,7 @@ def transport_system(op: MetaplecticOperator, sys: FiniteGaborSystem):
     k, l = np.divmod(np.arange(sys.n_time * sys.n_freq), sys.n_freq)
     t, m = (op.matrix @ np.stack([k * sys.a, l * sys.b]) % L).tolist()
     pts = set(zip(t, m))
-    new_window = op.unitary @ sys.window
+    new_window = op.apply(sys.window)
     at, bf = gcd(L, *t), gcd(L, *m)
     if len(pts) == (L // at) * (L // bf):
         return FiniteGaborSystem(L, at, bf, new_window)

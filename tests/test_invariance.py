@@ -36,6 +36,7 @@ from gaborinv.gabor import (
     analyze_system,
     canonical_dual,
     cross_frame_operator,
+    fibre_svd,
     frame_operator_direct,
     gabor_matrix,
     janssen_representation,
@@ -43,6 +44,7 @@ from gaborinv.gabor import (
     periodized_gaussian,
     support_space,
     tf_shift,
+    walnut_fibres,
 )
 from gaborinv.invariance import (
     GAP_FACTOR,
@@ -274,7 +276,49 @@ class TestGroupClosure:
         assert not group_closure_check(rep, gaussian_system(120, 12, 24))
 
 
+@settings(max_examples=100, deadline=None)
+@given(fibred_systems())
+def test_adjoint_blocks_are_the_reversed_transposes(sys):
+    """Walnut duality, bit for bit: block r0 of the adjoint system (L/b, L/a) is
+    block r0 of (a, b) transposed, row k read from -k mod L/a, column j from -j mod b."""
+    L, a, b, g = sys.L, sys.a, sys.b, sys.window
+    G, N = gcd(a, L // b), L // a
+    Z, Z_adj = walnut_fibres(g, a, b)[:G], walnut_fibres(g, L // b, N)[:G]
+    assert np.array_equal(Z_adj, Z.swapaxes(1, 2)[:, -np.arange(N) % N][:, :, -np.arange(b) % b])
+
+    adj, ref = fibre_svd(g, a, b).adjoint(), fibre_svd(g, L // b, N)
+    np.testing.assert_array_equal(adj.orbit, ref.orbit)
+    np.testing.assert_array_equal(adj.rows, ref.rows)
+    scale = max(np.abs(ref.s).max(initial=0.0), 1e-300)
+    assert np.abs(adj.s - ref.s).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs((adj.U * adj.s[:, None, :]) @ adj.Vh - Z_adj).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs(adj.U.conj().swapaxes(1, 2) @ adj.U - np.eye(adj.U.shape[2])).max() <= 1e-12
+    K, K_ref = adj.expand_basis(adj.range(1e-8)), ref.expand_basis(ref.range(1e-8))
+    np.testing.assert_array_equal(K.ranks, K_ref.ranks)
+    # two SVDs of one block agree on a kept subspace to eps s_max over its gap (Wedin)
+    s = np.pad(ref.s, ((0, 0), (0, 1)))
+    kept = ref.range(1e-8).ranks
+    gaps = (s[np.arange(G), kept - 1] - s[np.arange(G), kept])[kept > 0]
+    bound = 100 * np.finfo(float).eps * scale / gaps.min(initial=np.inf)
+    assert np.abs(K.projector() - K_ref.projector()).max() <= bound
+
+
 class TestCriteriaEngine:
+    def test_adjoint_blocks_come_from_the_stored_analysis(self, monkeypatch):
+        sys, shapes, svd = gaussian_system(), [], np.linalg.svd
+        analyze_system(sys)
+
+        def counted(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        criteria_engine(sys, 2)
+        # the slice blocks (2, 20, 12), the other slices' range and the two SVDs of the
+        # principal angles; the 2 adjoint blocks of (L/b, L/a) = (10, 10), (2, 10, 12),
+        # come from the stored analysis and are not factored again
+        assert shapes == [(2, 20, 12), (2, 20, 12), (2, 12, 12), (2, 20, 12)]
+
     def test_positive_case_all_hold(self):
         L, a, b, nu = 144, 12, 8, 2
         sys = FiniteGaborSystem(L, a, b, shifted_sum_window(L, a, nu))

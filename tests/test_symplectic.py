@@ -1,12 +1,20 @@
 """Metaplectic generators, covariance, and system transport."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaborinv import symplectic
-from gaborinv.errors import NotSymplectic, UnsupportedLength, UnsupportedTransport
+from gaborinv.errors import (
+    InvalidParameter,
+    NotSymplectic,
+    UnsupportedLength,
+    UnsupportedTransport,
+)
 from gaborinv.gabor import (
     FiniteGaborSystem,
     frame_bounds,
@@ -344,3 +352,67 @@ def test_unitary_and_residual_match_dense_generators(BL, z):
         U = U @ dense_generator(L, f)
     assert np.abs(op.unitary - U).max() < 1e-12
     assert abs(covariance_residual(op, z) - dense_residual(op, B, z)) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(sl2_mod_l(), st.integers(0, 2**32 - 1))
+def test_apply_matches_the_dense_unitary(BL, seed):
+    B, L = BL
+    op = metaplectic_from_generators(B, L)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(L, 3)) + 1j * rng.normal(size=(L, 3))
+    U = op.unitary
+    assert np.abs(op.apply(x) - U @ x).max() < 1e-12
+    assert np.abs(op.apply(x[:, 1]) - U @ x[:, 1]).max() < 1e-12
+
+
+def rowwise_unitary(factors, L):
+    """The word applied to the identity row by row, written out here: `unitary` equals it
+    bit for bit."""
+    n2, half = np.arange(L) ** 2 % L, (L + 1) // 2
+    U = np.eye(L, dtype=complex)
+    for f in factors:
+        if f == ("dft",):
+            U = np.fft.ifft(U, axis=1, norm="ortho")
+        else:
+            U *= np.exp(2j * np.pi * (n2 * (f[1] * half % L) % L) / L)
+    return U
+
+
+class TestVectorPath:
+    @pytest.mark.parametrize(
+        "B, L", [(J, 480), (J, 44), ([[-1, 0], [0, -1]], 16), *[w[:2] for w in FACTOR_WORDS]]
+    )
+    def test_unitary_is_the_rowwise_build_bit_for_bit(self, B, L):
+        op = metaplectic_from_generators(B, L)
+        assert "unitary" not in repr(op)
+        assert np.array_equal(op.unitary, rowwise_unitary(op.factors, L))
+        assert op.unitary is op.unitary  # built once, then kept
+
+    def test_a_given_unitary_acts_everywhere(self):
+        L, g = 15, periodized_gaussian(15, np.pi)
+        op = metaplectic_from_generators(COMPOSITE, L)
+        U2 = op.unitary[np.r_[1, 0, 2:L]]  # rows 0 and 1 swapped: unitary, not covariant
+        bad = replace(op, unitary=U2)
+        assert bad.unitary is U2
+        moved = transport_system(bad, FiniteGaborSystem(L, 3, 5, g))
+        np.testing.assert_array_equal(moved.window, U2 @ g)
+        assert covariance_residual(bad, (1, 0)) > 1e-3 > 1e-12 > covariance_residual(op, (1, 0))
+
+    def test_transport_at_large_L_builds_no_dense_matrix(self):
+        # one complex 4096 x 4096 array takes 256 MiB
+        L = 4096
+        sys = FiniteGaborSystem(L, 64, 64, periodized_gaussian(L, np.pi))
+        tracemalloc.start()
+        try:
+            moved = transport_system(metaplectic_from_generators(J, L), sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        np.testing.assert_array_equal(moved.window, np.fft.ifft(sys.window, norm="ortho"))
+
+    @pytest.mark.parametrize("x", [np.ones(14), np.ones((15, 2, 2)), np.ones(())])
+    def test_apply_rejects_other_shapes(self, x):
+        with pytest.raises(InvalidParameter):
+            metaplectic_from_generators(COMPOSITE, 15).apply(x)
