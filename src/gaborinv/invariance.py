@@ -7,6 +7,11 @@ detected set, the four equivalent duality criteria with the associated
 the criteria proof, completeness from two small independent invariant
 shifts, and the full Gaussian scenario pipeline.
 
+Criterion (iii) is decided by rank additivity.  Its margin sigma_min, the
+smallest singular value of the stacked slice bases, is read from the rows of
+the slice basis restricted to each class j mod nu, one small values-only SVD;
+for nu = 2 it gives the smallest principal angle between the two slices.
+
 Tolerance discipline: the scan classifies with `tol` (default 1e-6) and a
 mandatory gap check -- every residual must fall below tol or above
 1000*tol, otherwise its verdict is "inconclusive" instead of a silent
@@ -43,7 +48,6 @@ from .gabor import (
     analyze_system,
     fibre_singular_values,
     fibre_svd,
-    orthonormal_range,
     periodized_gaussian,
     tf_inner_products,
     tf_shift,
@@ -212,9 +216,13 @@ class CriteriaReport:
     res_i    : distance of T_{a/nu} g from the span.
     res_ii   : ||P M_{s L/a} g - delta_{s,0} g|| / ||g||, s = 0..nu-1, with
                P = constant^{-1} S_{gamma,g} over steps (L/b, nu L/a).
-    rank_sum / joint_rank / min_principal_gap : the direct-sum test for the
-               adjoint subspaces L_s (rank additivity is the criterion; the
-               principal gap is a conditioning diagnostic, in radians).
+    rank_sum / joint_rank / sigma_min / min_principal_gap : the direct-sum
+               test for the adjoint subspaces L_s.  Rank additivity is the
+               criterion; sigma_min, the smallest singular value of the stacked
+               orthonormal slice bases, is its margin: 0 when the sum is not
+               direct, 1 when the slices are mutually orthogonal.  For nu = 2
+               min_principal_gap is the smallest principal angle between L_0
+               and L_1, 2 arcsin(sigma_min / sqrt 2), in radians; None for nu > 2.
     res_iv   : max |<pi(k L/b, l L/a) gamma, g>| over l not divisible by nu.
     projection_residuals : idempotence, mutual annihilation, sum vs P_K,
                and vanishing on the orthocomplement of K (Frobenius norms).
@@ -229,7 +237,8 @@ class CriteriaReport:
     res_ii: tuple
     rank_sum: int
     joint_rank: int
-    min_principal_gap: float
+    sigma_min: float
+    min_principal_gap: Optional[float]
     res_iv: float
     projection_residuals: dict
     projections_ok: bool
@@ -250,6 +259,7 @@ class CriteriaReport:
             "res_iii": {
                 "rank_sum": self.rank_sum,
                 "joint_rank": self.joint_rank,
+                "sigma_min": self.sigma_min,
                 "min_principal_gap": self.min_principal_gap,
             },
             "res_iv": self.res_iv,
@@ -261,22 +271,6 @@ class CriteriaReport:
             "gamma_l0_residual": self.gamma_l0_residual,
             "frame_bounds": self.frame.to_json_dict(),
         }
-
-
-def _min_principal_angle(A: SubspaceBasis, B: SubspaceBasis) -> np.ndarray:
-    """Smallest principal angle between A and B on each of their common
-    blocks.  It is read from the smallest sine, a singular value of
-    QB - QA QA^H QB and accurate near 0, when its cosine^2 >= 1/2, and from
-    the largest cosine otherwise.
-    """
-    QA, QB = A.blocks, B.blocks
-    C = QA.conj().swapaxes(1, 2) @ QB
-    cos_max = np.linalg.svd(C, compute_uv=False)[:, 0]
-    sines = np.linalg.svd(QB - QA @ C, compute_uv=False)
-    sin_min = sines[np.arange(len(sines)), np.maximum(B.ranks - 1, 0)]
-    return np.where(
-        cos_max**2 >= 0.5, np.arcsin(np.clip(sin_min, 0, 1)), np.arccos(np.clip(cos_max, 0, 1))
-    )
 
 
 def criteria_engine(
@@ -313,17 +307,19 @@ def criteria_engine(
     images[0] -= g.reshape(d.shape[1], -1).T
     res_ii = [float(np.linalg.norm(x) / np.linalg.norm(g)) for x in images]
 
-    # slice block r0 + q G is block r0 with its rows rolled by q x, and d_s rolled by
-    # q x is d_s times the constant w^(-s q x): the stack of the others for block r is
-    # the rolled stack for r0 with one phase per slice, of the same ranks and angles
+    # (iii)'s margin: d_s[j] depends on c = j mod nu only, so with its rows sorted by
+    # class the stack [Q0_r, d_1 Q0_r, ...] is blockdiag(Q_{r,c}) (F_nu x I), F_nu/sqrt(nu)
+    # unitary, and sigma_min = sqrt(nu) min_{r,c} sigma_{k_r}(Q_{r,c}) over the (L/a) x k_r
+    # class rows Q_{r,c}: 0 when k_r > L/a.  A rolled block only permutes the classes.
     slice_fib = fibre_svd(g, L // b, d.shape[1])
     Q0_reps = slice_fib.range(rank_tol)
     Q0 = slice_fib.expand_basis(Q0_reps)
-    others = orthonormal_range(
-        np.concatenate([d[s, :, None] * Q0_reps.blocks for s in range(1, nu)], axis=2), rank_tol
-    )
-    angles = _min_principal_angle(Q0_reps, others)[(Q0_reps.ranks > 0) & (others.ranks > 0)]
-    gap = float(angles.min()) if angles.size else float(np.pi / 2)
+    live = Q0_reps.ranks > 0
+    k = Q0_reps.ranks[live]
+    by_class = Q0_reps.blocks[live, :, : k.max()].reshape(len(k), L // a, nu, -1).swapaxes(1, 2)
+    sv = np.linalg.svd(by_class, compute_uv=False)
+    s_k = sv[np.arange(len(k)), :, np.minimum(k, L // a) - 1] * (k <= L // a)[:, None]
+    sigma_min = float(np.sqrt(nu) * s_k.min())
     # K is the adjoint system (L/b, L/a): its block r + c a/nu is the class
     # j = c mod nu of slice block r, so PK is class-diagonal and commutes with
     # every d_s.  Each identity of the P_s = d_s P d_s^* is then one of P:
@@ -362,7 +358,8 @@ def criteria_engine(
         res_ii=tuple(res_ii),
         rank_sum=rank_sum,
         joint_rank=joint_rank,
-        min_principal_gap=gap,
+        sigma_min=sigma_min,
+        min_principal_gap=2 * float(np.arcsin(sigma_min / np.sqrt(2))) if nu == 2 else None,
         res_iv=res_iv,
         projection_residuals=proj,
         projections_ok=projections_ok,

@@ -111,6 +111,27 @@ class TestCriteria:
         assert code == 0  # verdict_consistent even though all fail
         assert json.loads(capsys.readouterr().out)["verdict"] == "all_fail"
 
+    @pytest.mark.parametrize("system", [("120", "12", "12"), ("144", "12", "8")])
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_direct_sum_margin(self, tmp_path, capsys, system, nu):
+        # sigma_min for every nu; the nu = 2 angle is 2 arcsin(sigma_min / sqrt 2), and
+        # for nu > 2 there is none
+        args = ["criteria", "--L", system[0], "--a", system[1], "--b", system[2], "--nu", str(nu)]
+        d1, d2 = tmp_path / "one", tmp_path / "two"
+        assert main(args + ["--output-dir", str(d1)]) == 0
+        assert main(args + ["--output-dir", str(d2)]) == 0
+        capsys.readouterr()
+        raw = (d1 / "criteria_result.json").read_bytes()
+        assert raw == (d2 / "criteria_result.json").read_bytes()
+        res = json.loads(raw)["res_iii"]
+        assert 0 <= res["sigma_min"] <= 1 + 1e-12
+        if nu == 2:
+            angle = 2 * math.asin(res["sigma_min"] / math.sqrt(2))
+            assert res["min_principal_gap"] == pytest.approx(angle, abs=1e-12, rel=0)
+        else:
+            assert res["min_principal_gap"] is None
+            assert b'"min_principal_gap": null' in raw
+
     @pytest.mark.parametrize("window", ["gaussian", "gaussian-sum", "periodic-gaussian"])
     def test_nu_not_dividing_exit_2(self, tmp_path, capsys, window):
         # the builtin sums shift by a/nu; the plain Gaussian reaches the criteria's check

@@ -121,13 +121,13 @@ def dense_oracle(sys, nu):
     sv = np.linalg.svd(mats[0], compute_uv=False)
     kept_sv = sv[sv > RANK_TOL * sv[0]]
     bases = [orthonormal_range(A, RANK_TOL) for A in mats]
-    gaps = []
-    for s in range(nu):
-        others = orthonormal_range(np.hstack([A for r, A in enumerate(mats) if r != s]), RANK_TOL)
-        if bases[s].rank and others.rank:
-            gaps.append(smallest_angle(
-                bases[s].blocks[0][:, :bases[s].rank], others.blocks[0][:, :others.rank]
-            ))
+    Q = [B.blocks[0][:, :B.rank] for B in bases]
+    # the direct-sum margin: the smallest of the nu * rank singular values of the
+    # stacked orthonormal slice bases, 0 if they cannot all fit in C^L, 1 if empty
+    n = sum(B.rank for B in bases)
+    sigma_min = (
+        1.0 if n == 0 else 0.0 if n > L else np.linalg.svd(np.hstack(Q), compute_uv=False)[n - 1]
+    )
 
     table = np.array([
         [abs(np.vdot(tf_shift(gamma, k * (L // b), l * (L // a)), g)) for l in range(a)]
@@ -151,7 +151,9 @@ def dense_oracle(sys, nu):
         "res_ii": res_ii,
         "rank_sum": sum(ranks),
         "joint_rank": numerical_rank(np.hstack(mats), RANK_TOL),
-        "gap": min(gaps) if gaps else np.pi / 2,
+        "sigma_min": sigma_min,
+        # the smallest principal angle between L_0 and L_1, asserted for nu = 2
+        "gap": smallest_angle(Q[0], Q[1]) if n else np.pi / 2,
         "table": table,
         "res_iv": table[:, np.arange(a) % nu != 0].max(),
         "proj": proj,
@@ -170,6 +172,10 @@ def dense_oracle(sys, nu):
 # the large-L benchmark systems at quarter size; the Gaussian's Walnut blocks fall in 2 orbits
 @example((FiniteGaborSystem(240, 24, 24, builtin_window(240, 24, 24, 2, "gaussian")), 2))
 @example((FiniteGaborSystem(240, 20, 24, builtin_window(240, 20, 24, 2, "periodic-gaussian")), 2))
+# random windows whose slices sum directly but not orthogonally: 0 < sigma_min < 1
+@example((FiniteGaborSystem(60, 6, 3, periodic_window(60, 60, 4)), 2))
+@example((FiniteGaborSystem(60, 6, 3, periodic_window(60, 60, 5)), 3))
+@example((FiniteGaborSystem(48, 8, 4, periodic_window(48, 48, 6)), 4))
 def test_criteria_engine_matches_dense_oracle(case):
     sys, nu = case
     rep = criteria_engine(sys, nu)
@@ -199,7 +205,11 @@ def test_criteria_engine_matches_dense_oracle(case):
     np.testing.assert_allclose(rep.adjoint_inner_products, ref["table"], rtol=tol, atol=tol)
     for key, value in ref["proj"].items():
         assert rep.projection_residuals[key] == pytest.approx(value, **close), key
-    assert rep.min_principal_gap == pytest.approx(ref["gap"], **close)
+    assert rep.sigma_min == pytest.approx(ref["sigma_min"], **close)
+    if nu == 2:
+        assert rep.min_principal_gap == pytest.approx(ref["gap"], **close)
+    else:
+        assert rep.min_principal_gap is None
 
 
 @pytest.mark.parametrize("L, a, b", [(120, 12, 12), (72, 12, 9)])

@@ -314,10 +314,10 @@ class TestCriteriaEngine:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         criteria_engine(sys, 2)
-        # the slice blocks (2, 20, 12), the other slices' range and the two SVDs of the
-        # principal angles; the 2 adjoint blocks of (L/b, L/a) = (10, 10), (2, 10, 12),
-        # come from the stored analysis and are not factored again
-        assert shapes == [(2, 20, 12), (2, 20, 12), (2, 12, 12), (2, 20, 12)]
+        # the slice blocks (2, 20, 12) and their rows by class j mod 2, (2, 2, 10, 12) for
+        # the largest slice rank 12; the 2 adjoint blocks of (L/b, L/a) = (10, 10),
+        # (2, 10, 12), come from the stored analysis and are not factored again
+        assert shapes == [(2, 20, 12), (2, 2, 10, 12)]
 
     def test_positive_case_all_hold(self):
         L, a, b, nu = 144, 12, 8, 2
