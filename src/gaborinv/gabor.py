@@ -18,10 +18,11 @@ Z_r[j, k] = g[r + j L/b - k a], so S is factored as L/b blocks, never as an
 L x L matrix; the span of the system stays in these blocks (`SubspaceBasis`).
 Only G = gcd(a, L/b) of the blocks are distinct: with x (L/b) = G mod a and
 y = (x L/b - G)/a, block r0 + q G is Z_r0[(j + q x) mod b, (k + q y) mod L/a],
-a row and column roll of block r0 < G (Strohmer 1998; Sondergaard 2012).  So
-`fibre_svd` factors the G orbit representatives only, `fibre_singular_values`
-gives their values alone, and every Walnut-block SVD of the package goes
-through one of the two.  The adjoint system (L/b, L/a) needs none of its own:
+a row and column roll of block r0 < G (Strohmer 1998; Sondergaard 2012;
+`orbit_map`).  So `fibre_svd` factors the G orbit representatives
+(`fibre_representatives`) only, `fibre_singular_values` gives their values
+alone, and every Walnut-block SVD of the package goes through one of the two.
+The adjoint system (L/b, L/a) needs none of its own:
 its block r0 < G (the same G) is block r0 of (a, b) transposed, with its rows
 and columns index-reversed (Walnut duality; Janssen 1995), so
 `FibreSVD.adjoint` reads its factors from the right singular vectors.
@@ -64,6 +65,8 @@ __all__ = [
     "FibreSVD",
     "fibre_svd",
     "fibre_singular_values",
+    "fibre_representatives",
+    "orbit_map",
     "tf_shift",
     "tf_shifts",
     "shift_operator",
@@ -314,15 +317,6 @@ class FibreSVD(NamedTuple):
         """(G, f_step, ...) arrays on the representatives as (P, f_step, ...) on every block."""
         return blocks[self.orbit[:, None], self.rows]
 
-    def expand_basis(self, basis: SubspaceBasis) -> SubspaceBasis:
-        """A checked basis on the representatives, such as `range`, on every block.
-        A row permutation keeps orthonormality and ranks bit for bit, so the
-        expansion is one gather and the Gram matrices are not formed again."""
-        out = object.__new__(SubspaceBasis)
-        object.__setattr__(out, "blocks", self.expand(basis.blocks))
-        object.__setattr__(out, "ranks", basis.ranks[self.orbit])
-        return out
-
     def range(self, rank_tol: float) -> SubspaceBasis:
         """The representatives' part of the column space, cut as by `orthonormal_range`:
         every block shares its representative's singular values, so s_max is theirs."""
@@ -336,11 +330,10 @@ class FibreSVD(NamedTuple):
         Janssen 1995), so its left singular vectors are Vh[r0]^T with the rows
         so reversed, its singular values are s, and no SVD is computed.
         """
-        G, f_step, _ = self.U.shape
-        P, N = len(self.orbit), self.Vh.shape[2]
+        f_step, P, N = self.U.shape[1], len(self.orbit), self.Vh.shape[2]
         U = self.Vh.swapaxes(1, 2)[:, -np.arange(N) % N]
         Vh = self.U.swapaxes(1, 2)[:, :, -np.arange(f_step) % f_step]
-        return FibreSVD(U, self.s, *_orbit_map(P * f_step, P, N, G), Vh)
+        return FibreSVD(U, self.s, *orbit_map(P * f_step, P, N), Vh)
 
 
 def fibre_svd(g: np.ndarray, t_step: int, f_step: int) -> FibreSVD:
@@ -350,25 +343,28 @@ def fibre_svd(g: np.ndarray, t_step: int, f_step: int) -> FibreSVD:
     blocks are (f_step, (L/t_step) * windows) matrices.  Expanding to all
     blocks is one gather, `FibreSVD.expand`.
     """
-    U, s, Vh = np.linalg.svd(_representatives(g, t_step, f_step), full_matrices=False)
-    return FibreSVD(U, s, *_orbit_map(g.shape[0], t_step, f_step, U.shape[0]), Vh)
+    U, s, Vh = np.linalg.svd(fibre_representatives(g, t_step, f_step), full_matrices=False)
+    return FibreSVD(U, s, *orbit_map(g.shape[0], t_step, f_step), Vh)
 
 
-def _orbit_map(L: int, t_step: int, f_step: int, G: int) -> tuple[np.ndarray, np.ndarray]:
-    """`FibreSVD.orbit` and `FibreSVD.rows` of the blocks of (t_step, f_step) on C^L.
-    x is the inverse of P/G modulo t_step/G, so x P = G mod t_step (x = 0 when
+def orbit_map(L: int, t_step: int, f_step: int) -> tuple[np.ndarray, np.ndarray]:
+    """`FibreSVD.orbit` and `FibreSVD.rows` of the Walnut blocks of (t_step, f_step)
+    on C^L: block r = r0 + q G (G = gcd(t_step, P), P = L/f_step) is block
+    orbit[r] = r0 with row j read from rows[r, j] = (j + q x) mod f_step, where x
+    is the inverse of P/G modulo t_step/G, so x P = G mod t_step (x = 0 when
     G = t_step)."""
     P = L // f_step
+    G = gcd(t_step, P)
     q, orbit = np.divmod(np.arange(P), G)
     return orbit, (np.arange(f_step) + (q * pow(P // G, -1, t_step // G))[:, None]) % f_step
 
 
 def fibre_singular_values(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
     """`fibre_svd(g, t_step, f_step).s` without the singular vectors: (G, c), descending."""
-    return np.linalg.svd(_representatives(g, t_step, f_step), compute_uv=False)
+    return np.linalg.svd(fibre_representatives(g, t_step, f_step), compute_uv=False)
 
 
-def _representatives(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
+def fibre_representatives(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
     """The G = gcd(t_step, L/f_step) distinct Walnut blocks as a (G, f_step, c) stack."""
     G = gcd(t_step, g.shape[0] // f_step)
     return _fibres(g, t_step, f_step, G).reshape(G, f_step, -1)

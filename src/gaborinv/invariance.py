@@ -7,10 +7,14 @@ detected set, the four equivalent duality criteria with the associated
 the criteria proof, completeness from two small independent invariant
 shifts, and the full Gaussian scenario pipeline.
 
-Criterion (iii) is decided by rank additivity.  Its margin sigma_min, the
-smallest singular value of the stacked slice bases, is read from the rows of
-the slice basis restricted to each class j mod nu, one small values-only SVD;
-for nu = 2 it gives the smallest principal angle between the two slices.
+The criteria engine reads K, the adjoint system's span, from the system's
+stored factors (Walnut duality) and factors the slice L_0 inside K's kept
+columns: the rows of class j mod nu of a slice block are an adjoint block.  That
+one SVD gives L_0's basis and rank and criterion (iii)'s margin sigma_min, the
+smallest singular value of the stacked slice bases (for nu = 2, the smallest
+principal angle between the two slices); (iii) itself is rank additivity.  Only
+the G = gcd(L/b, a/nu) orbit representatives of the a/nu slice blocks are
+computed, since the others are row rolls of them.
 
 Tolerance discipline: the scan classifies with `tol` (default 1e-6) and a
 mandatory gap check -- every residual must fall below tol or above
@@ -46,13 +50,13 @@ from .gabor import (
     SubspaceBasis,
     SystemAnalysis,
     analyze_system,
+    fibre_representatives,
     fibre_singular_values,
-    fibre_svd,
+    orbit_map,
     periodized_gaussian,
     tf_inner_products,
     tf_shift,
     tf_shifts,
-    walnut_fibres,
 )
 
 GAP_FACTOR = 1e3
@@ -218,11 +222,15 @@ class CriteriaReport:
                P = constant^{-1} S_{gamma,g} over steps (L/b, nu L/a).
     rank_sum / joint_rank / sigma_min / min_principal_gap : the direct-sum
                test for the adjoint subspaces L_s.  Rank additivity is the
-               criterion; sigma_min, the smallest singular value of the stacked
-               orthonormal slice bases, is its margin: 0 when the sum is not
-               direct, 1 when the slices are mutually orthogonal.  For nu = 2
-               min_principal_gap is the smallest principal angle between L_0
-               and L_1, 2 arcsin(sigma_min / sqrt 2), in radians; None for nu > 2.
+               criterion: joint_rank is the rank of K, and rank_sum is nu times
+               the rank of L_0, cut in the SVD of the slice blocks projected onto
+               K's kept columns, so both come from K's stored factors.  sigma_min,
+               the smallest singular value of the stacked orthonormal slice bases,
+               is its margin, read from the class rows of that SVD's left factor:
+               0 when the sum is not direct, 1 when the slices are mutually
+               orthogonal.  For nu = 2 min_principal_gap is the smallest
+               principal angle between L_0 and L_1, 2 arcsin(sigma_min / sqrt 2),
+               in radians; None for nu > 2.
     res_iv   : max |<pi(k L/b, l L/a) gamma, g>| over l not divisible by nu.
     projection_residuals : idempotence, mutual annihilation, sum vs P_K,
                and vanishing on the orthocomplement of K (Frobenius norms).
@@ -296,7 +304,8 @@ def criteria_engine(
     """
     an = analyze_system(sys, rank_tol)
     check_tolerance("tol", tol)
-    nu, P, d, images = _slice_blocks(an, nu)  # (ii), (iii) and the P_s read these
+    nu, W, P, d, rows, g_cols, images = _slice_blocks(an, nu)
+    G, n, orbit_size = g_cols.shape
     g = sys.window
     L, a, b = sys.L, sys.a, sys.b
     gamma = an.dual.gamma
@@ -304,41 +313,56 @@ def criteria_engine(
     inner = np.abs(tf_inner_products(g, gamma, L // b, L // a))
     res_iv = float(inner[:, np.arange(a) % nu != 0].max())
 
-    images[0] -= g.reshape(d.shape[1], -1).T
+    images[0] -= g_cols
     res_ii = [float(np.linalg.norm(x) / np.linalg.norm(g)) for x in images]
+
+    # K is the adjoint system (L/b, L/a), read from the stored analysis (Walnut duality).
+    # Its block r0 + c a/nu is the class c = j mod nu of slice block r0, so slice block
+    # r0 is Pi blockdiag(K_c) Y_r0 with Y_r0 the stack of K_c^H W_{r0,c}: the slice basis
+    # Q0_r0 = Pi blockdiag(K_c) X_r0 comes from the SVD of the (G, nu k_K, b) stack Y.
+    adjoint_fib = an.fibres.adjoint()
+    K_reps = adjoint_fib.range(rank_tol)
+    k_K = K_reps.ranks.max()
+    blocks = np.arange(G)[:, None] + np.arange(nu) * (a // nu)
+    Kc = K_reps.blocks[adjoint_fib.orbit[blocks][..., None], adjoint_fib.rows[blocks], :k_K]
+    Y = Kc.conj().swapaxes(2, 3) @ W.reshape(G, L // a, nu, b).swapaxes(1, 2)
+    X, s, _ = np.linalg.svd(Y.reshape(G, nu * k_K, b), full_matrices=False)
+    k = np.count_nonzero(s > rank_tol * s.max(), axis=1)
+    X = (X * (np.arange(X.shape[2]) < k[:, None, None]))[..., : k.max()].reshape(G, nu, k_K, -1)
+    Q0 = (Kc @ X).swapaxes(1, 2).reshape(G, n, -1)
+    gamma_cols = _representative_columns(gamma, rows, G)
+    gamma_cols -= Q0 @ (Q0.conj().swapaxes(1, 2) @ gamma_cols)
 
     # (iii)'s margin: d_s[j] depends on c = j mod nu only, so with its rows sorted by
     # class the stack [Q0_r, d_1 Q0_r, ...] is blockdiag(Q_{r,c}) (F_nu x I), F_nu/sqrt(nu)
-    # unitary, and sigma_min = sqrt(nu) min_{r,c} sigma_{k_r}(Q_{r,c}) over the (L/a) x k_r
-    # class rows Q_{r,c}: 0 when k_r > L/a.  A rolled block only permutes the classes.
-    slice_fib = fibre_svd(g, L // b, d.shape[1])
-    Q0_reps = slice_fib.range(rank_tol)
-    Q0 = slice_fib.expand_basis(Q0_reps)
-    live = Q0_reps.ranks > 0
-    k = Q0_reps.ranks[live]
-    by_class = Q0_reps.blocks[live, :, : k.max()].reshape(len(k), L // a, nu, -1).swapaxes(1, 2)
-    sv = np.linalg.svd(by_class, compute_uv=False)
-    s_k = sv[np.arange(len(k)), :, np.minimum(k, L // a) - 1] * (k <= L // a)[:, None]
+    # unitary, and sigma_min = sqrt(nu) min_{r,c} sigma_{k_r}(Q_{r,c}) over the class rows
+    # Q_{r,c} = K_c X_{r,c}, which share the singular values of the k_K x k_r blocks
+    # X_{r,c}: 0 when k_r > k_K.  A rolled block only permutes the classes.
+    live = k > 0
+    sv = np.linalg.svd(X[live], compute_uv=False)
+    s_k = sv[np.arange(live.sum()), :, np.minimum(k[live], k_K) - 1] * (k[live] <= k_K)[:, None]
     sigma_min = float(np.sqrt(nu) * s_k.min())
-    # K is the adjoint system (L/b, L/a): its block r + c a/nu is the class
-    # j = c mod nu of slice block r, so PK is class-diagonal and commutes with
-    # every d_s.  Each identity of the P_s = d_s P d_s^* is then one of P:
-    # P_s P_r = d_s (P d_{r-s} P) d_r^* and sum_s P_s = nu P on j1 = j2 mod nu.
-    # Its blocks are the system's own, transposed and index-reversed (Walnut duality).
-    adjoint_fib = an.fibres.adjoint()
-    K = adjoint_fib.expand_basis(adjoint_fib.range(rank_tol))
-    PKc = (K.blocks @ K.blocks.conj().swapaxes(1, 2)).reshape(nu, a // nu, L // a, L // a)
-    PK = np.einsum("crjk,cd->rjckd", PKc, np.eye(nu)).reshape(P.shape)
-    j = np.arange(d.shape[1]) % nu
+    # PK is class-diagonal and commutes with every d_s, so each identity of the
+    # P_s = d_s P d_s^* is one of P: P_s P_r = d_s (P d_{r-s} P) d_r^* and
+    # sum_s P_s = nu P on j1 = j2 mod nu.  Block r0 + q G of P and PK is R P_r0 R^T for
+    # a row roll R, R^T d_s R is a multiple of d_s and the class mask is R-invariant,
+    # so each Frobenius norm is the representatives' times sqrt(orbit_size).
+    PKc = Kc @ Kc.conj().swapaxes(2, 3)
+    PK = np.einsum("rcjk,cd->rjckd", PKc, np.eye(nu)).reshape(P.shape)
+    j = np.arange(n) % nu
     same_class = j[:, None] == j
+
+    def norm(x):
+        return float(np.sqrt(orbit_size) * np.linalg.norm(x))
+
     proj = {
-        "idempotence": float(np.linalg.norm(P @ P - P)),
-        "mutual_annihilation": max(float(np.linalg.norm((P * d[k]) @ P)) for k in range(1, nu)),
-        "sum_equals_PK": float(np.linalg.norm(nu * (P * same_class) - PK)),
-        "vanish_on_K_perp": float(np.linalg.norm(P - P @ PK)),
+        "idempotence": norm(P @ P - P),
+        "mutual_annihilation": max(norm((P * d[s]) @ P) for s in range(1, nu)),
+        "sum_equals_PK": norm(nu * (P * same_class) - PK),
+        "vanish_on_K_perp": norm(P - P @ PK),
     }
     projections_ok = all(v < tol for v in proj.values())
-    rank_sum, joint_rank = nu * Q0.rank, K.rank
+    rank_sum, joint_rank = nu * orbit_size * int(k.sum()), int(K_reps.ranks[adjoint_fib.orbit].sum())
     holds = {
         "i": res_i < tol,
         "ii": max(res_ii) < tol,
@@ -366,29 +390,45 @@ def criteria_engine(
         holds=holds,
         verdict=verdict,
         verdict_consistent=agree,
-        gamma_l0_residual=membership_residual(Q0, gamma),
+        gamma_l0_residual=float(np.linalg.norm(gamma_cols) / np.linalg.norm(gamma)),
         frame=an.frame,
         adjoint_inner_products=inner,
     )
 
 
 def _slice_blocks(an: SystemAnalysis, nu: int):
-    """nu, read here (an int >= 2 dividing a), the blocks of P, the phases d and
-    the fibres of P M_{s L/a} g on the a/nu Walnut fibres {r + j a/nu : j < n} of
-    the slice L_0, the system (L/b, nu L/a).  On a fibre M_{s L/a} is the phase
-    e^{2 pi i s r/a} (left out of the fibres of P M_{s L/a} g) times d_s[j] =
-    exp(2 pi i s j / nu), so L_s has the blocks d_s Q_r and P_s the blocks d_s P_r d_s^*.
+    """nu, read here (an int >= 2 dividing a), and the slice L_0, the system
+    (L/b, nu L/a), on the G = gcd(L/b, a/nu) orbit representatives of its a/nu
+    Walnut fibres {r + j a/nu : j < n}: their blocks W of g and P of the
+    cross-frame operator, the phases d, the `orbit_map` rows, the fibres of g in
+    the representatives' rows (`_representative_columns`) and the images P d_s
+    of those.  On a fibre M_{s L/a} is the phase e^{2 pi i s r/a} times
+    d_s[j] = exp(2 pi i s j / nu), so L_s has the blocks d_s Q_r and P_s the
+    blocks d_s P_r d_s^*.  Block r0 + q G of P is R P_r0 R^T for a row roll R,
+    and R^T d_s R is a unit multiple of d_s, so P d_s g on that block, read in
+    the rows of r0, is P_r0 d_s applied to column q, up to a unit phase.
     """
     sys, g = an.system, an.system.window
     L, a, b = sys.L, sys.a, sys.b
     nu = exact_int(nu, InvalidNu, f"nu must be >= 2, got {nu}", 2)
     exact_int(nu, InvalidNu, f"nu must divide the time step a={a}, got {nu}", 1, a)
-    n = nu * (L // a)
-    W = walnut_fibres(g, L // b, n)
-    P = (L / (nu * b)) * W @ walnut_fibres(an.dual.gamma, L // b, n).conj().swapaxes(1, 2)
+    n, G = nu * (L // a), gcd(L // b, a // nu)
+    W = fibre_representatives(g, L // b, n)
+    P = (L / (nu * b)) * W @ fibre_representatives(an.dual.gamma, L // b, n).conj().swapaxes(1, 2)
     d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
-    images = np.einsum("rij,srj->sri", P, d[:, None, :] * g.reshape(n, -1).T)
-    return nu, P, d, images
+    rows = orbit_map(L, L // b, n)[1]
+    g_cols = _representative_columns(g, rows, G)
+    return nu, W, P, d, rows, g_cols, P @ (d[:, None, :, None] * g_cols)
+
+
+def _representative_columns(f: np.ndarray, rows: np.ndarray, G: int) -> np.ndarray:
+    """The fibres f_r of a signal on the F blocks of an orbit map, each read in
+    the rows of its representative r0: row rows[r, j] of column q of block r0 holds
+    f_r[j], r = r0 + q G.  Block r's rolled operator acts on f_r as r0's on this."""
+    F, n = rows.shape
+    out = np.empty((F, n), dtype=complex)
+    out[np.arange(F)[:, None], rows] = f.reshape(n, F).T
+    return out.reshape(F // G, G, n).transpose(1, 2, 0)
 
 
 def dft_vector_relation(
@@ -401,9 +441,11 @@ def dft_vector_relation(
     identity is unconditional -- it holds whether or not the criteria do.
     """
     an = analyze_system(sys, rank_tol)
-    nu, _, d, images = _slice_blocks(an, nu)
+    nu, _, _, d, rows, _, images = _slice_blocks(an, nu)
     L, shifts = sys.L, np.arange(nu) * (sys.a // nu)
-    v = (d.conj()[:, None, :] * images).swapaxes(1, 2).reshape(nu, L)
+    # the unit phases of the rolls cancel in d_s^* P_r d_s; read back in each block's rows
+    v = (d.conj()[:, None, :, None] * images).transpose(0, 3, 1, 2).reshape(nu, *rows.shape)
+    v = v[:, np.arange(len(rows))[:, None], rows].swapaxes(1, 2).reshape(nu, L)
     y = an.dual.span.project(tf_shifts(sys.window, shifts, 0))
     u = y[(np.arange(L)[:, None] + shifts) % L, np.arange(nu)].T
     Fu = np.sqrt(nu) * np.fft.ifft(u, axis=0)

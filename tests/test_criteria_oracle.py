@@ -66,11 +66,29 @@ def periodic_window(L, p, seed):
     return np.tile(rng.normal(size=p) + 1j * rng.normal(size=p), L // p)
 
 
+def sparse_window(L, seed):
+    """Random window on about a third of the samples: its slice blocks differ in rank."""
+    rng = np.random.default_rng(seed)
+    return (rng.random(L) < 0.3) * (rng.normal(size=L) + 1j * rng.normal(size=L))
+
+
 def parity_window(L):
     """Gaussian on the even samples, 1e-9 noise on the odd ones.  With a and
     L/b even the odd fibres fall wholly below the global rank cut."""
     odd = np.arange(L) % 2
     return periodized_gaussian(L, math.pi) * (1 - odd) + 1e-9 * odd * periodic_window(L, L, 2)
+
+
+def builtin_examples(test):
+    """The three builtin windows at three slice orbit structures, as `@example`s:
+    G_s = gcd(L/b, a/nu) = 1 at (60, 10, 10), one representative for all 5 slice
+    blocks; G_s = 3 of 9 at (180, 18, 12); and a rank-deficient K at the critical
+    (64, 8, 8), where the Gaussians keep 63 of 64 dimensions (a zero of the Zak
+    transform) and the periodic window 8."""
+    for L, a, b in ((60, 10, 10), (180, 18, 12), (64, 8, 8)):
+        for name in WINDOWS:
+            test = example((FiniteGaborSystem(L, a, b, builtin_window(L, a, b, 2, name)), 2))(test)
+    return test
 
 
 def smallest_angle(QA, QB):
@@ -176,6 +194,11 @@ def dense_oracle(sys, nu):
 @example((FiniteGaborSystem(60, 6, 3, periodic_window(60, 60, 4)), 2))
 @example((FiniteGaborSystem(60, 6, 3, periodic_window(60, 60, 5)), 3))
 @example((FiniteGaborSystem(48, 8, 4, periodic_window(48, 48, 6)), 4))
+# a slice rank above K's largest kept rank (2 > 1): sigma_min = 0; slice ranks that
+# differ between orbit representatives
+@example((FiniteGaborSystem(12, 2, 4, periodic_window(12, 2, 0)), 2))
+@example((FiniteGaborSystem(36, 18, 3, sparse_window(36, 0)), 2))
+@builtin_examples
 def test_criteria_engine_matches_dense_oracle(case):
     sys, nu = case
     rep = criteria_engine(sys, nu)

@@ -589,18 +589,6 @@ class TestSubspaceBasis:
         with pytest.raises(ValueError):
             SubspaceBasis(np.array(blocks))
 
-    @pytest.mark.parametrize(
-        "g, t, f",
-        [(fibre_window(480, "gaussian", 480), 10, 20), (fibre_window(72, "short", 3), 12, 4)],
-        ids=["large-L slice", "rank-deficient"],  # the second has ranks 4 and 2
-    )
-    def test_expanded_basis_is_the_checked_one(self, g, t, f):
-        fib = fibre_svd(g, t, f)
-        reps = fib.range(1e-8)
-        expanded, checked = fib.expand_basis(reps), SubspaceBasis(fib.expand(reps.blocks))
-        np.testing.assert_array_equal(expanded.blocks, checked.blocks)
-        np.testing.assert_array_equal(expanded.ranks, checked.ranks)
-
     def test_a_non_orthonormal_representative_still_raises(self):
         fib = fibre_svd(fibre_window(72, "random", 4), 12, 4)
         with pytest.raises(InvalidParameter):

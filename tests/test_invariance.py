@@ -33,6 +33,7 @@ from gaborinv.errors import (
 )
 from gaborinv.gabor import (
     FiniteGaborSystem,
+    SubspaceBasis,
     analyze_system,
     canonical_dual,
     cross_frame_operator,
@@ -293,7 +294,7 @@ def test_adjoint_blocks_are_the_reversed_transposes(sys):
     assert np.abs(adj.s - ref.s).max(initial=0.0) <= 1e-12 * scale
     assert np.abs((adj.U * adj.s[:, None, :]) @ adj.Vh - Z_adj).max(initial=0.0) <= 1e-12 * scale
     assert np.abs(adj.U.conj().swapaxes(1, 2) @ adj.U - np.eye(adj.U.shape[2])).max() <= 1e-12
-    K, K_ref = adj.expand_basis(adj.range(1e-8)), ref.expand_basis(ref.range(1e-8))
+    K, K_ref = (SubspaceBasis(fib.expand(fib.range(1e-8).blocks)) for fib in (adj, ref))
     np.testing.assert_array_equal(K.ranks, K_ref.ranks)
     # two SVDs of one block agree on a kept subspace to eps s_max over its gap (Wedin)
     s = np.pad(ref.s, ((0, 0), (0, 1)))
@@ -305,19 +306,29 @@ def test_adjoint_blocks_are_the_reversed_transposes(sys):
 
 class TestCriteriaEngine:
     def test_adjoint_blocks_come_from_the_stored_analysis(self, monkeypatch):
-        sys, shapes, svd = gaussian_system(), [], np.linalg.svd
-        analyze_system(sys)
+        cases = [
+            # the slice's 2 orbit representatives as (2 * 10, 12) stacks in K's largest
+            # kept rank 10, then their rows by class j mod 2, (2, 2, 10, 12)
+            (gaussian_system(), [(2, 20, 12), (2, 2, 10, 12)]),
+            # K keeps rank 1 per block: the 10 representatives are (2, 48) stacks, not
+            # the slice's own (24, 48) blocks, and each keeps rank 1
+            (FiniteGaborSystem(480, 40, 48, periodic_window(480, 20)), [(10, 2, 48), (10, 2, 1, 1)]),
+        ]
+        found, svd = [], np.linalg.svd
 
         def counted(A, *args, **kwargs):
-            shapes.append(A.shape)
+            found.append(A.shape)
             return svd(A, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        criteria_engine(sys, 2)
-        # the slice blocks (2, 20, 12) and their rows by class j mod 2, (2, 2, 10, 12) for
-        # the largest slice rank 12; the 2 adjoint blocks of (L/b, L/a) = (10, 10),
-        # (2, 10, 12), come from the stored analysis and are not factored again
-        assert shapes == [(2, 20, 12), (2, 2, 10, 12)]
+        for sys, shapes in cases:
+            analyze_system(sys)
+            found.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", counted)
+                criteria_engine(sys, 2)
+            # the adjoint blocks of (L/b, L/a) come from the stored analysis and are
+            # not factored again; the slice is factored inside their kept columns
+            assert found == shapes
 
     def test_positive_case_all_hold(self):
         L, a, b, nu = 144, 12, 8, 2
@@ -400,6 +411,17 @@ class TestDftVectorRelation:
         L, a, b = 108, 12, 9
         sys = FiniteGaborSystem(L, a, b, periodized_gaussian(L, np.pi))
         assert dft_vector_relation(sys, 3) < 1e-8
+
+    def test_orbit_representatives_keep_the_residual(self):
+        # only G_s = gcd(L/b, a/nu) of the a/nu slice blocks are computed (2 of 6, 2 of 4,
+        # 3 of 9); v, read back into every block's rows, matches the dense reference
+        cases = [
+            (gaussian_system(), 2),
+            (gaussian_system(), 3),
+            (FiniteGaborSystem(180, 18, 12, periodic_window(180, 9)), 2),
+        ]
+        for sys, nu in cases:
+            assert abs(dft_vector_relation(sys, nu) - dense_dft_vector_relation(sys, nu)) <= 1e-12
 
     def test_swap_sign_substitution_positive_case(self):
         # when v = (g, 0), the inverse DFT forces u = (g, g): every

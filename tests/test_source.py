@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import gaborinv
@@ -25,6 +26,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found
+
+
+def test_every_module_parses_at_the_python_floor():
+    """The package keeps to the grammar of the oldest Python that `requires-python`
+    in pyproject.toml admits, so newer syntax fails here and not on that Python."""
+    package = Path(gaborinv.__file__).parent
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    for path in sorted(package.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=floor)
 
 
 def test_no_module_imports_scipy():
