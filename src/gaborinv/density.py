@@ -356,6 +356,10 @@ def lower_density_empirical(
             theta = int(best) / (2.0 * R) ** 2
         except OverflowError:
             raise InvalidParameter(f"R = {R!r}: the window's area or count overflows") from None
+        except ZeroDivisionError:  # the area underflows to 0
+            theta = math.inf
+        if theta == math.inf:  # or to a subnormal that the count over it overflows
+            raise InvalidParameter(f"R = {R!r}: the window's area underflows")
         out.append(DensityEstimate(float(R), theta, analytic))
     return out
 

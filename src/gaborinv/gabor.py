@@ -475,26 +475,13 @@ def frame_bounds(
     return analyze_system(sys, rank_tol).frame
 
 
-def _window_pair(
-    gamma, g, t_step: int, f_step: int
-) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-    """Both windows as complex arrays, their length L and the steps as ints dividing L."""
-    gamma = np.asarray(gamma, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    L = g.shape[0]
-    message = f"steps must divide L: L={L}, t_step={t_step}, f_step={f_step}"
-    t_step, f_step = exact_ints((t_step, f_step), (2,), InvalidLattice, message, 1, L)
-    return gamma, g, L, t_step, f_step
-
-
 def cross_frame_operator(
     gamma: np.ndarray, g: np.ndarray, t_step: int, f_step: int
 ) -> np.ndarray:
     """S_{gamma,g} f = sum_{k,l} <f, pi(k t_step, l f_step) gamma> pi(...) g."""
-    gamma, g, L, t_step, f_step = _window_pair(gamma, g, t_step, f_step)
-    Dg = gabor_matrix(FiniteGaborSystem(L, t_step, f_step, g))
-    Dgam = gabor_matrix(FiniteGaborSystem(L, t_step, f_step, gamma))
-    return Dg @ Dgam.conj().T
+    sys_g = FiniteGaborSystem(np.size(g), t_step, f_step, g)
+    sys_gamma = FiniteGaborSystem(sys_g.L, t_step, f_step, gamma)
+    return gabor_matrix(sys_g) @ gabor_matrix(sys_gamma).conj().T
 
 
 def janssen_representation(
@@ -511,10 +498,12 @@ def janssen_representation(
     The terms with time shift m L/f_step fill the diagonal n -> n + m L/f_step
     of S, whose entries are the coefficients' row m times a phase table.
     """
-    gamma, g, L, t_step, f_step = _window_pair(gamma, g, t_step, f_step)
+    sys_g = FiniteGaborSystem(np.size(g), t_step, f_step, g)
+    L, t_step, f_step = sys_g.L, sys_g.a, sys_g.b
     tau, phi = L // f_step, L // t_step  # adjoint steps: time tau, frequency phi
     constant = L / (t_step * f_step)
-    coef = tf_inner_products(g, gamma, tau, phi)  # <g, pi(m tau, n phi) gamma>
+    gamma = FiniteGaborSystem(L, t_step, f_step, gamma).window
+    coef = tf_inner_products(sys_g.window, gamma, tau, phi)  # <g, pi(m tau, n phi) gamma>
     n = np.arange(L)
     # pi(m tau, k phi)[n + m tau, n] = exp(2 pi i k n / t_step)
     phases = np.exp(2j * np.pi * (np.arange(t_step)[:, None] * n % t_step) / t_step)

@@ -19,13 +19,14 @@ computed, since the others are row rolls of them.
 Tolerance discipline: the scan classifies with `tol` (default 1e-6) and a
 mandatory gap check -- every residual must fall below tol or above
 1000*tol, otherwise its verdict is "inconclusive" instead of a silent
-classification; the criteria engine decides with a bare `< tol`, no gap.
+classification; the closure test and the Gaussian expectations read the
+scan's own class mask `table < tol`, with no threshold of their own; the
+criteria engine decides with a bare `< tol`, no gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from math import gcd
 from typing import Optional
 
@@ -90,11 +91,13 @@ class InvarianceReport:
     """Class table of a grid scan plus the dichotomy verdict.
 
     The residual on the grid (a/r)Z x (b/r)Z mod L, r the refinement, is
-    Lambda-periodic: `table[i, j]` is that of the class (i a/r, j b/r) + Lambda,
-    and `tested_points`, `residuals`, `lattice_points` are views read from it.
-    `verdict` is "subset_of_refined_lattice" (`verdict_m` the smallest m
-    dividing r with `invariant_set` in (1/m) Lambda), "spans_everything", or
-    "inconclusive".
+    Lambda-periodic: `table[i, j]` is that of the class (i a/r, j b/r) + Lambda.
+    The table is the record every answer is read from: `residual_of`, the
+    views `tested_points`, `residuals`, `lattice_points`, and the detected set,
+    which is the class mask `table < tol` tiled over Lambda; `invariant_set`
+    stores that set as (t, m) pairs for `to_json_dict`.  `verdict` is
+    "subset_of_refined_lattice" (`verdict_m` the smallest m dividing r with
+    the detected set in (1/m) Lambda), "spans_everything", or "inconclusive".
     """
 
     L: int
@@ -107,18 +110,15 @@ class InvarianceReport:
     refinement: int
     table: np.ndarray = field(repr=False, compare=False)  # (r, r) class residuals
 
-    def _class_of(self, points) -> tuple:
-        """Classes (i mod r, j mod r) of grid points (i a/r, j b/r), one (t, m) pair
-        or an (n, 2) array of them; InvalidParameter if any lies off the grid."""
-        p, step = np.asarray(points), (self.a // self.refinement, self.b // self.refinement)
-        inside = p.shape[-1:] == (2,) and np.all((0 <= p) & (p < self.L))
-        q = p.astype(int) if inside else p
-        if not (inside and np.all(q == p) and not np.any(q % step)):
-            raise InvalidParameter(f"{points} lies off the scanned grid")
-        return tuple((q // step % self.refinement).T)
-
     def residual_of(self, point) -> float:
-        return float(self.table[self._class_of(point)])
+        """The residual of the grid point (t, m), 0 <= t, m < L; InvalidParameter
+        off the grid.  (k a/r, l b/r) is read from its class (k mod r, l mod r)."""
+        message = f"{point} lies off the scanned grid"
+        t, m = exact_ints(point, (2,), InvalidParameter, message)
+        st, sf, r = self.a // self.refinement, self.b // self.refinement, self.refinement
+        if not (0 <= t < self.L and 0 <= m < self.L) or t % st or m % sf:
+            raise InvalidParameter(message)
+        return float(self.table[t // st % r, m // sf % r])
 
     @property
     def tested_points(self) -> tuple:
@@ -190,27 +190,19 @@ def scan_invariance(
     return InvarianceReport(L, sys.a, sys.b, tol, detected, verdict, m, r, table)
 
 
-def group_closure_check(
-    report: InvarianceReport, sys: FiniteGaborSystem, tol: float = DEFAULT_TOL
-) -> bool:
+def group_closure_check(report: InvarianceReport, sys: FiniteGaborSystem) -> bool:
     """Verify the detected set is closed under negation and addition mod L.
 
-    On the class table, Z_r x Z_r: for all classes c, c' of detected points,
-    -c and c + c' must have residual below 10*tol.  False when `sys` is not
-    the scanned grid or a detected point lies off it.
+    The set is the class mask `table < tol` tiled over Lambda, the preimage of
+    the mask under the grid's map onto Z_r x Z_r, so it is a group exactly when
+    the mask is a subgroup: -c and c + c' detected for all detected classes c,
+    c'.  False when `sys` is not the scanned system's grid.
     """
-    check_tolerance("tol", tol)
     if (sys.L, sys.a, sys.b) != (report.L, report.a, report.b):
         return False
-    r, ok = report.refinement, report.table < 10 * tol
-    det = np.zeros((r, r), bool)
-    try:  # as floats, exact below 2^53, so that (1.5, 0) stays off the grid
-        flat = np.fromiter(chain.from_iterable(report.invariant_set), float)
-        det[report._class_of(flat.reshape(len(report.invariant_set), 2))] = True
-    except ValueError:
-        return False
+    r, det = report.refinement, report.table < report.tol
     i, j = np.nonzero(det)
-    return bool(ok[-i % r, -j % r].all() and ok[(i[:, None] + i) % r, (j[:, None] + j) % r].all())
+    return bool(det[-i % r, -j % r].all() and det[(i[:, None] + i) % r, (j[:, None] + j) % r].all())
 
 
 @dataclass(frozen=True)
@@ -501,13 +493,13 @@ class GaussianScenarioReport:
     poorly_conditioned: bool
 
     def matches_expectations(self) -> bool:
-        """Riesz sequence, invariant set exactly Lambda, criteria all fail."""
-        inv_is_lattice = set(self.scan.invariant_set) == set(self.scan.lattice_points)
+        """Riesz sequence, invariant set exactly Lambda (the class (0, 0) alone
+        detected), criteria all fail."""
         return (
             self.frame.is_riesz_sequence
             and self.scan.verdict == "subset_of_refined_lattice"
             and self.scan.verdict_m == 1
-            and inv_is_lattice
+            and np.flatnonzero(self.scan.table < self.scan.tol).tolist() == [0]
             and self.criteria.verdict == "all_fail"
             and self.criteria.verdict_consistent
         )

@@ -240,8 +240,14 @@ class TestScanDensityGaussianEquid:
             (["--R", "20", "--probe-grid", "0"], "InvalidParameter: probe_grid must be >= 1"),
             # an OverflowError traceback, exit 1, at int(best) / (2R)^2
             (["--R", "1e300"], "InvalidParameter: R = 1e+300: the window's area or count overflows"),
+            # a ZeroDivisionError traceback, exit 1, at the same line
+            (["--R", "1e-300"], "InvalidParameter: R = 1e-300: the window's area underflows"),
+            # exit 0 and "theta": Infinity, which is not JSON
+            (["--set", "lattice", "--R", "1e-160", "--probe-grid", "1"],
+             "InvalidParameter: R = 1e-160: the window's area underflows"),
         ],
-        ids=["R-inf", "R-nan", "alpha-0", "lattice-alpha-inf", "probe-grid-0", "R-1e300"],
+        ids=["R-inf", "R-nan", "alpha-0", "lattice-alpha-inf", "probe-grid-0", "R-1e300",
+             "R-1e-300", "lattice-R-1e-160"],
     )
     def test_density_precondition_exit_2(self, tmp_path, capsys, args, message):
         assert run(tmp_path, "density", *args) == 2

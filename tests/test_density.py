@@ -430,6 +430,17 @@ class TestPreconditions:
         with pytest.raises(InvalidParameter, match="overflows"):
             lower_density_empirical(omega_spec(1.0, 1.0, 2), [R], probe_grid=2)
 
+    @pytest.mark.parametrize(
+        "spec, R, grid",
+        [(omega_spec(1.0, 1.0, 2), 1e-300, 2), (LatticePoints(np.eye(2)), 1e-160, 1)],
+        ids=["zero", "subnormal"],
+    )
+    def test_underflowing_window_is_a_typed_error(self, spec, R, grid):
+        # (2R)^2 underflows: to 0, a ZeroDivisionError, or to a subnormal that the
+        # count of 1 at the center (0, 0) divides into theta = inf
+        with pytest.raises(InvalidParameter, match="area underflows"):
+            lower_density_empirical(spec, [R], probe_grid=grid)
+
 
 class TestLowerDensity:
     def test_unit_lattice_window_bounds(self):

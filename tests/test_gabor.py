@@ -525,6 +525,14 @@ class TestCrossAndJanssen:
         with pytest.raises(InvalidLattice):
             janssen_representation(g, g, 12, 7)
 
+    def test_non_finite_window_rejected(self):
+        g, bad = random_signal(12), random_signal(12)
+        bad[3] = np.inf
+        for window_pair in ((g, bad), (bad, g)):
+            for run in (cross_frame_operator, janssen_representation):
+                with pytest.raises(InvalidParameter, match="window entries must be finite"):
+                    run(*window_pair, 4, 4)
+
 
 class TestPeriodizedGaussian:
     def test_symmetry(self):

@@ -162,7 +162,6 @@ class TestScan:
             lambda: scan_invariance(sys, 2, tol),
             lambda: criteria_engine(sys, 2, tol),
             lambda: gaussian_corollary_scenario(12, 4, 4, np.pi, 2, 2, tol),
-            lambda: group_closure_check(scan_invariance(sys, 2), sys, tol),
         )
         for run in runs:
             with pytest.raises(InvalidParameter):
@@ -262,19 +261,62 @@ class TestGroupClosure:
     def test_corrupted_report_fails(self):
         sys = gaussian_system()
         rep = scan_invariance(sys, refinement=4)
-        fake = (3, 0)  # isolated non-lattice grid point
+        fake = (3, 0)  # isolated non-lattice grid point, class (1, 0)
         assert fake in rep.tested_points and fake not in rep.invariant_set
-        corrupted = replace(rep, invariant_set=rep.invariant_set + (fake,))
+        table = rep.table.copy()
+        table[1, 0] = 0.0
+        corrupted = replace(rep, table=table)
+        assert corrupted.residual_of(fake) < corrupted.tol
         assert not group_closure_check(corrupted, sys)
 
     def test_off_grid_point_or_other_system_fails(self):
+        # the closure reads no points: test_residual_of_rejects_points_off_the_grid
+        # covers off-grid ones
         sys = gaussian_system()
         rep = scan_invariance(sys, refinement=4)
         assert group_closure_check(rep, sys)
-        for point in ((1, 0), (1.5, 0)):
-            off_grid = replace(rep, invariant_set=rep.invariant_set + (point,))
-            assert not group_closure_check(off_grid, sys)
         assert not group_closure_check(rep, gaussian_system(120, 12, 24))
+
+    def test_closure_of_a_large_report_stays_small(self):
+        # spans everything: 262,144 detected points in 256 classes; reading them as
+        # (t, m) pairs took 16 MiB
+        sys = gaussian_system(512, 16, 16)
+        rep = scan_invariance(sys, 16)
+        assert rep.verdict == "spans_everything"
+        tracemalloc.start()
+        try:
+            closed = group_closure_check(rep, sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert closed and peak < 4 * 2**20, peak
+
+
+def closed_on_the_torus(points, L) -> bool:
+    """Is a set of (t, m) pairs closed under negation and addition mod L?  Read on
+    its L x L indicator: the support of its cyclic self-convolution is the sumset."""
+    ind = np.zeros((L, L))
+    ind[tuple(np.array(list(points), dtype=int).reshape(-1, 2).T)] = 1
+    neg = ind[np.ix_(-np.arange(L) % L, -np.arange(L) % L)]
+    sums = np.fft.ifft2(np.fft.fft2(ind) ** 2).real > 0.5
+    return bool(np.all(neg <= ind) and not np.any(sums & (ind == 0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scanned_systems(), st.sampled_from([1e-6, 1e-3, 0.1]), st.data())
+def test_closure_matches_the_detected_points(case, tol, data):
+    """The subgroup test of the class mask against the detected points on Z_L^2;
+    the larger tol make many reports inconclusive.  A scan's set is a group, so
+    half the reports get one more class marked detected, which most often is not."""
+    sys, r = case
+    rep = scan_invariance(sys, r, tol)
+    if data.draw(st.booleans()):
+        table = rep.table.copy()
+        table[data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))] = 0.0
+        rep = replace(rep, table=table)
+        detected = tuple(p for p, v in zip(rep.tested_points, rep.residuals) if v < tol)
+        rep = replace(rep, invariant_set=detected)
+    assert group_closure_check(rep, sys) == closed_on_the_torus(rep.invariant_set, sys.L)
 
 
 @settings(max_examples=100, deadline=None)
@@ -606,6 +648,25 @@ class TestGaussianScenario:
     def test_refinement_contract(self):
         with pytest.raises(InvalidRefinement):
             gaussian_corollary_scenario(120, 12, 12, np.pi, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(60, 10, 10, np.pi, 2, 2), (120, 12, 12, np.pi, 2, 4), (72, 12, 12, 0.3, 3, 6),
+     (120, 12, 12, np.pi, 2, 4, 1e-2), (48, 8, 8, 20.0, 2, 4, 0.5)],
+)
+def test_expectations_match_the_set_comparison(args):
+    """matches_expectations reads the class table; the detected points give the same."""
+    rep = gaussian_corollary_scenario(*args)
+    scan, crit = rep.scan, rep.criteria
+    expected = (
+        rep.frame.is_riesz_sequence
+        and (scan.verdict, scan.verdict_m) == ("subset_of_refined_lattice", 1)
+        and set(scan.invariant_set) == set(scan.lattice_points)
+        and crit.verdict == "all_fail"
+        and crit.verdict_consistent
+    )
+    assert rep.matches_expectations() == expected
 
 
 class TestInvarianceTransport:

@@ -152,3 +152,22 @@ def test_every_error_class_is_used():
         if isinstance(node, ast.Name)
     }
     assert classes <= used, sorted(classes - used)
+
+
+def test_invariant_set_is_read_only_to_write_json():
+    """The scan's answers are read from its class table: the one read of the
+    stored `invariant_set` pairs is the JSON writer's."""
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr == "invariant_set":
+            if isinstance(node.ctx, ast.Load):
+                reads.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(Path(gaborinv.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert reads == ["invariance.InvarianceReport.to_json_dict"]
