@@ -9,7 +9,9 @@ group R^2 / Lambda.
 
 Each computed rational is built once, by one `Fraction(n, d)` from the integer
 numerators and denominators of its operands: one gcd, and no intermediate
-Fractions.  No value goes through a float.
+Fractions.  `order_in_lattice` builds no Fraction at all: it reads the order
+from the integer numerators and denominators of basis^{-1} z.  No value goes
+through a float.
 
 All operations are pure functions on immutable values; there is no shared
 mutable state, so concurrent use is safe.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 def as_fraction(x: RationalLike) -> Fraction:
@@ -115,9 +117,11 @@ class RationalMatrix2x2:
     def entries(self) -> tuple:
         return self._e
 
-    def _ratios(self) -> list[tuple[int, int]]:
+    def _ratios(self) -> tuple[tuple[int, int], ...]:
         """The entries' (numerator, denominator) pairs, row by row."""
-        return [v.as_integer_ratio() for row in self._e for v in row]
+        (a, b), (c, d) = self._e
+        return (a.as_integer_ratio(), b.as_integer_ratio(),
+                c.as_integer_ratio(), d.as_integer_ratio())
 
     def _det_parts(self) -> tuple[int, int]:
         """det = n / d as the integers (n, d), d > 0, not reduced."""
@@ -175,7 +179,7 @@ class RationalMatrix2x2:
 _IDENTITY = RationalMatrix2x2._of(_ONE, _ZERO, _ZERO, _ONE)  # immutable, so shared
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lattice2D:
     """The lattice basis @ Z^2 for an invertible rational basis."""
 
@@ -183,9 +187,11 @@ class Lattice2D:
     inverse: RationalMatrix2x2 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.basis.det() == 0:
-            raise InvalidLattice("lattice basis must be invertible")
-        object.__setattr__(self, "inverse", self.basis.inv())
+        try:
+            inverse = self.basis.inv()  # computes the determinant once
+        except InvalidLattice:
+            raise InvalidLattice("lattice basis must be invertible") from None
+        object.__setattr__(self, "inverse", inverse)
 
     def contains(self, v: Sequence[RationalLike]) -> bool:
         """Exact membership test: basis^{-1} v integral."""
@@ -202,7 +208,7 @@ class Lattice2D:
         return u.is_integer() and abs(u.det()) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparableLattice:
     """The product lattice alpha*Z x beta*Z with alpha, beta > 0."""
 
@@ -224,7 +230,7 @@ class SeparableLattice:
         return Fraction(ad * bd, an * bn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionResult:
     """Outcome of reducing an extra invariant shift over a*Z x b*Z.
 
@@ -280,6 +286,27 @@ class ReductionResult:
         return out
 
 
+def _builder(cls):
+    """A constructor of the frozen, slotted dataclass `cls` from all its field
+    values in order.  It writes each slot through its member descriptor, which
+    is cheaper than the `object.__setattr__` call that a frozen `__init__` makes
+    per field.  `__post_init__` does not run: callers pass values that already
+    meet it."""
+    setters = tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    new = object.__new__
+
+    def build(*values):
+        obj = new(cls)
+        for put, value in zip(setters, values):
+            put(obj, value)
+        return obj
+
+    return build
+
+
+_separable, _reduction = _builder(SeparableLattice), _builder(ReductionResult)
+
+
 def density(lat: Lattice2D) -> Fraction:
     """Exact lattice density |det basis|^{-1}."""
     n, d = lat.basis._det_parts()
@@ -314,7 +341,8 @@ def separate(lat: Lattice2D) -> tuple[RationalMatrix2x2, SeparableLattice]:
     x, y, h = _xgcd(m21, m22)  # the unimodular columns (-m22/h, m21/h), (x, y)
     f = m11 * x + m12 * y
     shear = RationalMatrix2x2._of(_ONE, Fraction(-f, h), _ZERO, _ONE)
-    sep = SeparableLattice(Fraction(abs(m11 * m22 - m12 * m21) // h, q), Fraction(h, q))
+    # exact and positive: h divides m21 and m22, so it divides the nonzero determinant
+    sep = _separable(Fraction(abs(m11 * m22 - m12 * m21) // h, q), Fraction(h, q))
     return shear, sep
 
 
@@ -342,11 +370,7 @@ def reduce_invariant_shift(
 
     All identities hold exactly in rational arithmetic.
     """
-    m = exact_int(m, InvalidOrder, f"m must be >= 2, got {m}", 2)
-    message = f"need 0 <= r, s < m, got r={r}, s={s}, m={m}"
-    r, s = exact_int(r, InvalidParameter, message, 0), exact_int(s, InvalidParameter, message, 0)
-    if r >= m or s >= m:
-        raise InvalidParameter(message)
+    r, s, m = _shift_indices(r, s, m)
     if r == 0 and s == 0:
         raise NotAnExtraShift("(r, s) = (0, 0) lies in the lattice itself")
     a, b = as_fraction(a), as_fraction(b)
@@ -357,17 +381,10 @@ def reduce_invariant_shift(
     if s == 0 or r == 0:
         swap, k = r == 0, r or s  # the r = 0 case is s = 0 with the axes swapped
         g = gcd(k, m)
-        return ReductionResult(
-            B=RationalMatrix2x2.identity(),
-            alpha=b if swap else a,
-            beta=a if swap else b,
-            d=k // g,
-            m=m // g,
-            fourier_swap=swap,
-            case="fourier_swap" if swap else "time_only",
-            a=a,
-            b=b,
-        )
+        alpha, beta = (b, a) if swap else (a, b)
+        case = "fourier_swap" if swap else "time_only"
+        bezout = (None, None, None, None)
+        return _reduction(_IDENTITY, alpha, beta, k // g, m // g, swap, case, a, b, *bezout)
 
     d = gcd(r, s)
     rho, sigma = r // d, s // d
@@ -375,31 +392,34 @@ def reduce_invariant_shift(
     sigma_t = (1 + sigma * rho_t) // rho
     B = RationalMatrix2x2._of(
         Fraction(sigma_t * bn * ad, bd * rho_t * an),
-        Fraction(-1),
+        _MINUS_ONE,
         Fraction(-sigma * rho_t),
         Fraction(an * bd * rho * rho_t, ad * bn),
     )
-    return ReductionResult(
-        B=B,
-        alpha=Fraction(bn, bd * rho_t),
-        beta=Fraction(rho_t * an, ad),
-        d=d,
-        m=m,
-        fourier_swap=False,
-        case="generic",
-        a=a,
-        b=b,
-        rho=rho,
-        sigma=sigma,
-        rho_t=rho_t,
-        sigma_t=sigma_t,
-    )
+    alpha, beta = Fraction(bn, bd * rho_t), Fraction(rho_t * an, ad)
+    return _reduction(B, alpha, beta, d, m, False, "generic", a, b, rho, sigma, rho_t, sigma_t)
+
+
+def _shift_indices(r, s, m) -> tuple[int, int, int]:
+    """(r, s, m) as Python ints with m >= 2 and 0 <= r, s < m.  The messages are
+    formatted only when a check fails."""
+    try:
+        m = exact_int(m, InvalidOrder, "", 2)
+    except InvalidOrder:
+        raise InvalidOrder(f"m must be >= 2, got {m}") from None
+    try:
+        ri, si = exact_int(r, InvalidParameter, "", 0), exact_int(s, InvalidParameter, "", 0)
+        if ri < m and si < m:
+            return ri, si, m
+    except InvalidParameter:
+        pass
+    raise InvalidParameter(f"need 0 <= r, s < m, got r={r}, s={s}, m={m}")
 
 
 def adjoint_lattice(sep: SeparableLattice) -> SeparableLattice:
     """Adjoint of alpha*Z x beta*Z, namely (1/beta)*Z x (1/alpha)*Z."""
     (an, ad), (bn, bd) = sep.alpha.as_integer_ratio(), sep.beta.as_integer_ratio()
-    return SeparableLattice(Fraction(bd, bn), Fraction(ad, an))
+    return _separable(Fraction(bd, bn), Fraction(ad, an))
 
 
 def order_in_lattice(
@@ -409,10 +429,20 @@ def order_in_lattice(
 
     With basis^{-1} z = (p_1/q_1, p_2/q_2) in lowest terms, k*z lies in the
     lattice iff q_1 | k and q_2 | k, so the order is exactly lcm(q_1, q_2).
+    Each coordinate is kept as an unreduced integer pair (p, q), whose lowest
+    denominator is q // gcd(p, q).
     """
     n_max = exact_int(n_max, InvalidParameter, "n_max must be >= 1", 1)
-    w1, w2 = lat.inverse.apply(z)
-    n = lcm(w1.denominator, w2.denominator)
+    try:
+        x, y = z
+    except (TypeError, ValueError):
+        raise InvalidParameter("z must be a pair of exact rationals") from None
+    (xn, xd), (yn, yd) = as_fraction(x).as_integer_ratio(), as_fraction(y).as_integer_ratio()
+    u, v, e = xn * yd, yn * xd, xd * yd  # z = (u, v) / e
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = lat.inverse._ratios()
+    p1, q1 = an * bd * u + bn * ad * v, ad * bd * e
+    p2, q2 = cn * dd * u + dn * cd * v, cd * dd * e
+    n = lcm(q1 // gcd(p1, q1), q2 // gcd(p2, q2))
     return n if n <= n_max else None
 
 

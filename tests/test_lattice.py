@@ -1,15 +1,19 @@
 """Exact lattice algebra: every identity here holds with zero tolerance."""
 
 import random
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaborinv.errors import InvalidIndex, InvalidLattice, InvalidOrder, NotAnExtraShift
+from gaborinv.errors import (
+    InvalidIndex, InvalidLattice, InvalidOrder, InvalidParameter, NotAnExtraShift
+)
 from gaborinv.lattice import (
     Lattice2D,
     RationalMatrix2x2,
@@ -183,6 +187,24 @@ class TestReduceInvariantShift:
         with pytest.raises(ValueError):
             reduce_invariant_shift(1, 1, 5, 1, 5)
 
+    def test_results_stay_small(self):
+        """4000 generic reductions, the count of one benchmark pass, hold under
+        3 MiB: a faster construction may not give each result a larger layout."""
+        rng = random.Random(30)
+        args = []
+        for _ in range(4000):
+            m = rng.randint(2, 40)
+            a, b = (F(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(2))
+            args.append((a, b, rng.randrange(1, m), rng.randrange(1, m), m))
+        tracemalloc.start()
+        try:
+            results = [reduce_invariant_shift(*x) for x in args]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(res.case == "generic" for res in results)
+        assert held < 3 * 2**20
+
     def test_randomized_exactness(self):
         rng = random.Random(4355)
         for _ in range(300):
@@ -231,6 +253,15 @@ class TestOrder:
 
     def test_absent_when_beyond_n_max(self):
         assert order_in_lattice((F(1, 7), 0), lat([[1, 0], [0, 1]]), 6) is None
+
+    @pytest.mark.parametrize("z", [(1, 2, 3), (F(1, 2),), (), 5, None])
+    def test_rejects_a_z_that_is_not_a_pair(self, z):
+        with pytest.raises(InvalidParameter, match="z must be a pair of exact rationals"):
+            order_in_lattice(z, lat([[1, 0], [0, 1]]), 10)
+
+    def test_rejects_a_float_entry(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            order_in_lattice((1.5, 0), lat([[1, 0], [0, 1]]), 10)
 
     def test_matches_brute_force_small_denominators(self):
         """Exact order matches the scan for all denominators up to 20."""
@@ -408,6 +439,17 @@ class TestIntegerKernelsOracle:
         assert all_fractions(x for rep in reps for x in rep)
 
     @settings(max_examples=200)
+    @given(invertible, st.tuples(rationals, rationals), st.integers(1, 2**80))
+    @example([[F(2**65 + 1, 3), F(0)], [F(-1), F(5, 2**66)]], (F(0), F(0)), 1)
+    @example([[F(0), F(1)], [F(1), F(0)]], (F(1, 2**65), F(-7, 3)), 10)
+    def test_order(self, rows, z, n_max):
+        # basis^{-1} z in plain Fractions; its order is the lcm of the denominators
+        w = o_apply(o_inv(rows), z)
+        want = lcm(w[0].denominator, w[1].denominator)
+        got = order_in_lattice(z, Lattice2D(RationalMatrix2x2(rows)), n_max)
+        assert got == (want if want <= n_max else None)
+
+    @settings(max_examples=200)
     @given(positive, positive, st.integers(2, 60), st.data())
     def test_reduction(self, a, b, m, data):
         r, s = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
@@ -425,3 +467,34 @@ class TestIntegerKernelsOracle:
         assert all_fractions([res.alpha, res.beta, *res.B.entries[0], *res.B.entries[1]])
         assert res.reduced_shift() == (res.d * res.alpha / res.m, 0)
         assert all_fractions(res.reduced_shift())
+
+
+class TestFastConstruction:
+    """The results of reduce_invariant_shift, separate and adjoint_lattice are
+    built without the dataclass __init__; they must act as the constructor's."""
+
+    @staticmethod
+    def results():
+        sep = SeparableLattice(F(3, 2), F(5, 7))
+        for r, s in ((4, 6), (3, 0), (0, 6)):
+            yield reduce_invariant_shift("3/2", "5/7", r, s, 9)
+        yield separate(lat([["3/2", "1/3"], ["2/5", "7/4"]]))[1]
+        yield adjoint_lattice(sep)
+
+    def test_equal_and_hash_like_the_constructor(self):
+        for res in self.results():
+            public = type(res)(**{f.name: getattr(res, f.name) for f in fields(res)})
+            assert res == public and hash(res) == hash(public) and repr(res) == repr(public)
+
+    def test_frozen(self):
+        for res in self.results():
+            with pytest.raises(FrozenInstanceError):
+                res.alpha = F(1)
+
+    def test_replace_builds_and_validates(self):
+        red, _, _, sep, adj = self.results()
+        assert replace(red, d=red.d + 1).d == red.d + 1
+        assert replace(sep, beta=F(1, 3)) == SeparableLattice(sep.alpha, F(1, 3))
+        for s in (sep, adj):
+            with pytest.raises(InvalidLattice):
+                replace(s, alpha=0)
