@@ -47,12 +47,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _real(text: str) -> float:
-    """Plain float or 'p/q' rational."""
+    """Plain float or 'p/q' rational; a zero q or a p/q past the float range is not."""
     try:
         if "/" in text:
             return float(Fraction(text))
         return float(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from exc
 
 

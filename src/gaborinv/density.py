@@ -32,7 +32,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidMatrix, InvalidModulus, InvalidParameter, exact_int
+from .errors import (
+    InvalidMatrix, InvalidModulus, InvalidParameter, check_positive, exact_int, read_pair
+)
 from .lattice import Lattice2D, SeparableLattice
 
 BOUNDARY_FUZZ = 1e-9
@@ -64,12 +66,6 @@ def _fuzz(v):
     """The boundary fuzz at v, elementwise: BOUNDARY_FUZZ, or 4 ulps where rounding
     exceeds it."""
     return np.maximum(BOUNDARY_FUZZ, 4 * np.spacing(np.abs(v)))
-
-
-def _check_positive(name: str, value: float) -> None:
-    """InvalidParameter unless 0 < value < inf, which NaN fails."""
-    if not 0 < value < math.inf:
-        raise InvalidParameter(f"{name} must lie in (0, inf), got {value!r}")
 
 
 def _box_counts(x0, x1, y0, y1) -> np.ndarray:
@@ -168,8 +164,8 @@ class PointSet:
 
     def count_in_box(self, center, R: float) -> int:
         """The signed count of the terms in center + [-R, R]^2, 0 < R < inf, center finite."""
-        _check_positive("R", R)
-        cx, cy = float(center[0]), float(center[1])
+        check_positive("R", R)
+        cx, cy = (float(v) for v in read_pair(center, "center must be a pair of reals"))
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise InvalidParameter(f"center must be finite, got {(cx, cy)}")
         return int(self._counts(np.array([cx]), np.array([cy]), float(R))[0])
@@ -350,7 +346,7 @@ def lower_density_empirical(
     analytic = spec.analytic_density()
     out = []
     for R in R_list:
-        _check_positive("R", R)
+        check_positive("R", R)
         best = min(spec._counts(cx, cy, R).min() for cx, cy in _probe_centers(p1, p2, probe_grid))
         try:
             theta = int(best) / (2.0 * R) ** 2
@@ -376,8 +372,8 @@ def omega_density_formula(alpha: float, beta: float, nu: int) -> float:
     """1/(alpha*beta) + (1 - 1/nu)*alpha*beta, the density lower bound of the
     combined lattice/adjoint orthogonality set."""
     nu = exact_int(nu, InvalidModulus, f"nu must be >= 2, got {nu}", 2)
-    _check_positive("alpha", alpha)
-    _check_positive("beta", beta)
+    check_positive("alpha", alpha)
+    check_positive("beta", beta)
     ab = alpha * beta
     return 1.0 / ab + (1.0 - 1.0 / nu) * ab
 
@@ -401,8 +397,8 @@ def density_transform_check(
 def interval_count_bounds(beta: float, R: float) -> tuple[float, float, int]:
     """Counting bounds (beta*R - 1, beta*R + 1) and the exact count of
     (1/beta)*Z in the closed interval [0, R]."""
-    _check_positive("beta", beta)
-    _check_positive("R", R)
+    check_positive("beta", beta)
+    check_positive("R", R)
     if beta * R == math.inf:
         raise InvalidParameter(f"beta*R overflows: beta={beta!r}, R={R!r}")
     exact = int(math.floor(beta * R + _fuzz(beta * R))) + 1
@@ -433,7 +429,7 @@ def equidistribution_diagnostic(
     sample (`_covering_radius`).  The discrepancy is the worst absolute error
     of anchored-box empirical measures on a _DISC_GRID x _DISC_GRID partition.
     """
-    zx, zy = float(z[0]), float(z[1])
+    zx, zy = (float(v) for v in read_pair(z, "z must be a pair of reals"))
     if zx == 0.0 and zy == 0.0:
         raise InvalidParameter("z must be nonzero")
     n_samples = exact_int(n_samples, InvalidParameter, "n_samples must be >= 1", 1)

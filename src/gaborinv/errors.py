@@ -4,14 +4,17 @@ across the toolkit.
 Every precondition named in a module contract maps to one class here, so
 callers (and the CLI) can report the violated precondition by name; a scalar
 out of its range is `InvalidParameter`, which is also a `ValueError`.  The
-readers (`check_tolerance`, `exact_int`, `exact_ints`) are the one place that
-decides what a tolerance or an integer parameter is.  This module imports no
-numpy: the exact layer loads without it.
+readers (`check_tolerance`, `check_positive`, `exact_int`, `exact_ints`,
+`read_pair`) are the one place that decides what a tolerance, a positive real,
+an integer or a pair is.  This module imports no numpy: the exact layer loads
+without it.
 """
 
+import math
+
 DEFAULT_TOL = 1e-6  # residual threshold of the invariance verdicts
-# spectral cut: an eigenvalue of S is kept when lam > DEFAULT_RANK_TOL * lam_max, a singular
-# value of the slices, K and the completeness blocks when s > DEFAULT_RANK_TOL * s_max
+# the one rank rule, gabor.rank_cut: x > DEFAULT_RANK_TOL * x_max, on lam = (L/b) s^2
+# for the span V of S and on the singular values s for K, the slices and completeness
 DEFAULT_RANK_TOL = 1e-8
 
 
@@ -94,6 +97,24 @@ def check_tolerance(name: str, value: float) -> None:
         raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")
 
 
+def check_positive(name: str, value: float) -> None:
+    """InvalidParameter unless 0 < value < inf, which NaN fails."""
+    if not 0 < value < math.inf:
+        raise InvalidParameter(f"{name} must lie in (0, inf), got {value!r}")
+
+
+def read_pair(value, message: str, error: type = InvalidParameter) -> tuple:
+    """`value` unpacked as (x, y); error(message) for a str or bytes (whose characters
+    would unpack), a non-iterable or any length but 2.  The entries are not read."""
+    if isinstance(value, (str, bytes)):
+        raise error(message)
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        raise error(message) from None
+    return x, y
+
+
 def exact_int(value, error: type, message: str, low=None, divides=None) -> int:
     """`value` as a Python int, at least `low` and dividing `divides` when given
     (`divides` needs `low` >= 1), else error(message).  Integral floats and numpy
@@ -113,13 +134,8 @@ def exact_int(value, error: type, message: str, low=None, divides=None) -> int:
 
 def exact_ints(values, shape: tuple, error: type, message: str, low=None, divides=None) -> tuple:
     """`exact_int` over every entry of a pair, shape (2,), or a 2x2 matrix, shape
-    (2, 2), returned as nested tuples; error(message) when the shape differs."""
-    try:
-        rows = tuple(values)
-    except TypeError:
-        raise error(message) from None
-    if len(rows) != shape[0]:
-        raise error(message)
+    (2, 2), returned as nested tuples; error(message) when `read_pair` rejects a row."""
+    rows = read_pair(values, message, error)
     if len(shape) > 1:
         return tuple(exact_ints(row, shape[1:], error, message, low, divides) for row in rows)
     return tuple(exact_int(v, error, message, low, divides) for v in rows)

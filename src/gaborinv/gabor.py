@@ -24,16 +24,17 @@ a row and column roll of block r0 < G (Strohmer 1998; Sondergaard 2012;
 alone, and every Walnut-block SVD of the package goes through one of the two.
 The adjoint system (L/b, L/a) needs none of its own:
 its block r0 < G (the same G) is block r0 of (a, b) transposed, with its rows
-and columns index-reversed (Walnut duality; Janssen 1995), so
-`FibreSVD.adjoint` reads its factors from the right singular vectors.
+and columns index-reversed (Walnut duality; Janssen 1995), so its left
+singular vectors are the right ones of (a, b).
 The Walnut and Janssen forms are scattered from these blocks and from the
 inner-product table, and the windows pi(t_i, m_i) f are one gather
 (`tf_shifts`).  Matrices are never mutated.  The one stored state is the
-analysis of a system: `analyze_system` keeps its `SystemAnalysis`, with the
-`FibreSVD` it came from, on the `FiniteGaborSystem`, one per rank_tol, with
-read-only arrays, so the criteria, the scan, the dual window and the frame
-bounds of one system share one factorization, and the criteria read the
-adjoint system's from it; every other function is pure.
+analysis of a system: `analyze_system` keeps its `SystemAnalysis` on the
+`FiniteGaborSystem`, one per rank_tol, with read-only arrays.  It holds both
+spans of the one batched SVD, V = ran(S) and the adjoint system's span K, so
+the criteria, the scan, the dual window and the frame bounds of one system
+share one factorization; every other function is pure.  Every rank is cut by
+one rule, `rank_cut`: s > rank_tol * s_max over all blocks.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .errors import (
     InvalidLattice,
     InvalidParameter,
     ZeroWindow,
+    check_positive,
     check_tolerance,
     exact_int,
     exact_ints,
@@ -82,6 +84,7 @@ __all__ = [
     "support_space",
     "is_hermitian",
     "orthonormal_range",
+    "rank_cut",
 ]
 
 
@@ -267,13 +270,13 @@ def orthonormal_range(
     all blocks.
     """
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    return _cut(U, s, rank_tol)
+    return SubspaceBasis((U * rank_cut(s, rank_tol)[..., None, :]).reshape(-1, *U.shape[-2:]))
 
 
-def _cut(U: np.ndarray, s: np.ndarray, rank_tol: float) -> SubspaceBasis:
-    """The columns of U with s > rank_tol * s_max over all blocks, as a basis."""
-    keep = s > rank_tol * s.max(initial=0.0)
-    return SubspaceBasis((U * keep[..., None, :]).reshape(-1, *U.shape[-2:]))
+def rank_cut(s: np.ndarray, rank_tol: float) -> np.ndarray:
+    """The mask s > rank_tol * s_max over all of s, the package's one rank rule:
+    a value at the threshold is dropped, and an all-zero s keeps nothing."""
+    return s > rank_tol * s.max(initial=0.0)
 
 
 def walnut_fibres(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
@@ -316,24 +319,6 @@ class FibreSVD(NamedTuple):
     def expand(self, blocks: np.ndarray) -> np.ndarray:
         """(G, f_step, ...) arrays on the representatives as (P, f_step, ...) on every block."""
         return blocks[self.orbit[:, None], self.rows]
-
-    def range(self, rank_tol: float) -> SubspaceBasis:
-        """The representatives' part of the column space, cut as by `orthonormal_range`:
-        every block shares its representative's singular values, so s_max is theirs."""
-        return _cut(self.U, self.s, rank_tol)
-
-    def adjoint(self) -> FibreSVD:
-        """The factors of the adjoint system (L/f_step, L/t_step), for one window.
-
-        Its block r0 is block r0 here transposed, with row k read from row
-        -k mod L/t_step and column j from column -j mod f_step (Walnut duality;
-        Janssen 1995), so its left singular vectors are Vh[r0]^T with the rows
-        so reversed, its singular values are s, and no SVD is computed.
-        """
-        f_step, P, N = self.U.shape[1], len(self.orbit), self.Vh.shape[2]
-        U = self.Vh.swapaxes(1, 2)[:, -np.arange(N) % N]
-        Vh = self.U.swapaxes(1, 2)[:, :, -np.arange(f_step) % f_step]
-        return FibreSVD(U, self.s, *orbit_map(P * f_step, P, N), Vh)
 
 
 def fibre_svd(g: np.ndarray, t_step: int, f_step: int) -> FibreSVD:
@@ -385,12 +370,13 @@ class SystemAnalysis:
     """The one spectral factorization of a system that its consumers share.
 
     `eigenvalues` is the ascending spectrum of S, the union of the spectra of
-    its L/b Walnut blocks, from one batched SVD, `fibres`; `frame` and `dual`
-    are read from it, and the criteria engine reads the adjoint system's
-    blocks from `fibres.adjoint()`.  `analyze_system` stores it on the system,
-    so every caller holds the same object: `eigenvalues`, `dual.gamma`,
-    `dual.span.blocks`, `dual.span.ranks` and the arrays of `fibres` are
-    read-only.
+    its L/b Walnut blocks, from one batched SVD; `frame` and `dual` are read
+    from it.  It holds both spans of that SVD, each cut by `rank_cut`: V =
+    ran(S) as `dual.span` (L/b blocks, cut on lambda = (L/b) s^2) and K, the
+    span of the adjoint system (L/b, L/a), as `adjoint_span` (a blocks, cut on
+    s).  `analyze_system` stores it on the system, so every caller holds the
+    same object: `eigenvalues`, `dual.gamma` and the blocks and ranks of both
+    spans are read-only.
     """
 
     system: FiniteGaborSystem
@@ -398,7 +384,7 @@ class SystemAnalysis:
     eigenvalues: np.ndarray
     frame: FrameBounds
     dual: DualWindowResult
-    fibres: FibreSVD
+    adjoint_span: SubspaceBasis
 
 
 def analyze_system(
@@ -429,7 +415,7 @@ def _analyze(sys: FiniteGaborSystem, rank_tol: float) -> SystemAnalysis:
     """The body of `analyze_system`, on a checked rank_tol, with read-only arrays."""
     if not np.any(sys.window):
         raise ZeroWindow("frame operator is zero")
-    L, P = sys.L, sys.n_freq
+    L, P, N = sys.L, sys.n_freq, sys.n_time
     # the SVD of Z_r resolves an eigenvalue lam of S to eps sqrt(lam_max lam),
     # eigh of Z_r Z_r^H only to eps lam_max; blocks with b > N add zeros
     fib = fibre_svd(sys.window, sys.a, sys.b)
@@ -440,20 +426,25 @@ def _analyze(sys: FiniteGaborSystem, rank_tol: float) -> SystemAnalysis:
         raise InvalidParameter("frame operator underflows: lambda_max is 0")
     if spectrum[-1] == np.inf:
         raise InvalidParameter("frame operator overflows: lambda_max is not finite")
-    keep = lam > rank_tol * spectrum[-1]  # the one spectral cut; padded zeros never pass
+    keep = rank_cut(lam, rank_tol)  # lam's max is spectrum[-1]; padded zeros never pass
     with np.errstate(over="ignore"):  # 1/lam of a subnormal lam is inf, rejected below
         inv = keep / np.where(keep, lam, 1.0)
     if not np.isfinite(inv).all():
         raise InvalidParameter("frame operator underflows: a kept 1/lambda is not finite")
     kept = np.sort(lam[keep])
-    frame = FrameBounds(float(kept[0]), float(kept[-1]), kept.size, kept.size == sys.n_time * P)
+    frame = FrameBounds(float(kept[0]), float(kept[-1]), kept.size, kept.size == N * P)
     V = fib.expand(fib.U)
     x = sys.window.reshape(sys.b, P).T[..., None]  # the fibres of g
     gamma = (V @ (inv[..., None] * (V.conj().swapaxes(1, 2) @ x)))[..., 0].T.ravel()
     span = SubspaceBasis(V * keep[:, None, :])
-    for shared in (spectrum, gamma, span.blocks, span.ranks, *fib):
+    # K's block r0 < G is Z_r0^T with row k read from -k mod N (Walnut duality), so its
+    # left singular vectors are Vh[r0]^T so reversed, with the singular values s
+    U_K = fib.Vh.swapaxes(1, 2)[:, -np.arange(N) % N] * rank_cut(fib.s, rank_tol)[:, None, :]
+    orbit, rows = orbit_map(L, P, N)
+    K = SubspaceBasis(U_K[orbit[:, None], rows])
+    for shared in (spectrum, gamma, span.blocks, span.ranks, K.blocks, K.ranks):
         shared.setflags(write=False)
-    return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span), fib)
+    return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span), K)
 
 
 def canonical_dual(
@@ -519,8 +510,7 @@ def periodized_gaussian(L: int, c: float) -> np.ndarray:
     the running maximum.  For c = pi the result is DFT-invariant.
     """
     L = exact_int(L, InvalidParameter, f"L must be >= 4, got {L}", 4)
-    if not 0 < c < np.inf:  # a NaN or infinite width never meets the stopping test
-        raise InvalidParameter(f"Gaussian width c must be finite and positive, got {c}")
+    check_positive("c", c)  # a NaN or infinite width never meets the stopping test
     if c * L < np.pi**2 / np.log(1e17):
         # Poisson summation: the periodization varies by a relative 2 exp(-pi^2/(c L)),
         # below the 1e-17 stopping rule of the loop, which would need ~(c L)^(-1/2) terms

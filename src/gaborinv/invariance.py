@@ -8,8 +8,8 @@ the criteria proof, completeness from two small independent invariant
 shifts, and the full Gaussian scenario pipeline.
 
 The criteria engine reads K, the adjoint system's span, from the system's
-stored factors (Walnut duality) and factors the slice L_0 inside K's kept
-columns: the rows of class j mod nu of a slice block are an adjoint block.  That
+stored analysis and factors the slice L_0 inside K's kept columns: the rows
+of class j mod nu of a slice block are an adjoint block.  That
 one SVD gives L_0's basis and rank and criterion (iii)'s margin sigma_min, the
 smallest singular value of the stacked slice bases (for nu = 2, the smallest
 principal angle between the two slices); (iii) itself is rank additivity.  Only
@@ -55,6 +55,7 @@ from .gabor import (
     fibre_singular_values,
     orbit_map,
     periodized_gaussian,
+    rank_cut,
     tf_inner_products,
     tf_shift,
     tf_shifts,
@@ -216,7 +217,7 @@ class CriteriaReport:
                test for the adjoint subspaces L_s.  Rank additivity is the
                criterion: joint_rank is the rank of K, and rank_sum is nu times
                the rank of L_0, cut in the SVD of the slice blocks projected onto
-               K's kept columns, so both come from K's stored factors.  sigma_min,
+               K's kept columns, so both come from the stored K.  sigma_min,
                the smallest singular value of the stacked orthonormal slice bases,
                is its margin, read from the class rows of that SVD's left factor:
                0 when the sum is not direct, 1 when the slices are mutually
@@ -308,18 +309,16 @@ def criteria_engine(
     images[0] -= g_cols
     res_ii = [float(np.linalg.norm(x) / np.linalg.norm(g)) for x in images]
 
-    # K is the adjoint system (L/b, L/a), read from the stored analysis (Walnut duality).
-    # Its block r0 + c a/nu is the class c = j mod nu of slice block r0, so slice block
-    # r0 is Pi blockdiag(K_c) Y_r0 with Y_r0 the stack of K_c^H W_{r0,c}: the slice basis
+    # K is the adjoint system (L/b, L/a)'s span, stored by the analysis.  Its block
+    # r0 + c a/nu is the class c = j mod nu of slice block r0, so slice block r0 is
+    # Pi blockdiag(K_c) Y_r0 with Y_r0 the stack of K_c^H W_{r0,c}: the slice basis
     # Q0_r0 = Pi blockdiag(K_c) X_r0 comes from the SVD of the (G, nu k_K, b) stack Y.
-    adjoint_fib = an.fibres.adjoint()
-    K_reps = adjoint_fib.range(rank_tol)
-    k_K = K_reps.ranks.max()
-    blocks = np.arange(G)[:, None] + np.arange(nu) * (a // nu)
-    Kc = K_reps.blocks[adjoint_fib.orbit[blocks][..., None], adjoint_fib.rows[blocks], :k_K]
+    K = an.adjoint_span
+    k_K = K.ranks.max()
+    Kc = K.blocks[np.arange(G)[:, None] + np.arange(nu) * (a // nu), :, :k_K]
     Y = Kc.conj().swapaxes(2, 3) @ W.reshape(G, L // a, nu, b).swapaxes(1, 2)
     X, s, _ = np.linalg.svd(Y.reshape(G, nu * k_K, b), full_matrices=False)
-    k = np.count_nonzero(s > rank_tol * s.max(), axis=1)
+    k = np.count_nonzero(rank_cut(s, rank_tol), axis=1)
     X = (X * (np.arange(X.shape[2]) < k[:, None, None]))[..., : k.max()].reshape(G, nu, k_K, -1)
     Q0 = (Kc @ X).swapaxes(1, 2).reshape(G, n, -1)
     gamma_cols = _representative_columns(gamma, rows, G)
@@ -354,7 +353,7 @@ def criteria_engine(
         "vanish_on_K_perp": norm(P - P @ PK),
     }
     projections_ok = all(v < tol for v in proj.values())
-    rank_sum, joint_rank = nu * orbit_size * int(k.sum()), int(K_reps.ranks[adjoint_fib.orbit].sum())
+    rank_sum, joint_rank = nu * orbit_size * int(k.sum()), K.rank
     holds = {
         "i": res_i < tol,
         "ii": max(res_ii) < tol,
@@ -472,7 +471,7 @@ def small_shift_completeness(
     t, m = V @ np.stack(np.divmod(np.arange(n_cls), n_cls // o1)) % d
     # one block per orbit, standing for (L/d)/G blocks each
     s = fibre_singular_values(tf_shifts(sys.window, t, m), d, d)
-    return int(np.sum(s > rank_tol * s.max())) * (L // d) // len(s) == L
+    return np.count_nonzero(rank_cut(s, rank_tol)) * (L // d) // len(s) == L
 
 
 @dataclass(frozen=True)

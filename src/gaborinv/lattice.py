@@ -27,7 +27,8 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
-    InvalidIndex, InvalidLattice, InvalidOrder, InvalidParameter, NotAnExtraShift, exact_int
+    InvalidIndex, InvalidLattice, InvalidOrder, InvalidParameter, NotAnExtraShift, exact_int,
+    read_pair,
 )
 
 RationalLike = Union[Fraction, int, str]
@@ -160,7 +161,7 @@ class RationalMatrix2x2:
         )
 
     def apply(self, v: Sequence[RationalLike]) -> tuple[Fraction, Fraction]:
-        x, y = v
+        x, y = read_pair(v, "v must be a pair of exact rationals")
         x, y = as_fraction(x), as_fraction(y)
         (a, b), (c, d) = self._e
         return (_dot(a, x, b, y), _dot(c, x, d, y))
@@ -433,10 +434,7 @@ def order_in_lattice(
     denominator is q // gcd(p, q).
     """
     n_max = exact_int(n_max, InvalidParameter, "n_max must be >= 1", 1)
-    try:
-        x, y = z
-    except (TypeError, ValueError):
-        raise InvalidParameter("z must be a pair of exact rationals") from None
+    x, y = read_pair(z, "z must be a pair of exact rationals")
     (xn, xd), (yn, yd) = as_fraction(x).as_integer_ratio(), as_fraction(y).as_integer_ratio()
     u, v, e = xn * yd, yn * xd, xd * yd  # z = (u, v) / e
     (an, ad), (bn, bd), (cn, cd), (dn, dd) = lat.inverse._ratios()

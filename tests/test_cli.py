@@ -461,6 +461,34 @@ def test_rejected_input_writes_no_manifest(tmp_path, capsys, args, code, message
     assert not (tmp_path / "run_manifest.json").exists()
 
 
+HUGE = "1" + "0" * 400 + "/1"  # a p/q beyond the float range
+
+
+@pytest.mark.parametrize("value", ["1/0", HUGE], ids=["zero-q", "overflow"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["criteria", "--L", "12", "--a", "4", "--b", "4", "--nu", "2"], "--c"),
+        (["criteria", "--L", "12", "--a", "4", "--b", "4", "--nu", "2"], "--tol"),
+        (["criteria", "--L", "12", "--a", "4", "--b", "4", "--nu", "2"], "--rank-tol"),
+        (["density"], "--R"),
+        (["density", "--R", "5"], "--alpha"),
+        (["density", "--R", "5"], "--beta"),
+        (["equidistribution"], "--z"),
+        (["equidistribution", "--z", "1,sqrt2"], "--t-step"),
+    ],
+    ids=["c", "tol", "rank-tol", "R", "alpha", "beta", "z", "t-step"],
+)
+def test_real_outside_the_floats_is_a_parse_error(tmp_path, capsys, command, flag, value):
+    """1/0 raised ZeroDivisionError and a huge p/q OverflowError out of argparse:
+    a traceback with exit 1 instead of the parse error."""
+    text = f"{value},1" if flag == "--z" else value
+    assert run(tmp_path, *command, flag, text) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: not a real number: {value!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "run_manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "command", [["criteria", "--nu", "2"], ["scan", "--refinement", "2"], ["dual-window"]]
 )

@@ -591,6 +591,23 @@ class TestIntervalCounts:
             interval_count_bounds(beta, R)
 
 
+@pytest.mark.parametrize("v", ["12", b"12", (0, 0, 5)], ids=["str", "bytes", "triple"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: LatticePoints(np.eye(2)).count_in_box(v, 1.0),
+        lambda v: count_in_box(omega_spec(1.5, 5 / 7, 2), v, 1.0),
+        lambda v: equidistribution_diagnostic(v, SeparableLattice(1, 1), GOLDEN, 10),
+    ],
+    ids=["count-method", "count-function", "equidistribution"],
+)
+def test_a_string_bytes_or_triple_is_not_a_pair(call, v):
+    """A str or bytes was read character by character and a triple cut to its first
+    two entries: count_in_box("12", 1.0) and count_in_box((0, 0, 5), 1.0) counted 9."""
+    with pytest.raises(InvalidParameter, match="must be a pair of reals"):
+        call(v)
+
+
 class TestEquidistribution:
     def test_irrational_direction_covers(self):
         cov, disc = equidistribution_diagnostic(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaborinv.errors import InvalidParameter, exact_int, exact_ints
+from gaborinv.errors import InvalidParameter, exact_int, exact_ints, read_pair
 
 
 @pytest.mark.parametrize(
@@ -43,6 +43,28 @@ def test_lower_bound_and_divisor(value, low, divides, ok):
 def test_shaped_form_reads_pairs_and_matrices():
     assert exact_ints(np.array([[1, 2], [3.0, 4]]), (2, 2), ValueError, "bad") == ((1, 2), (3, 4))
     assert exact_ints((4.0, np.int64(6)), (2,), ValueError, "bad", 1, 12) == (4, 6)
-    for values, shape in [((1, 2, 3), (2,)), (((1, 2), (3,)), (2, 2)), ("12", (2,)), (5, (2,))]:
+    # b"12" used to read as the pair (49, 50)
+    for values, shape in [
+        ((1, 2, 3), (2,)), (((1, 2), (3,)), (2, 2)), ("12", (2,)), (b"12", (2,)), (5, (2,))
+    ]:
         with pytest.raises(ValueError, match="^bad$"):
             exact_ints(values, shape, ValueError, "bad")
+
+
+@pytest.mark.parametrize(
+    "value", [(1, 2), [1, 2], np.array([1.0, 2.0]), iter("ab"), (x for x in ("x", None))],
+    ids=["tuple", "list", "array", "iterator", "generator"],
+)
+def test_any_iterable_of_two_is_a_pair(value):
+    assert len(read_pair(value, "bad")) == 2
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["12", b"12", "", 5, None, (), (1,), (0, 0, 5), np.float64(1.0), np.zeros((3, 2))],
+    ids=["str", "bytes", "empty-str", "int", "none", "empty", "single", "triple", "scalar",
+         "3x2"],
+)
+def test_other_values_are_not_pairs(value):
+    with pytest.raises(InvalidParameter, match="^bad$"):
+        read_pair(value, "bad")

@@ -26,6 +26,7 @@ from gaborinv.gabor import (
     is_hermitian,
     janssen_representation,
     periodized_gaussian,
+    rank_cut,
     shift_operator,
     support_space,
     tf_shift,
@@ -597,10 +598,20 @@ class TestSubspaceBasis:
         with pytest.raises(ValueError):
             SubspaceBasis(np.array(blocks))
 
-    def test_a_non_orthonormal_representative_still_raises(self):
-        fib = fibre_svd(fibre_window(72, "random", 4), 12, 4)
-        with pytest.raises(InvalidParameter):
-            fib._replace(U=fib.U * 1.01).range(1e-8)
+
+class TestRankCut:
+    def test_a_value_at_the_threshold_is_dropped(self):
+        # 0.25 * 4.0 = 1.0 exactly: the rule is a strict s > rank_tol * s_max
+        assert rank_cut(np.array([4.0, 2.0, 1.0, 0.5]), 0.25).tolist() == [True, True, False, False]
+
+    def test_all_zero_keeps_nothing(self):
+        for s in (np.zeros((3, 2)), np.zeros((2, 0))):
+            keep = rank_cut(s, 1e-8)
+            assert keep.shape == s.shape and not keep.any()
+
+    def test_the_maximum_is_taken_over_every_block(self):
+        s = np.array([[1.0, 0.5], [1e-9, 0.0]])
+        assert rank_cut(s, 1e-8).tolist() == [[True, True], [False, False]]
 
 
 class TestSupportSpace:

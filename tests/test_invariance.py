@@ -18,6 +18,7 @@ from gaborinv.density import (
     omega_spec,
 )
 from gaborinv.errors import (
+    DEFAULT_RANK_TOL,
     DegenerateInput,
     InvalidIndex,
     InvalidLattice,
@@ -43,6 +44,7 @@ from gaborinv.gabor import (
     janssen_representation,
     orthonormal_range,
     periodized_gaussian,
+    rank_cut,
     support_space,
     tf_shift,
     walnut_fibres,
@@ -329,24 +331,39 @@ def test_adjoint_blocks_are_the_reversed_transposes(sys):
     Z, Z_adj = walnut_fibres(g, a, b)[:G], walnut_fibres(g, L // b, N)[:G]
     assert np.array_equal(Z_adj, Z.swapaxes(1, 2)[:, -np.arange(N) % N][:, :, -np.arange(b) % b])
 
-    adj, ref = fibre_svd(g, a, b).adjoint(), fibre_svd(g, L // b, N)
-    np.testing.assert_array_equal(adj.orbit, ref.orbit)
-    np.testing.assert_array_equal(adj.rows, ref.rows)
-    scale = max(np.abs(ref.s).max(initial=0.0), 1e-300)
-    assert np.abs(adj.s - ref.s).max(initial=0.0) <= 1e-12 * scale
-    assert np.abs((adj.U * adj.s[:, None, :]) @ adj.Vh - Z_adj).max(initial=0.0) <= 1e-12 * scale
-    assert np.abs(adj.U.conj().swapaxes(1, 2) @ adj.U - np.eye(adj.U.shape[2])).max() <= 1e-12
-    K, K_ref = (SubspaceBasis(fib.expand(fib.range(1e-8).blocks)) for fib in (adj, ref))
+
+@settings(max_examples=100, deadline=None)
+@given(fibred_systems())
+def test_adjoint_span_matches_a_direct_svd_of_the_adjoint_system(sys):
+    """The stored K, read from the right singular vectors of (a, b), against a
+    fibre_svd of the adjoint system (L/b, L/a) itself, cut by the same rule."""
+    L, a, b, g = sys.L, sys.a, sys.b, sys.window
+    G, N = gcd(a, L // b), L // a
+    K = analyze_system(sys).adjoint_span
+    ref = fibre_svd(g, L // b, N)
+    keep = rank_cut(ref.s, DEFAULT_RANK_TOL)
+    K_ref = SubspaceBasis(ref.expand(ref.U * keep[:, None, :]))
+    assert K.blocks.shape == (a, N, min(b, N)) and not K.blocks.flags.writeable
     np.testing.assert_array_equal(K.ranks, K_ref.ranks)
     # two SVDs of one block agree on a kept subspace to eps s_max over its gap (Wedin)
-    s = np.pad(ref.s, ((0, 0), (0, 1)))
-    kept = ref.range(1e-8).ranks
+    scale = max(ref.s.max(initial=0.0), 1e-300)
+    s, kept = np.pad(ref.s, ((0, 0), (0, 1))), keep.sum(axis=1)
     gaps = (s[np.arange(G), kept - 1] - s[np.arange(G), kept])[kept > 0]
     bound = 100 * np.finfo(float).eps * scale / gaps.min(initial=np.inf)
     assert np.abs(K.projector() - K_ref.projector()).max() <= bound
 
 
 class TestCriteriaEngine:
+    def test_a_second_call_builds_no_basis(self, monkeypatch):
+        """The analysis builds V and K once; a later call reads both."""
+        built, check = [], SubspaceBasis.__post_init__
+        monkeypatch.setattr(SubspaceBasis, "__post_init__", lambda q: built.append(q) or check(q))
+        sys = gaussian_system()
+        criteria_engine(sys, 2)
+        assert len(built) == 2
+        criteria_engine(sys, 3)
+        assert len(built) == 2
+
     def test_adjoint_blocks_come_from_the_stored_analysis(self, monkeypatch):
         cases = [
             # the slice's 2 orbit representatives as (2 * 10, 12) stacks in K's largest

@@ -275,6 +275,22 @@ class TestOrder:
                         assert got == brute_force_order(z, unit, 420)
 
 
+@pytest.mark.parametrize("v", ["12", b"12", (0, 0, 5)], ids=["str", "bytes", "triple"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: RationalMatrix2x2.identity().apply(v),
+        lambda v: lat([[1, 0], [0, 1]]).contains(v),
+        lambda v: order_in_lattice(v, lat([[1, 0], [0, 1]]), 10),
+    ],
+    ids=["apply", "contains", "order"],
+)
+def test_a_string_bytes_or_triple_is_not_a_pair(call, v):
+    """A two-character str or bytes used to unpack into two one-digit rationals."""
+    with pytest.raises(InvalidParameter, match="must be a pair of exact rationals"):
+        call(v)
+
+
 class TestCosets:
     def test_trivial(self):
         assert coset_decomposition(SeparableLattice(1, 1), 1) == [(0, 0)]

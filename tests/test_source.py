@@ -84,6 +84,36 @@ def test_each_parameter_rule_has_one_message():
         assert text.count(message) == 1, message
 
 
+def test_rank_tol_is_multiplied_only_in_rank_cut():
+    """Every rank is cut by `gabor.rank_cut`: no other function multiplies a
+    rank_tol (or DEFAULT_RANK_TOL), so a new cut cannot write its own rule."""
+
+    def is_rank_tol(node) -> bool:
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+        return name.lower().endswith("rank_tol")
+
+    def products(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = node.left, node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = node.target, node.value
+        else:
+            operands = ()
+        if any(map(is_rank_tol, operands)):
+            yield where
+        for child in ast.iter_child_nodes(node):
+            yield from products(child, where)
+
+    found = [
+        where
+        for path in sorted(Path(gaborinv.__file__).parent.glob("*.py"))
+        for where in products(ast.parse(path.read_text()), path.stem)
+    ]
+    assert found == ["gabor.rank_cut"]
+
+
 def test_no_module_uses_a_private_name_of_another():
     """A private name is read only in its own module: no `from .x import _y` and
     no `x._y` on another gaborinv module (shared helpers are public)."""
