@@ -133,6 +133,24 @@ def _lattice_count(basis: np.ndarray, cx: np.ndarray, cy: np.ndarray, R: float):
     return total, origin
 
 
+def _real_pair(name: str, value) -> tuple[float, float]:
+    """`value` as a pair of floats, read by `read_pair`; InvalidParameter otherwise."""
+    message = f"{name} must be a pair of reals"
+    x, y = read_pair(value, message)
+    try:
+        return float(x), float(y)
+    except (TypeError, ValueError):
+        raise InvalidParameter(message) from None
+
+
+def _finite_pair(name: str, value) -> tuple[float, float]:
+    """`_real_pair` with both entries finite; InvalidParameter otherwise."""
+    x, y = _real_pair(name, value)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidParameter(f"{name} must be finite, got {(x, y)}")
+    return x, y
+
+
 def _basis_array(lat) -> np.ndarray:
     """A float 2x2 basis; InvalidMatrix when an entry is not finite or it is singular."""
     if isinstance(lat, Lattice2D):
@@ -165,9 +183,7 @@ class PointSet:
     def count_in_box(self, center, R: float) -> int:
         """The signed count of the terms in center + [-R, R]^2, 0 < R < inf, center finite."""
         check_positive("R", R)
-        cx, cy = (float(v) for v in read_pair(center, "center must be a pair of reals"))
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise InvalidParameter(f"center must be finite, got {(cx, cy)}")
+        cx, cy = _finite_pair("center", center)
         return int(self._counts(np.array([cx]), np.array([cy]), float(R))[0])
 
     def _counts(self, cx: np.ndarray, cy: np.ndarray, R: float) -> np.ndarray:
@@ -246,7 +262,7 @@ class ShiftedLattice(PointSet):
     variant = "shifted_lattice"
 
     def __post_init__(self):
-        b, shift = _basis_array(self.basis), (float(self.shift[0]), float(self.shift[1]))
+        b, shift = _basis_array(self.basis), _finite_pair("shift", self.shift)
         self._set(((1, b, shift, False),), basis=b, shift=shift)
 
 
@@ -273,8 +289,8 @@ class ExcludedResidueProduct(PointSet):
 
     def __post_init__(self):
         nu = exact_int(self.nu, InvalidModulus, f"nu must be >= 2, got {self.nu}", 2)
-        if self.t_step <= 0 or self.f_step <= 0:
-            raise InvalidMatrix("steps must be positive")
+        check_positive("t_step", self.t_step)
+        check_positive("f_step", self.f_step)
         full = _basis_array(np.diag([self.t_step, self.f_step]))
         sub = _basis_array(np.diag([self.t_step, nu * self.f_step]))
         self._set(((1, full, _ORIGIN, False), (-1, sub, _ORIGIN, False)), nu=nu)
@@ -429,7 +445,7 @@ def equidistribution_diagnostic(
     sample (`_covering_radius`).  The discrepancy is the worst absolute error
     of anchored-box empirical measures on a _DISC_GRID x _DISC_GRID partition.
     """
-    zx, zy = (float(v) for v in read_pair(z, "z must be a pair of reals"))
+    zx, zy = _real_pair("z", z)  # a non-finite z is rejected with the samples below
     if zx == 0.0 and zy == 0.0:
         raise InvalidParameter("z must be nonzero")
     n_samples = exact_int(n_samples, InvalidParameter, "n_samples must be >= 1", 1)
@@ -606,6 +622,8 @@ _BY_TAG = {
 
 
 def pointset_from_json(text: str) -> PointSet:
+    """The point set of a `pointset_to_json` document; ValueError if it is malformed."""
+
     def build(d: dict) -> PointSet:
         cls = _BY_TAG.get(d.get("variant"))
         if cls is None:
@@ -615,7 +633,10 @@ def pointset_from_json(text: str) -> PointSet:
             kwargs["members"] = tuple(build(m) for m in kwargs["members"])
         return cls(**kwargs)
 
-    return build(json.loads(text))
+    try:
+        return build(json.loads(text))
+    except (AttributeError, TypeError) as e:  # a non-object, a missing or extra field
+        raise ValueError(f"malformed point-set document: {e}") from e
 
 
 def pointset_to_json(spec: PointSet) -> str:

@@ -19,13 +19,12 @@ L x L matrix; the span of the system stays in these blocks (`SubspaceBasis`).
 Only G = gcd(a, L/b) of the blocks are distinct: with x (L/b) = G mod a and
 y = (x L/b - G)/a, block r0 + q G is Z_r0[(j + q x) mod b, (k + q y) mod L/a],
 a row and column roll of block r0 < G (Strohmer 1998; Sondergaard 2012;
-`orbit_map`).  So `fibre_svd` factors the G orbit representatives
-(`fibre_representatives`) only, `fibre_singular_values` gives their values
-alone, and every Walnut-block SVD of the package goes through one of the two.
-The adjoint system (L/b, L/a) needs none of its own:
-its block r0 < G (the same G) is block r0 of (a, b) transposed, with its rows
-and columns index-reversed (Walnut duality; Janssen 1995), so its left
-singular vectors are the right ones of (a, b).
+`orbit_map`).  So every Walnut-block SVD of the package factors the G orbit
+representatives (`fibre_representatives`) only; the analysis cuts and inverts
+on them and gathers each span to every block once, through the orbit map.  The
+adjoint system (L/b, L/a) needs no SVD of its own: its block r0 < G is block r0
+of (a, b) transposed, rows and columns index-reversed (Walnut duality; Janssen
+1995), so its left singular vectors are the right ones of (a, b).
 The Walnut and Janssen forms are scattered from these blocks and from the
 inner-product table, and the windows pi(t_i, m_i) f are one gather
 (`tf_shifts`).  Matrices are never mutated.  The one stored state is the
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +63,6 @@ __all__ = [
     "FrameBounds",
     "DualWindowResult",
     "SystemAnalysis",
-    "FibreSVD",
-    "fibre_svd",
-    "fibre_singular_values",
     "fibre_representatives",
     "orbit_map",
     "tf_shift",
@@ -89,8 +85,13 @@ __all__ = [
 
 
 def tf_shift(f: np.ndarray, t: int, m: int) -> np.ndarray:
-    """Apply pi(t, m) = T_t M_m to a length-L signal (indices mod L)."""
-    return tf_shifts(np.asarray(f), t, m)[:, 0]
+    """Apply pi(t, m) = T_t M_m to a length-L signal, for integers t and m (mod L)."""
+    f = np.asarray(f)
+    if f.ndim != 1 or len(f) == 0:
+        raise InvalidParameter(f"tf_shift needs a signal of length L >= 1, got shape {f.shape}")
+    message = f"tf_shift needs integers t and m, got t={t!r}, m={m!r}"
+    t, m = exact_ints((t, m), (2,), InvalidParameter, message)
+    return tf_shifts(f, t % len(f), m % len(f))[:, 0]
 
 
 def tf_shifts(f: np.ndarray, t, m) -> np.ndarray:
@@ -301,52 +302,16 @@ def _fibres(g: np.ndarray, t_step: int, f_step: int, blocks: int) -> np.ndarray:
     return g[(r + j * (L // f_step) - k * t_step) % L]
 
 
-class FibreSVD(NamedTuple):
-    """Singular factors of the Walnut blocks of (t_step, f_step), one per orbit.
-
-    Block r = r0 + q G of `walnut_fibres` (G = gcd(t_step, L/f_step), r0 < G)
-    is block r0 with its rows rolled by q x and its columns by q y, so it has
-    the singular values s[r0] and the left singular vectors U[r0] with row j
-    read from row rows[r, j] = (j + q x) mod f_step: `orbit[r]` is r0.
-    """
-
-    U: np.ndarray  # (G, f_step, c): left singular vectors of blocks r0 < G
-    s: np.ndarray  # (G, c): their singular values, descending
-    orbit: np.ndarray  # (P,): r0 of block r
-    rows: np.ndarray  # (P, f_step): the rolled row index of block r
-    Vh: np.ndarray  # (G, c, L/t_step): their right singular vectors, as rows
-
-    def expand(self, blocks: np.ndarray) -> np.ndarray:
-        """(G, f_step, ...) arrays on the representatives as (P, f_step, ...) on every block."""
-        return blocks[self.orbit[:, None], self.rows]
-
-
-def fibre_svd(g: np.ndarray, t_step: int, f_step: int) -> FibreSVD:
-    """One batched SVD of the G = gcd(t_step, L/f_step) distinct Walnut blocks.
-
-    The window or stack g and the steps are as in `walnut_fibres`; a stack's
-    blocks are (f_step, (L/t_step) * windows) matrices.  Expanding to all
-    blocks is one gather, `FibreSVD.expand`.
-    """
-    U, s, Vh = np.linalg.svd(fibre_representatives(g, t_step, f_step), full_matrices=False)
-    return FibreSVD(U, s, *orbit_map(g.shape[0], t_step, f_step), Vh)
-
-
 def orbit_map(L: int, t_step: int, f_step: int) -> tuple[np.ndarray, np.ndarray]:
-    """`FibreSVD.orbit` and `FibreSVD.rows` of the Walnut blocks of (t_step, f_step)
-    on C^L: block r = r0 + q G (G = gcd(t_step, P), P = L/f_step) is block
-    orbit[r] = r0 with row j read from rows[r, j] = (j + q x) mod f_step, where x
-    is the inverse of P/G modulo t_step/G, so x P = G mod t_step (x = 0 when
-    G = t_step)."""
+    """The orbit map of the Walnut blocks of (t_step, f_step) on C^L: block r = r0 + q G
+    (G = gcd(t_step, P), P = L/f_step) is block orbit[r] = r0 of `fibre_representatives`
+    with row j read from rows[r, j] = (j + q x) mod f_step, where x is the inverse of
+    P/G modulo t_step/G, so x P = G mod t_step (x = 0 when G = t_step).  A span on the
+    representatives U is gathered to every block as U[orbit[:, None], rows]."""
     P = L // f_step
     G = gcd(t_step, P)
     q, orbit = np.divmod(np.arange(P), G)
     return orbit, (np.arange(f_step) + (q * pow(P // G, -1, t_step // G))[:, None]) % f_step
-
-
-def fibre_singular_values(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
-    """`fibre_svd(g, t_step, f_step).s` without the singular vectors: (G, c), descending."""
-    return np.linalg.svd(fibre_representatives(g, t_step, f_step), compute_uv=False)
 
 
 def fibre_representatives(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
@@ -369,14 +334,14 @@ def tf_inner_products(f: np.ndarray, h: np.ndarray, t_step: int, f_step: int) ->
 class SystemAnalysis:
     """The one spectral factorization of a system that its consumers share.
 
-    `eigenvalues` is the ascending spectrum of S, the union of the spectra of
-    its L/b Walnut blocks, from one batched SVD; `frame` and `dual` are read
-    from it.  It holds both spans of that SVD, each cut by `rank_cut`: V =
-    ran(S) as `dual.span` (L/b blocks, cut on lambda = (L/b) s^2) and K, the
-    span of the adjoint system (L/b, L/a), as `adjoint_span` (a blocks, cut on
-    s).  `analyze_system` stores it on the system, so every caller holds the
-    same object: `eigenvalues`, `dual.gamma` and the blocks and ranks of both
-    spans are read-only.
+    `eigenvalues` is the ascending spectrum of S, the union of the spectra of its
+    L/b Walnut blocks, from one batched SVD of the G distinct ones; `frame` and
+    `dual` are read from it.  Both spans of that SVD are cut by `rank_cut` on the
+    representatives and gathered to every block: V = ran(S) as `dual.span` (L/b
+    blocks, cut on lambda = (L/b) s^2) and K, the span of the adjoint system
+    (L/b, L/a), as `adjoint_span` (a blocks, cut on s).  `analyze_system` stores
+    it on the system, so every caller holds the same object: `eigenvalues`,
+    `dual.gamma` and the blocks and ranks of both spans are read-only.
     """
 
     system: FiniteGaborSystem
@@ -418,10 +383,11 @@ def _analyze(sys: FiniteGaborSystem, rank_tol: float) -> SystemAnalysis:
     L, P, N = sys.L, sys.n_freq, sys.n_time
     # the SVD of Z_r resolves an eigenvalue lam of S to eps sqrt(lam_max lam),
     # eigh of Z_r Z_r^H only to eps lam_max; blocks with b > N add zeros
-    fib = fibre_svd(sys.window, sys.a, sys.b)
+    U, s, Vh = np.linalg.svd(fibre_representatives(sys.window, sys.a, sys.b), full_matrices=False)
+    orbit, rows = orbit_map(L, sys.a, sys.b)
     with np.errstate(over="ignore"):  # an overflow to inf is rejected below
-        lam = (P * fib.s**2)[fib.orbit]
-    spectrum = np.sort(np.concatenate([lam.ravel(), np.zeros(L - lam.size)]))
+        lam = P * s**2
+    spectrum = np.sort(np.concatenate([lam[orbit].ravel(), np.zeros(L - P * lam.shape[1])]))
     if spectrum[-1] == 0:  # g != 0: (L/b) s^2 underflowed in every block
         raise InvalidParameter("frame operator underflows: lambda_max is 0")
     if spectrum[-1] == np.inf:
@@ -431,20 +397,30 @@ def _analyze(sys: FiniteGaborSystem, rank_tol: float) -> SystemAnalysis:
         inv = keep / np.where(keep, lam, 1.0)
     if not np.isfinite(inv).all():
         raise InvalidParameter("frame operator underflows: a kept 1/lambda is not finite")
-    kept = np.sort(lam[keep])
-    frame = FrameBounds(float(kept[0]), float(kept[-1]), kept.size, kept.size == N * P)
-    V = fib.expand(fib.U)
+    span = _gathered_span(U, keep, orbit, rows)
+    V, kept = span.blocks, lam[keep]
+    frame = FrameBounds(float(kept.min()), float(kept.max()), span.rank, span.rank == N * P)
     x = sys.window.reshape(sys.b, P).T[..., None]  # the fibres of g
-    gamma = (V @ (inv[..., None] * (V.conj().swapaxes(1, 2) @ x)))[..., 0].T.ravel()
-    span = SubspaceBasis(V * keep[:, None, :])
+    gamma = (V @ (inv[orbit][..., None] * (V.conj().swapaxes(1, 2) @ x)))[..., 0].T.ravel()
     # K's block r0 < G is Z_r0^T with row k read from -k mod N (Walnut duality), so its
     # left singular vectors are Vh[r0]^T so reversed, with the singular values s
-    U_K = fib.Vh.swapaxes(1, 2)[:, -np.arange(N) % N] * rank_cut(fib.s, rank_tol)[:, None, :]
-    orbit, rows = orbit_map(L, P, N)
-    K = SubspaceBasis(U_K[orbit[:, None], rows])
+    K = _gathered_span(Vh.swapaxes(1, 2)[:, -np.arange(N) % N], rank_cut(s, rank_tol),
+                       *orbit_map(L, P, N))
     for shared in (spectrum, gamma, span.blocks, span.ranks, K.blocks, K.ranks):
         shared.setflags(write=False)
     return SystemAnalysis(sys, rank_tol, spectrum, frame, DualWindowResult(gamma, span), K)
+
+
+def _gathered_span(
+    U: np.ndarray, keep: np.ndarray, orbit: np.ndarray, rows: np.ndarray
+) -> SubspaceBasis:
+    """The span whose G orbit representatives are U's columns kept by `keep`, checked
+    there by `SubspaceBasis` and gathered to every block once: a row permutation of
+    an orthonormal block is orthonormal, so the gathered blocks are not checked again."""
+    span = SubspaceBasis(U * keep[:, None, :])
+    object.__setattr__(span, "blocks", span.blocks[orbit[:, None], rows])
+    object.__setattr__(span, "ranks", span.ranks[orbit])
+    return span
 
 
 def canonical_dual(

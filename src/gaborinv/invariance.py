@@ -52,7 +52,6 @@ from .gabor import (
     SystemAnalysis,
     analyze_system,
     fibre_representatives,
-    fibre_singular_values,
     orbit_map,
     periodized_gaussian,
     rank_cut,
@@ -79,8 +78,11 @@ __all__ = [
 
 
 def membership_residual(span: SubspaceBasis, f: np.ndarray) -> float:
-    """Relative distance ||f - P_span f|| / ||f|| of f from the subspace."""
+    """Relative distance ||f - P_span f|| / ||f|| of a length-L signal f from the subspace."""
     f = np.asarray(f, dtype=complex)
+    F, n, _ = span.blocks.shape
+    if f.shape[:1] != (F * n,):
+        raise InvalidParameter(f"signal length must equal L={F * n}, got shape {f.shape}")
     nf = np.linalg.norm(f)
     if nf == 0:
         raise ZeroInput("membership residual needs a nonzero signal")
@@ -470,7 +472,7 @@ def small_shift_completeness(
     V = np.array([[x1 % d, x2 % d], [y1 % d, y2 % d]])
     t, m = V @ np.stack(np.divmod(np.arange(n_cls), n_cls // o1)) % d
     # one block per orbit, standing for (L/d)/G blocks each
-    s = fibre_singular_values(tf_shifts(sys.window, t, m), d, d)
+    s = np.linalg.svd(fibre_representatives(tf_shifts(sys.window, t, m), d, d), compute_uv=False)
     return np.count_nonzero(rank_cut(s, rank_tol)) * (L // d) // len(s) == L
 
 

@@ -416,6 +416,24 @@ class TestPreconditions:
         basis[0, 0] = 0.0
         assert count_in_box(spec, (0.0, 0.0), 1.5) == 9
 
+    @pytest.mark.parametrize(
+        "shift, message",
+        [((1,), "a pair of reals"), ((math.nan, 0.0), "finite"), ((0.0, math.inf), "finite")],
+        ids=["single", "nan", "inf"],
+    )
+    def test_shift_is_a_finite_pair(self, shift, message):
+        # (1,) raised IndexError; nan and inf were accepted until a count raised a bare ValueError
+        with pytest.raises(InvalidParameter, match=f"shift must be {message}"):
+            ShiftedLattice(np.eye(2), shift)
+
+    @pytest.mark.parametrize("step", [0, -1, math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["t_step", "f_step"])
+    def test_product_steps_must_be_positive_and_finite(self, step, which):
+        # 0 and -1 raised InvalidMatrix, nan and inf reached the basis check
+        steps = {"t_step": 1.0, "f_step": 1.0, which: step}
+        with pytest.raises(InvalidParameter, match=f"{which} must lie in"):
+            ExcludedResidueProduct(steps["t_step"], steps["f_step"], 2)
+
     @pytest.mark.parametrize("R", [0.0, -1.0, math.inf, math.nan])
     def test_radius_must_be_positive_and_finite(self, R):
         spec = omega_spec(1.5, 5 / 7, 2)
@@ -591,19 +609,25 @@ class TestIntervalCounts:
             interval_count_bounds(beta, R)
 
 
-@pytest.mark.parametrize("v", ["12", b"12", (0, 0, 5)], ids=["str", "bytes", "triple"])
+@pytest.mark.parametrize(
+    "v", ["12", b"12", (0, 0, 5), ("a", 1.0), (None, 1.0)],
+    ids=["str", "bytes", "triple", "word-entry", "none-entry"],
+)
 @pytest.mark.parametrize(
     "call",
     [
         lambda v: LatticePoints(np.eye(2)).count_in_box(v, 1.0),
         lambda v: count_in_box(omega_spec(1.5, 5 / 7, 2), v, 1.0),
         lambda v: equidistribution_diagnostic(v, SeparableLattice(1, 1), GOLDEN, 10),
+        lambda v: ShiftedLattice(np.eye(2), v),
     ],
-    ids=["count-method", "count-function", "equidistribution"],
+    ids=["count-method", "count-function", "equidistribution", "shift"],
 )
 def test_a_string_bytes_or_triple_is_not_a_pair(call, v):
     """A str or bytes was read character by character and a triple cut to its first
-    two entries: count_in_box("12", 1.0) and count_in_box((0, 0, 5), 1.0) counted 9."""
+    two entries: count_in_box("12", 1.0) and count_in_box((0, 0, 5), 1.0) counted 9,
+    and ShiftedLattice(I, b"12") was shifted by (49, 50); an entry that is no real
+    number raised a bare ValueError or TypeError."""
     with pytest.raises(InvalidParameter, match="must be a pair of reals"):
         call(v)
 
@@ -770,3 +794,22 @@ class TestJsonRoundTrip:
     def test_unknown_variant_is_rejected(self):
         with pytest.raises(ValueError, match="unknown point-set variant"):
             pointset_from_json('{"variant": "circle", "radius": 1.0}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1]",
+            '{"variant": "union", "members": [[1]]}',
+            '{"variant": "lattice"}',
+            '{"variant": "lattice", "basis": [[1, 0], [0, 1]], "radius": 1}',
+            '{"variant": "union", "members": 5}',
+            '{"variant": "product_with_excluded_residues", "t_step": "1", "f_step": 1, "nu": 2}',
+            '{"variant": "shifted_lattice", "basis": [[1, 0], [0, 1]], "shift": [1]}',
+        ],
+        ids=["list", "member-list", "missing-field", "extra-field", "members-int",
+             "step-string", "short-shift"],
+    )
+    def test_malformed_document_is_a_value_error(self, text):
+        # AttributeError, TypeError and IndexError escaped the reader
+        with pytest.raises(ValueError):
+            pointset_from_json(text)

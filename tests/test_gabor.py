@@ -16,15 +16,15 @@ from gaborinv.gabor import (
     SubspaceBasis,
     analyze_system,
     canonical_dual,
-    fibre_singular_values,
-    fibre_svd,
     cross_frame_operator,
+    fibre_representatives,
     frame_bounds,
     frame_operator_direct,
     frame_operator_walnut,
     gabor_matrix,
     is_hermitian,
     janssen_representation,
+    orbit_map,
     periodized_gaussian,
     rank_cut,
     shift_operator,
@@ -88,6 +88,34 @@ class TestTfShift:
         assert np.allclose(shift_operator(L, 4, 7) @ f, tf_shift(f, 4, 7))
 
     @pytest.mark.parametrize(
+        "t, m, same",
+        [(10**30, 0, (10**30 % 12, 0)), (0, 10**30, (0, 10**30 % 12)), (2.0, 3, (2, 3)),
+         (np.int64(-7), -1, (5, 11))],
+        ids=["big-t", "big-m", "integral-float", "negative"],
+    )
+    def test_integers_are_read_exactly_mod_L(self, t, m, same):
+        # 10**30 as t raised OverflowError, as m IndexError; 2.0 raised IndexError
+        f = random_signal(12)
+        np.testing.assert_array_equal(tf_shift(f, t, m), tf_shift(f, *same))
+
+    @pytest.mark.parametrize(
+        "t, m", [("1", 0), (2.5, 0), (0, None)], ids=["str", "fraction", "none"]
+    )
+    def test_a_non_integer_shift_is_rejected(self, t, m):
+        # "1" raised a numpy UFuncTypeError
+        with pytest.raises(InvalidParameter, match="tf_shift needs integers"):
+            tf_shift(random_signal(12), t, m)
+
+    @pytest.mark.parametrize(
+        "f", [np.ones(0), np.float64(1.0), np.ones((3, 2))], ids=["empty", "scalar", "matrix"]
+    )
+    def test_a_signal_is_a_vector_of_length_at_least_one(self, f):
+        # an empty signal gave ZeroDivisionError, a scalar IndexError, and a matrix a
+        # broadcast (3, 2) array that is no shift of its columns
+        with pytest.raises(InvalidParameter, match="tf_shift needs a signal of length L >= 1"):
+            tf_shift(f, 1, 1)
+
+    @pytest.mark.parametrize(
         "t, m",
         [
             ([0, 3, -5, 12, 29, -13], [7, -2, 0, 15, -25, 12]),  # negative and >= L
@@ -130,6 +158,11 @@ class TestGaborMatrix:
     def test_divisibility_enforced(self):
         with pytest.raises(InvalidLattice):
             FiniteGaborSystem(12, 5, 4, random_signal(12))
+
+    @pytest.mark.parametrize("shape", [(11,), (12, 1), ()], ids=["short", "column", "scalar"])
+    def test_window_must_have_length_L(self, shape):
+        with pytest.raises(InvalidLattice, match="window length must equal L"):
+            FiniteGaborSystem(12, 3, 4, np.ones(shape))
 
     @pytest.mark.parametrize("entry", [np.inf, np.nan])
     def test_non_finite_window_rejected(self, entry):
@@ -342,14 +375,25 @@ class TestStoredAnalysis:
                 shared[(0,) * shared.ndim] = 0
         assert criteria_engine(sys, 2).to_json_dict() == before
 
+    def test_each_distinct_block_is_checked_once(self, monkeypatch):
+        """V and K are Gram-checked on their G = 2 orbit representatives at
+        (480, 48, 48), then gathered to V's 10 and K's 48 blocks unchecked."""
+        seen, check = [], SubspaceBasis.__post_init__
+        monkeypatch.setattr(
+            SubspaceBasis, "__post_init__", lambda q: seen.append(len(q.blocks)) or check(q)
+        )
+        an = analyze_system(FiniteGaborSystem(480, 48, 48, periodized_gaussian(480, np.pi)))
+        assert seen == [2, 2]
+        assert an.dual.span.blocks.shape[0] == 10 and an.adjoint_span.blocks.shape[0] == 48
+
     def test_one_factorization_per_system(self, monkeypatch):
         sys, calls = self.system(), []
 
         def counted(g, t_step, f_step):
             calls.append((t_step, f_step))
-            return fibre_svd(g, t_step, f_step)
+            return fibre_representatives(g, t_step, f_step)
 
-        monkeypatch.setattr(gabor, "fibre_svd", counted)
+        monkeypatch.setattr(gabor, "fibre_representatives", counted)
         criteria_engine(sys, 2)
         scan_invariance(sys, 2)
         canonical_dual(sys)
@@ -418,8 +462,8 @@ def test_fibred_analysis_matches_dense_eigh(sys):
 
 
 def check_fibre_svd(g, t, f):
-    """fibre_svd(g, t, f) and fibre_singular_values against the rolled blocks and
-    a per-block SVD.  With P = L/f, G = gcd(t, P), x P = G mod t and
+    """The SVD of fibre_representatives(g, t, f) and orbit_map against the rolled
+    blocks and a per-block SVD.  With P = L/f, G = gcd(t, P), x P = G mod t and
     y = (x P - G)/t, block r0 + q G is Z[r0][(j + q x) mod f, (k + q y) mod L/t]."""
     L = g.shape[0]
     P = L // f
@@ -432,16 +476,16 @@ def check_fibre_svd(g, t, f):
     cols = (np.arange(L // t) + q[:, None] * y) % (L // t)
     assert np.array_equal(Z, Z[r0[:, None, None], rows[:, :, None], cols[:, None, :]])
 
-    fib = fibre_svd(g, t, f)
-    assert fib.U.shape[0] == fib.s.shape[0] == G
-    np.testing.assert_array_equal(fib.orbit, r0)
-    np.testing.assert_array_equal(fib.rows, rows)
-    U, s = fib.expand(fib.U), fib.s[fib.orbit]
+    U, s, _ = np.linalg.svd(fibre_representatives(g, t, f), full_matrices=False)
+    orbit, rows_map = orbit_map(L, t, f)
+    assert U.shape[0] == s.shape[0] == G
+    np.testing.assert_array_equal(orbit, r0)
+    np.testing.assert_array_equal(rows_map, rows)
+    U, s = U[orbit[:, None], rows_map], s[orbit]
     blocks = Z.reshape(P, f, -1)
     ref = np.linalg.svd(blocks, compute_uv=False)
     atol = 1e-12 * ref.max(axis=1, initial=0.0)[:, None]
     assert np.all(np.abs(s - ref) <= atol)
-    assert np.all(np.abs(fibre_singular_values(g, t, f)[fib.orbit] - ref) <= atol)
     gram = U.conj().swapaxes(1, 2) @ U
     assert np.abs(gram - np.eye(U.shape[2])).max(initial=0.0) <= 1e-12
     assert np.all(np.abs(np.linalg.norm(blocks.conj().swapaxes(1, 2) @ U, axis=1) - s) <= atol)
@@ -467,7 +511,7 @@ def test_fibre_svd_matches_every_block(windows):
 def test_fibre_svd_orbit_count(L, t, f, G):
     """Named cases: one orbit, no repeated block, and two benchmark shapes."""
     g = fibre_window(L, "gaussian", L)
-    assert fibre_svd(g, t, f).s.shape[0] == G
+    assert np.linalg.svd(fibre_representatives(g, t, f), compute_uv=False).shape[0] == G
     check_fibre_svd(g, t, f)
 
 

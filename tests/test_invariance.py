@@ -38,10 +38,11 @@ from gaborinv.gabor import (
     analyze_system,
     canonical_dual,
     cross_frame_operator,
-    fibre_svd,
+    fibre_representatives,
     frame_operator_direct,
     gabor_matrix,
     janssen_representation,
+    orbit_map,
     orthonormal_range,
     periodized_gaussian,
     rank_cut,
@@ -110,6 +111,13 @@ class TestMembership:
         span = orthonormal_range(np.eye(4).astype(complex))
         with pytest.raises(ZeroInput):
             membership_residual(span, np.zeros(4))
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_signal_length_must_be_L(self, n):
+        # a bare reshape ValueError
+        span = orthonormal_range(np.eye(4).astype(complex))
+        with pytest.raises(InvalidParameter, match="signal length must equal L=4"):
+            membership_residual(span, np.ones(n))
 
 
 class TestScan:
@@ -336,18 +344,20 @@ def test_adjoint_blocks_are_the_reversed_transposes(sys):
 @given(fibred_systems())
 def test_adjoint_span_matches_a_direct_svd_of_the_adjoint_system(sys):
     """The stored K, read from the right singular vectors of (a, b), against a
-    fibre_svd of the adjoint system (L/b, L/a) itself, cut by the same rule."""
+    direct SVD of the representatives of the adjoint system (L/b, L/a), cut by the
+    same rule."""
     L, a, b, g = sys.L, sys.a, sys.b, sys.window
     G, N = gcd(a, L // b), L // a
     K = analyze_system(sys).adjoint_span
-    ref = fibre_svd(g, L // b, N)
-    keep = rank_cut(ref.s, DEFAULT_RANK_TOL)
-    K_ref = SubspaceBasis(ref.expand(ref.U * keep[:, None, :]))
+    U, s, _ = np.linalg.svd(fibre_representatives(g, L // b, N), full_matrices=False)
+    keep = rank_cut(s, DEFAULT_RANK_TOL)
+    orbit, rows = orbit_map(L, L // b, N)
+    K_ref = SubspaceBasis((U * keep[:, None, :])[orbit[:, None], rows])
     assert K.blocks.shape == (a, N, min(b, N)) and not K.blocks.flags.writeable
     np.testing.assert_array_equal(K.ranks, K_ref.ranks)
     # two SVDs of one block agree on a kept subspace to eps s_max over its gap (Wedin)
-    scale = max(ref.s.max(initial=0.0), 1e-300)
-    s, kept = np.pad(ref.s, ((0, 0), (0, 1))), keep.sum(axis=1)
+    scale = max(s.max(initial=0.0), 1e-300)
+    s, kept = np.pad(s, ((0, 0), (0, 1))), keep.sum(axis=1)
     gaps = (s[np.arange(G), kept - 1] - s[np.arange(G), kept])[kept > 0]
     bound = 100 * np.finfo(float).eps * scale / gaps.min(initial=np.inf)
     assert np.abs(K.projector() - K_ref.projector()).max() <= bound

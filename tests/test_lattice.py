@@ -156,6 +156,11 @@ class TestReduceInvariantShift:
         assert (res.alpha, res.beta) == (3, 2)
         assert res.m == 3 and res.d == 2
 
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, -2), ("-3/2", "5/7")])
+    def test_steps_must_be_positive(self, a, b):
+        with pytest.raises(InvalidParameter, match="lattice steps a, b must be positive"):
+            reduce_invariant_shift(a, b, 1, 2, 5)
+
     def test_time_only_records_reduced_order(self):
         res = self.check_exact(1, 1, 4, 0, 6)
         assert res.m == 3 and res.d == 2  # 4/6 reduces to 2/3

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -15,6 +16,17 @@ def imported_names(tree) -> set:
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
+def test_every_exported_name_resolves():
+    """Each name in the `__all__` of the package and of each submodule resolves, so a
+    deletion cannot leave a stale export behind."""
+    stale = []
+    for path in sorted(Path(gaborinv.__file__).parent.glob("*.py")):
+        name = "gaborinv" if path.stem == "__init__" else f"gaborinv.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{x}" for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
+    assert not stale
 
 
 def test_no_assert_statements():
