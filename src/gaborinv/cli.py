@@ -179,10 +179,9 @@ def _builtin_window(name: str, L: int, a: int, b: int, nu: int, c: float) -> np.
     nu = exact_int(nu, InvalidNu, f"builtin window needs nu | a, got nu={nu}, a={a}", 1, a)
     step = a // nu
     copies = nu if name == "gaussian-sum" else L // step
-    # a complex gather summed along axis 0 adds the copies in order, with the rounding
-    # of a loop over tf_shift (a real gather or a pairwise axis-1 sum changes the bits)
-    shifted = g0.astype(complex)[(np.arange(L) - step * np.arange(copies)[:, None]) % L]
-    w = shifted.sum(axis=0)
+    # complex translates copied and summed along axis 0 add the copies in order, with the
+    # rounding of a loop over tf_shift (a real sum or a pairwise axis-1 sum changes the bits)
+    w = np.array(gabor.translates(g0.astype(complex), step)[:copies]).sum(axis=0)
     return w / np.linalg.norm(w)
 
 

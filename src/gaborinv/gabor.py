@@ -27,10 +27,12 @@ of (a, b) transposed, rows and columns index-reversed (Walnut duality; Janssen
 1995), so its left singular vectors are the right ones of (a, b).
 The Walnut and Janssen forms are scattered from these blocks and from the
 inner-product table, and the windows pi(t_i, m_i) f are one gather
-(`tf_shifts`).  Matrices are never mutated.  The one stored state is the
-analysis of a system: `analyze_system` keeps its `SystemAnalysis` on the
-`FiniteGaborSystem`, one per rank_tol, with read-only arrays.  It holds both
-spans of the one batched SVD, V = ran(S) and the adjoint system's span K, so
+(`tf_shifts`).  The blocks and the table read the translates x[(n - k t) mod L]
+as slices of one sliding-window view of the doubled signal (`translates`), so
+no index array mod L is built.  Matrices are never mutated.  The one stored
+state is the analysis of a system: `analyze_system` keeps its `SystemAnalysis`
+on the `FiniteGaborSystem`, one per rank_tol, with read-only arrays.  It holds
+both spans of the one batched SVD, V = ran(S) and the adjoint system's span K, so
 the criteria, the scan, the dual window and the frame bounds of one system
 share one factorization; every other function is pure.  Every rank is cut by
 one rule, `rank_cut`: s > rank_tol * s_max over all blocks.
@@ -43,6 +45,7 @@ from math import gcd
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DEFAULT_RANK_TOL,
@@ -67,6 +70,7 @@ __all__ = [
     "orbit_map",
     "tf_shift",
     "tf_shifts",
+    "translates",
     "shift_operator",
     "gabor_matrix",
     "frame_operator_direct",
@@ -91,14 +95,52 @@ def tf_shift(f: np.ndarray, t: int, m: int) -> np.ndarray:
         raise InvalidParameter(f"tf_shift needs a signal of length L >= 1, got shape {f.shape}")
     message = f"tf_shift needs integers t and m, got t={t!r}, m={m!r}"
     t, m = exact_ints((t, m), (2,), InvalidParameter, message)
-    return tf_shifts(f, t % len(f), m % len(f))[:, 0]
+    return tf_shifts(f, t, m)[:, 0]
 
 
 def tf_shifts(f: np.ndarray, t, m) -> np.ndarray:
-    """Columns pi(t_i, m_i) f for integer arrays t, m (broadcast), one gather."""
-    L = f.shape[0]
-    idx = (np.arange(L)[:, None] - t) % L
-    return f[idx] * np.exp(2j * np.pi * np.arange(L) / L)[np.asarray(m) * idx % L]
+    """Columns pi(t_i, m_i) f for integers or integer arrays t, m (broadcast), read mod L.
+
+    The time index n - t_i is taken from t_i mod L, reduced on the short array, plus L
+    where it is negative, so no modulus runs over it.  A float, even an integral one,
+    a string or a signal that is not a non-empty vector is InvalidParameter
+    (`tf_shift` reads integral floats).
+    """
+    f = np.asarray(f)
+    if f.ndim != 1 or len(f) == 0:
+        raise InvalidParameter(f"tf_shifts needs a signal of length L >= 1, got shape {f.shape}")
+    L = len(f)
+    try:
+        t, m = np.broadcast_arrays(_residues(t, L), _residues(m, L))
+    except TypeError:  # the message is built only here: the repr of an array is slow
+        raise InvalidParameter(f"tf_shifts needs integer shifts, got t={t!r}, m={m!r}") from None
+    idx = np.arange(L)[:, None] - t
+    np.add(idx, L, out=idx, where=idx < 0)
+    k = np.multiply(m, idx)
+    k -= k // L * L  # k mod L, for k >= 0: numpy's // by a scalar is the faster division
+    out = np.asarray(f, dtype=np.result_type(f, 1j))[idx]  # f times the phases, cast first
+    out *= np.exp(2j * np.pi * np.arange(L) / L)[k]
+    return out
+
+
+def _residues(v, L: int) -> np.ndarray:
+    """An integer or integer array v mod L as an intp array, Python ints beyond int64
+    reduced exactly; TypeError for anything else."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "iu" and (
+        v.dtype != object or not all(isinstance(x, (int, np.integer)) for x in v.flat)
+    ):
+        raise TypeError
+    return np.asarray(v % L, dtype=np.intp)
+
+
+def translates(x: np.ndarray, t_step: int) -> np.ndarray:
+    """The translates T_{k t_step} x, k < ceil(L/t_step), of a signal or of each column of
+    an (L, c) stack, as the rows of a read-only (K, L) or (K, c, L) view: row k,
+    x[(n - k t_step) mod L], is window L - k t_step of the doubled signal, a slice of
+    `sliding_window_view`, so no index array is built.  Copy it before writing."""
+    L = x.shape[0]
+    return sliding_window_view(np.concatenate([x, x]), L, axis=0)[L:0:-t_step]
 
 
 def shift_operator(L: int, t: int, m: int) -> np.ndarray:
@@ -281,7 +323,7 @@ def rank_cut(s: np.ndarray, rank_tol: float) -> np.ndarray:
 
 
 def walnut_fibres(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
-    """Z[r, j, k] = g[r + j P - k t_step] with P = L/f_step, one index gather.
+    """Z[r, j, k] = g[r + j P - k t_step] with P = L/f_step, one copy of a view.
 
     The frame operator of the system (t_step, f_step) restricted to the fibre
     {r + j P : j < f_step} is P * Z[r] Z[r]^H, and it vanishes between fibres.
@@ -296,10 +338,12 @@ def walnut_fibres(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
 
 
 def _fibres(g: np.ndarray, t_step: int, f_step: int, blocks: int) -> np.ndarray:
-    """The first `blocks` Walnut blocks of `walnut_fibres`, one index gather."""
-    L = g.shape[0]
-    r, j, k = np.ogrid[:blocks, :f_step, : L // t_step]
-    return g[(r + j * (L // f_step) - k * t_step) % L]
+    """The first `blocks` Walnut blocks of `walnut_fibres`: entry j P + r of row k of
+    `translates`, sliced from that view and copied once, C-contiguous."""
+    rows = translates(g, t_step)  # (N, L) or (N, c, L)
+    rows = rows.reshape(*rows.shape[:-1], f_step, g.shape[0] // f_step)[..., :blocks]
+    axes = (2, 1, 0) if g.ndim == 1 else (3, 2, 0, 1)
+    return np.array(rows.transpose(axes), order="C")
 
 
 def orbit_map(L: int, t_step: int, f_step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,14 +364,27 @@ def fibre_representatives(g: np.ndarray, t_step: int, f_step: int) -> np.ndarray
     return _fibres(g, t_step, f_step, G).reshape(G, f_step, -1)
 
 
+# the most entries of f conj(T_{k t_step} h) that `tf_inner_products` forms at once: the
+# product and numpy's buffers for its strided operands then stay at 64 KiB each, below
+# glibc's default 128 KiB threshold for serving malloc by mmap (fresh pages to fault in)
+_FOLD_ENTRIES = 2**12
+
+
 def tf_inner_products(f: np.ndarray, h: np.ndarray, t_step: int, f_step: int) -> np.ndarray:
     """<f, pi(k t_step, l f_step) h> as an (L/t_step, L/f_step) array [k, l]: row k
-    is the FFT of f conj(T_{k t_step} h) folded modulo L/f_step, times a phase.
+    is the FFT of f conj(T_{k t_step} h) folded modulo P = L/f_step, times a phase.
+    The rows conj(T_{k t_step} h) are slices of `translates`, multiplied and folded a
+    few at a time, so no L x L/t_step product and no index array is built.
     """
     L = f.shape[0]
     P, k = L // f_step, np.arange(L // t_step)[:, None]
-    folded = (f * h.conj()[(np.arange(L) - k * t_step) % L]).reshape(len(k), f_step, P).sum(axis=1)
-    return np.fft.fft(folded, axis=1) * np.exp(2j * np.pi * (k * np.arange(P) * t_step % P) / P)
+    rows, step = translates(h.conj(), t_step), max(1, _FOLD_ENTRIES // L)
+    folded = np.empty((len(k), P), dtype=np.result_type(f, h))
+    for i in range(0, len(k), step):  # the sum over j is numpy's, so is its rounding
+        chunk = f * rows[i : i + step]
+        chunk.reshape(len(chunk), f_step, P).sum(axis=1, out=folded[i : i + step])
+    phases = np.exp(2j * np.pi * np.arange(P) / P)[k * np.arange(P) * t_step % P]
+    return np.fft.fft(folded, axis=1) * phases
 
 
 @dataclass(frozen=True)

@@ -341,7 +341,10 @@ def criteria_engine(
     # a row roll R, R^T d_s R is a multiple of d_s and the class mask is R-invariant,
     # so each Frobenius norm is the representatives' times sqrt(orbit_size).
     PKc = Kc @ Kc.conj().swapaxes(2, 3)
-    PK = np.einsum("rcjk,cd->rjckd", PKc, np.eye(nu)).reshape(P.shape)
+    PK = np.zeros((G, L // a, nu, L // a, nu), dtype=complex)  # blockdiag(PKc) in class order
+    for c in range(nu):
+        PK[:, :, c, :, c] = PKc[:, c]
+    PK = PK.reshape(P.shape)
     j = np.arange(n) % nu
     same_class = j[:, None] == j
 
@@ -407,7 +410,8 @@ def _slice_blocks(an: SystemAnalysis, nu: int):
     exact_int(nu, InvalidNu, f"nu must divide the time step a={a}, got {nu}", 1, a)
     n, G = nu * (L // a), gcd(L // b, a // nu)
     W = fibre_representatives(g, L // b, n)
-    P = (L / (nu * b)) * W @ fibre_representatives(an.dual.gamma, L // b, n).conj().swapaxes(1, 2)
+    gamma_fibres = fibre_representatives(an.dual.gamma, L // b, n)  # a fresh copy
+    P = (L / (nu * b)) * W @ np.conjugate(gamma_fibres, out=gamma_fibres).swapaxes(1, 2)
     d = np.exp(2j * np.pi * np.outer(np.arange(nu), np.arange(n)) / nu)
     rows = orbit_map(L, L // b, n)[1]
     g_cols = _representative_columns(g, rows, G)

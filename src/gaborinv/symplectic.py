@@ -32,7 +32,7 @@ identity, one inverse FFT per row for each DFT, kept on the operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -93,38 +93,37 @@ def _word_on_identity(factors: tuple, L: int) -> np.ndarray:
     return U
 
 
-class _DenseUnitary:
-    """The `unitary` field of `MetaplecticOperator`: the matrix given to the
-    constructor, or else the word applied to the identity, built on the first
-    read and kept on the operator.  The field's default is this descriptor,
-    which stands for "none given"."""
-
-    def __set__(self, op, U):
-        op.__dict__["_given"] = None if U is self else U
-
-    def __get__(self, op, owner=None):
-        if op is None:
-            return self
-        U = op.__dict__["_given"]
-        if U is None:  # two concurrent first reads may both build; the results are equal
-            U = op.__dict__.get("_dense")
-            if U is None:
-                U = op.__dict__["_dense"] = _word_on_identity(op.factors, op.L)
-        return U
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetaplecticOperator:
     """Unitary realizing a mod-L symplectic matrix, with its generator trace.
 
     `apply` runs the factor word on vectors; `unitary` is the dense L x L
-    matrix, built from the word when first read unless one was given.
+    matrix, built from the word when first read unless one was given as the
+    keyword `unitary`.  It is no field, so `dataclasses.replace` hands a copy the
+    old matrix only when asked, `replace(op, unitary=U)`; a copy with a new `L`
+    or `factors` builds its own.
     """
 
     matrix: np.ndarray  # 2x2 integer, det = 1 mod L
     L: int
     factors: tuple  # (("dft",) | ("chirp", c), ...)
-    unitary: np.ndarray = field(default=_DenseUnitary(), repr=False)  # L x L
+
+    def __init__(self, matrix, L, factors, unitary=None):
+        for name, value in (("matrix", matrix), ("L", L), ("factors", factors)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_given", unitary)
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The given matrix, or else the word applied to the identity, built on the
+        first read and kept on the operator (two concurrent first reads may both
+        build; the results are equal)."""
+        U = self._given
+        if U is None:
+            U = self.__dict__.get("_dense")
+            if U is None:
+                U = self.__dict__["_dense"] = _word_on_identity(self.factors, self.L)
+        return U
 
     def apply(self, x) -> np.ndarray:
         """U_B x for a signal or the columns of an (L, k) stack.
@@ -136,9 +135,8 @@ class MetaplecticOperator:
         x = np.asarray(x, dtype=complex)
         if x.ndim not in (1, 2) or x.shape[0] != self.L:
             raise InvalidParameter(f"apply needs a length-{self.L} signal or ({self.L}, k) stack")
-        given = self.__dict__["_given"]
-        if given is not None:
-            return given @ x
+        if self._given is not None:
+            return self._given @ x
         for f in reversed(self.factors):
             if f == _DFT:
                 x = np.fft.ifft(x, axis=0, norm="ortho")
@@ -228,11 +226,16 @@ def covariance_residual(op: MetaplecticOperator, z) -> float:
     s, r = (p * t + q * m) % L, (u * t + v * m) % L
     n = np.arange(L)
     wave = np.exp(2j * np.pi * n / L)
-    X = np.roll(U, -t, axis=1) * (_rho_phase(L, t, m) * wave[m * n % L])
-    Y = np.roll((_rho_phase(L, s, r) * wave[r * n % L])[:, None] * U, s, axis=0)
+    # two L x L arrays, rolled copies of U scaled in place with the operands in the order
+    # of U rho(z) and rho(Bz) U; Y's row phases are rolled with its rows
+    X = np.roll(U, -t, axis=1)
+    X *= _rho_phase(L, t, m) * wave[m * n % L]
+    Y = np.roll(U, s, axis=0)
+    np.multiply(np.roll(_rho_phase(L, s, r) * wave[r * n % L], s)[:, None], Y, out=Y)
     c = np.vdot(Y, X)  # Frobenius inner product <X, Y>
     tau = c / abs(c) if abs(c) > 0 else 1.0
-    return float(np.linalg.norm(X - tau * Y) / np.linalg.norm(U))
+    X -= np.multiply(tau, Y, out=Y)
+    return float(np.linalg.norm(X) / np.linalg.norm(U))
 
 
 @dataclass(frozen=True)

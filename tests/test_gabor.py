@@ -1,6 +1,7 @@
 """Finite Gabor model: shifts, frame operators, duals, Walnut/Janssen forms."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -691,3 +692,121 @@ class TestSupportSpace:
     def test_zero_window_rejected(self):
         with pytest.raises(ZeroWindow):
             support_space(np.zeros(8), 2)
+
+
+# -- the frame-layer kernels against the index gathers they replace -------------------
+
+
+@st.composite
+def kernel_cases(draw, max_L=72):
+    """(L, t_step, f_step, x): steps dividing L and a random real or complex signal, or an
+    (L, c) stack of them, with signed zeros among the entries."""
+    L = draw(st.integers(1, max_L))
+    divs = [d for d in range(1, L + 1) if L % d == 0]
+    t_step, f_step = draw(st.sampled_from(divs)), draw(st.sampled_from(divs))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (L,) if draw(st.booleans()) else (L, draw(st.integers(1, 3)))
+    x = rng.normal(size=shape)
+    if draw(st.booleans()):
+        x = x + 1j * rng.normal(size=shape)
+    x[rng.random(shape) < 0.2] *= -0.0
+    return L, t_step, f_step, x
+
+
+def gathered_fibres(g, t_step, f_step, blocks):
+    """The first `blocks` Walnut blocks as one index gather, g[(r + j P - k t_step) mod L]."""
+    L = g.shape[0]
+    r, j, k = np.ogrid[:blocks, :f_step, : L // t_step]
+    return g[(r + j * (L // f_step) - k * t_step) % L]
+
+
+def assert_same_bits(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+@example((12, 2, 3, np.arange(12.0)))  # G = t_step
+@example((12, 3, 3, np.arange(24.0).reshape(12, 2)))  # a stack with G = 1: one representative
+@example((12, 1, 12, np.arange(24.0).reshape(12, 2)))  # L/f_step = 1: one block
+def test_fibres_are_the_index_gather(case):
+    L, t_step, f_step, g = case
+    Z = walnut_fibres(g, t_step, f_step)
+    assert_same_bits(Z, gathered_fibres(g, t_step, f_step, L // f_step))
+    assert Z.flags.c_contiguous and Z.flags.writeable
+    G = math.gcd(t_step, L // f_step)
+    reps = fibre_representatives(g, t_step, f_step)
+    assert_same_bits(reps, gathered_fibres(g, t_step, f_step, G).reshape(G, f_step, -1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(), st.integers(0, 2**32 - 1))
+def test_tf_shifts_is_the_index_gather(case, seed):
+    L, _, _, f = case
+    f = f if f.ndim == 1 else f[:, 0]
+    rng = np.random.default_rng(seed)
+    t, m = rng.integers(-3 * L, 3 * L + 1, size=(2, rng.integers(1, 6)))  # below 0 and >= L
+    n = np.arange(L)[:, None]
+    w = np.exp(2j * np.pi * np.arange(L) / L)
+    assert_same_bits(tf_shifts(f, t, m), f[(n - t) % L] * w[m * (n - t) % L])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases())
+def test_tf_inner_products_match_a_dense_loop(case):
+    L, t_step, f_step, x = case
+    f, h = (x, x[::-1] + 1) if x.ndim == 1 else (x[:, 0], x[:, -1] + 1)
+    ip = gabor.tf_inner_products(f, h, t_step, f_step)
+    dense = np.array(
+        [[np.vdot(tf_shift(h, k * t_step, l * f_step), f) for l in range(L // f_step)]
+         for k in range(L // t_step)]
+    )
+    atol = 1e-12 * np.linalg.norm(f) * np.linalg.norm(h)  # for entries that cancel to 0
+    np.testing.assert_allclose(ip, dense, rtol=1e-12, atol=atol)
+
+
+class TestTfShiftsBoundary:
+    @pytest.mark.parametrize(
+        "t, m", [(2.0, 0), (0, 2.5), ("1", 0), (np.array([1.0, 2.0]), 0), (0, None)],
+        ids=["integral-float", "fraction", "str", "float-array", "none"],
+    )
+    def test_a_non_integer_shift_is_rejected(self, t, m):
+        # 2.0 and 2.5 raised IndexError and "1" a numpy UFuncTypeError
+        with pytest.raises(InvalidParameter, match="tf_shifts needs integer shifts"):
+            tf_shifts(np.ones(12), t, m)
+
+    def test_python_ints_beyond_int64_are_reduced_mod_L(self):
+        # 10**30 raised OverflowError
+        f = random_signal(12)
+        big = tf_shifts(f, [10**30, 5], [-(10**30), 7])
+        assert_same_bits(big, tf_shifts(f, [10**30 % 12, 5], [-(10**30) % 12, 7]))
+
+    @pytest.mark.parametrize("f", [np.ones(0), np.float64(1.0), np.ones((3, 2))])
+    def test_a_signal_is_a_vector_of_length_at_least_one(self, f):
+        with pytest.raises(InvalidParameter, match="tf_shifts needs a signal of length L >= 1"):
+            tf_shifts(f, 1, 1)
+
+
+def test_translates_is_a_read_only_view_of_the_doubled_signal():
+    x = random_signal(12)
+    rows = gabor.translates(x, 4)
+    assert rows.shape == (3, 12) and not rows.flags.writeable
+    for k in range(3):
+        assert_same_bits(rows[k], np.roll(x, 4 * k))
+
+
+def test_inner_product_table_memory_is_bounded():
+    # at (4096, 64, 64) the gathered rows conj(T_{k t} h) and their product with f took
+    # 4 MiB each, with an int64 index of 2 MiB (8.2 MiB peak); folded a few rows at a
+    # time the call peaks at 0.44 MiB
+    L = 4096
+    g = periodized_gaussian(L, np.pi)
+    h = np.roll(g, 3) * np.exp(2j * np.pi * np.arange(L) / 7)
+    gabor.tf_inner_products(g, h, L // 64, L // 64)
+    tracemalloc.start()
+    try:
+        gabor.tf_inner_products(g, h, L // 64, L // 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak

@@ -213,3 +213,14 @@ def test_invariant_set_is_read_only_to_write_json():
     for path in sorted(Path(gaborinv.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert reads == ["invariance.InvarianceReport.to_json_dict"]
+
+
+def test_no_module_builds_a_view_with_as_strided():
+    """Strided views come from slices of `sliding_window_view`, which numpy checks
+    against the bounds of its array; `as_strided` checks nothing."""
+    found = [
+        path.name
+        for path in sorted(Path(gaborinv.__file__).parent.glob("*.py"))
+        if "as_strided" in path.read_text()
+    ]
+    assert not found

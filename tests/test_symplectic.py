@@ -416,3 +416,61 @@ class TestVectorPath:
     def test_apply_rejects_other_shapes(self, x):
         with pytest.raises(InvalidParameter):
             metaplectic_from_generators(COMPOSITE, 15).apply(x)
+
+
+class TestReplace:
+    def test_a_copy_with_another_word_builds_that_words_matrix(self):
+        # the copy inherited the dense matrix of the old word as a given `unitary`
+        L = 15
+        op, other = metaplectic_from_generators(J, L), metaplectic_from_generators(COMPOSITE, L)
+        op.unitary  # built and kept on op
+        copy = replace(op, matrix=other.matrix, factors=other.factors)
+        assert np.array_equal(copy.unitary, other.unitary)
+        assert np.array_equal(copy.unitary, rowwise_unitary(other.factors, L))
+
+    def test_a_copy_with_another_length_builds_its_own_matrix(self):
+        op = metaplectic_from_generators(J, 5)
+        op.unitary
+        copy = replace(op, L=15)
+        assert copy.unitary.shape == (15, 15)
+        assert np.array_equal(copy.unitary, rowwise_unitary(op.factors, 15))
+
+    def test_a_given_matrix_is_kept_only_when_passed(self):
+        op = metaplectic_from_generators(COMPOSITE, 15)
+        U2 = op.unitary[::-1]
+        given = symplectic.MetaplecticOperator(op.matrix, 15, op.factors, unitary=U2)
+        assert given.unitary is U2 and replace(given, unitary=op.unitary).unitary is op.unitary
+        assert np.array_equal(replace(given, factors=op.factors).unitary, op.unitary)
+
+
+@st.composite
+def odd_operators(draw):
+    """(op, B): at odd L <= 45, a metaplectic operator given a random unitary in place of
+    U_B, so the covariance residual is of order one and every term of it counts."""
+    B, L = draw(sl2_mod_l())
+    assume(L % 2 == 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.linalg.qr(rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)))[0]
+    return replace(metaplectic_from_generators(B, L), unitary=Q), B
+
+
+@settings(max_examples=80, deadline=None)
+@given(odd_operators(), st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)))
+def test_covariance_residual_is_the_dense_rho_form(opB, z):
+    op, B = opB
+    assert abs(covariance_residual(op, z) - dense_residual(op, B, z)) < 1e-12
+
+
+def test_covariance_residual_holds_two_copies_of_u():
+    # X = U rho(z) and Y = rho(Bz) U are scaled and subtracted in place: 4.0 U.nbytes
+    # at most before, 2.2 U.nbytes with the phase vectors now
+    op = metaplectic_from_generators(COMPOSITE, 225)
+    U = op.unitary
+    covariance_residual(op, (3, 7))
+    tracemalloc.start()
+    try:
+        covariance_residual(op, (3, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * U.nbytes, peak / U.nbytes
