@@ -161,7 +161,9 @@ def _basis_array(lat) -> np.ndarray:
         b = np.array(lat, dtype=float)  # a copy: the caller's array may change later
     if not np.isfinite(b).all():
         raise InvalidMatrix("lattice basis entries must be finite")
-    if abs(np.linalg.det(b)) < 1e-14:
+    # singular at any scale: the determinant with each row divided by its largest entry
+    m = np.abs(b).max(axis=1, keepdims=True)
+    if not m.all() or abs(np.linalg.det(b / m)) < 1e-14:
         raise InvalidMatrix("lattice basis is singular")
     return b
 
@@ -402,11 +404,8 @@ def density_transform_check(
     Returns (theta_R(B Gamma), |det B|^{-1} * theta_R(Gamma)).
     """
     B = np.asarray(B, dtype=float)
-    det = np.linalg.det(B)
-    if abs(det) < 1e-14:
-        raise InvalidMatrix("transformation matrix is singular")
     lhs = lower_density_empirical(spec.transformed(B), [R], probe_grid)[0].theta
-    rhs = lower_density_empirical(spec, [R], probe_grid)[0].theta / abs(det)
+    rhs = lower_density_empirical(spec, [R], probe_grid)[0].theta / abs(np.linalg.det(B))
     return lhs, rhs
 
 

@@ -81,7 +81,7 @@ def membership_residual(span: SubspaceBasis, f: np.ndarray) -> float:
     """Relative distance ||f - P_span f|| / ||f|| of a length-L signal f from the subspace."""
     f = np.asarray(f, dtype=complex)
     F, n, _ = span.blocks.shape
-    if f.shape[:1] != (F * n,):
+    if f.shape != (F * n,):
         raise InvalidParameter(f"signal length must equal L={F * n}, got shape {f.shape}")
     nf = np.linalg.norm(f)
     if nf == 0:
@@ -186,10 +186,8 @@ def scan_invariance(
     else:
         verdict = "subset_of_refined_lattice"
         m = r // gcd(r, *np.argwhere(table < tol).ravel().tolist())
-    hit = np.tile(table < tol, (L // sys.a, L // sys.b))  # the grid, t-major like `tested_points`
-    detected = tuple(
-        [(i * st, j * sf) for i, row in enumerate(hit) for j in np.flatnonzero(row).tolist()]
-    )
+    i, j = np.nonzero(np.tile(table < tol, (L // sys.a, L // sys.b)))  # t-major
+    detected = tuple([*zip((i * st).tolist(), (j * sf).tolist())])
     return InvarianceReport(L, sys.a, sys.b, tol, detected, verdict, m, r, table)
 
 
@@ -335,18 +333,14 @@ def criteria_engine(
     sv = np.linalg.svd(X[live], compute_uv=False)
     s_k = sv[np.arange(live.sum()), :, np.minimum(k[live], k_K) - 1] * (k[live] <= k_K)[:, None]
     sigma_min = float(np.sqrt(nu) * s_k.min())
-    # PK is class-diagonal and commutes with every d_s, so each identity of the
-    # P_s = d_s P d_s^* is one of P: P_s P_r = d_s (P d_{r-s} P) d_r^* and
-    # sum_s P_s = nu P on j1 = j2 mod nu.  Block r0 + q G of P and PK is R P_r0 R^T for
-    # a row roll R, R^T d_s R is a multiple of d_s and the class mask is R-invariant,
-    # so each Frobenius norm is the representatives' times sqrt(orbit_size).
+    # P_K = blockdiag(PKc) is class-diagonal and commutes with every d_s, so each
+    # identity of the P_s = d_s P d_s^* is one of P: P_s P_r = d_s (P d_{r-s} P) d_r^*,
+    # sum_s P_s is nu times P's class-diagonal blocks, and P P_K is each class c of
+    # P's columns times PKc[c].  Block r0 + q G of P and P_K is R P_r0 R^T for a row
+    # roll R, R^T d_s R is a multiple of d_s and R keeps the classes, so each
+    # Frobenius norm is the representatives' times sqrt(orbit_size).
     PKc = Kc @ Kc.conj().swapaxes(2, 3)
-    PK = np.zeros((G, L // a, nu, L // a, nu), dtype=complex)  # blockdiag(PKc) in class order
-    for c in range(nu):
-        PK[:, :, c, :, c] = PKc[:, c]
-    PK = PK.reshape(P.shape)
-    j = np.arange(n) % nu
-    same_class = j[:, None] == j
+    P5 = P.reshape(G, L // a, nu, L // a, nu)
 
     def norm(x):
         return float(np.sqrt(orbit_size) * np.linalg.norm(x))
@@ -354,9 +348,12 @@ def criteria_engine(
     proj = {
         "idempotence": norm(P @ P - P),
         "mutual_annihilation": max(norm((P * d[s]) @ P) for s in range(1, nu)),
-        "sum_equals_PK": norm(nu * (P * same_class) - PK),
-        "vanish_on_K_perp": norm(P - P @ PK),
+        "sum_equals_PK": norm(nu * np.moveaxis(np.diagonal(P5, axis1=2, axis2=4), 3, 1) - PKc),
     }
+    # last, so that this copy of P is not held beside P @ P
+    Pc = np.moveaxis(P5, 4, 1).reshape(G, nu, n, L // a).copy()  # [r0, c]: P's class-c columns
+    Pc -= Pc @ PKc  # those of P - P P_K
+    proj["vanish_on_K_perp"] = norm(Pc)
     projections_ok = all(v < tol for v in proj.values())
     rank_sum, joint_rank = nu * orbit_size * int(k.sum()), K.rank
     holds = {

@@ -459,5 +459,8 @@ def lattice_to_json(lat: Lattice2D) -> str:
 
 
 def lattice_from_json(text: str) -> Lattice2D:
-    payload = json.loads(text)
-    return Lattice2D(RationalMatrix2x2(payload["basis"]))
+    """The lattice of a `lattice_to_json` document; ValueError if it is malformed."""
+    try:
+        return Lattice2D(RationalMatrix2x2(json.loads(text)["basis"]))
+    except (KeyError, TypeError) as e:  # a non-object, a missing or non-array basis
+        raise ValueError(f"malformed lattice document: {e!r}") from e

@@ -255,6 +255,14 @@ class TestScanDensityGaussianEquid:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "run_manifest.json").exists()
 
+    def test_density_of_a_small_lattice(self, tmp_path, capsys):
+        # exited 2 with "InvalidMatrix: lattice basis is singular": |det| = 1e-15 < 1e-14
+        args = ["--set", "lattice", "--alpha", "1e-8", "--beta", "1e-7", "--R", "1e-6"]
+        assert run(tmp_path, "density", *args, "--probe-grid", "2") == 0
+        (row,) = json.loads(capsys.readouterr().out)["lattice"]
+        assert row["analytic"] == pytest.approx(1e15)
+        assert row["theta"] == pytest.approx(1e15, rel=0.3)
+
     def test_gaussian_pipeline(self, tmp_path, capsys):
         code = run(
             tmp_path, "gaussian", "--L", "60", "--a", "10", "--b", "10",

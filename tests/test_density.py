@@ -401,13 +401,26 @@ class TestPreconditions:
             ([[1.0, 2.0], [0.5, 1.0]], "singular"),
             ([[math.inf, 0.0], [0.0, 1.0]], "finite"),
             ([[math.nan, 0.0], [0.0, 1.0]], "finite"),
+            ([[0.0, 0.0], [0.0, 1.0]], "singular"),
+            ([[1e200, 2e200], [0.5e200, 1e200]], "singular"),
+            ([[1e-300, 2e-300], [0.5e-300, 1e-300]], "singular"),
         ],
-        ids=["singular", "inf", "nan"],
+        ids=["singular", "inf", "nan", "zero-row", "huge", "tiny"],
     )
     def test_every_lattice_class_checks_its_basis(self, make, basis, message):
-        # the shifted and punctured classes used to fail only when they counted
+        # the shifted and punctured classes used to fail only when they counted; the
+        # singularity rule divides each row by its largest entry, so a zero row must
+        # not divide 0 by 0 (warnings are errors here) and no scale may overflow
         with pytest.raises(InvalidMatrix, match=message):
             make(np.array(basis))
+
+    def test_singularity_rule_is_scale_free(self):
+        # |det| < 1e-14 was an absolute bound: steps 1e-8 and 1e-7 read as singular
+        assert LatticePoints(np.diag([1e-8, 1e-7])).analytic_density() == pytest.approx(1e15)
+        assert ExcludedResidueProduct(1e-8, 1e-7, 2).analytic_density() == pytest.approx(5e14)
+        assert omega_spec(1e-8, 1e-7, 2).analytic_density() == pytest.approx(1e15)
+        huge = LatticePoints(np.array([[1e200, 0.0], [3e199, 1e200]]))  # det 1e400 overflowed
+        assert huge.period_cell() == (1e200, 1.3e200)
 
     def test_basis_is_copied(self):
         # the set kept the caller's array, so zeroing it later made the checked basis singular
@@ -572,8 +585,14 @@ class TestTransformLaw:
         assert moved.analytic_density() == pytest.approx(spec.analytic_density())
         assert moved.period_cell() == (2.0, 2.0)  # the rows of B @ diag(1, 2)
 
+    def test_small_transformation_is_not_singular(self):
+        # raised "transformation matrix is singular" at |det B| = 1e-16
+        lhs, rhs = density_transform_check(LatticePoints(np.eye(2)), 1e-8 * np.eye(2), 1e-6, 2)
+        assert lhs == pytest.approx(1e16)
+
     def test_singular_rejected(self):
-        with pytest.raises(InvalidMatrix):
+        # the transformed basis B @ I is checked like every lattice basis
+        with pytest.raises(InvalidMatrix, match="lattice basis is singular"):
             density_transform_check(
                 LatticePoints(np.eye(2)), np.array([[1.0, 1.0], [1.0, 1.0]]), 10.0
             )

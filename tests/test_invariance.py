@@ -112,9 +112,9 @@ class TestMembership:
         with pytest.raises(ZeroInput):
             membership_residual(span, np.zeros(4))
 
-    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("n", [3, 5, 8, (4, 2)])
     def test_signal_length_must_be_L(self, n):
-        # a bare reshape ValueError
+        # a bare reshape ValueError; an (L, 2) stack gave one ratio over both columns
         span = orthonormal_range(np.eye(4).astype(complex))
         with pytest.raises(InvalidParameter, match="signal length must equal L=4"):
             membership_residual(span, np.ones(n))
@@ -147,6 +147,7 @@ class TestScan:
         g = periodized_gaussian(L, np.pi)
         rep = scan_invariance(FiniteGaborSystem(L, 1, 1, g), refinement=1)
         assert rep.verdict == "spans_everything"
+        assert rep.invariant_set == rep.tested_points  # every point, t-major
 
     def test_gray_band_gives_inconclusive(self):
         # with tol = 1e-3 the out-of-set residuals (~0.3) sit inside the
@@ -452,6 +453,20 @@ class TestCriteriaEngine:
     def test_gamma_l0_diagnostic_reported(self):
         rep = criteria_engine(gaussian_system(), 2)
         assert 0.0 <= rep.gamma_l0_residual <= 1.0
+
+    @pytest.mark.parametrize("nu, budget", [(2, 54), (4, 80)])
+    def test_projection_residuals_build_no_dense_PK(self, nu, budget):
+        # a zero-filled class-diagonal P_K, the size of P, took the peak to 58.5 MiB
+        # at nu = 2 and 89.6 MiB at nu = 4; the class blocks read 50.4 and 73.5 MiB
+        sys = gaussian_system(4096, 64, 64)
+        analyze_system(sys)
+        tracemalloc.start()
+        try:
+            criteria_engine(sys, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget * 2**20, peak
 
     def test_consistency_holds_on_every_tested_system(self):
         # the four verdicts must never split, whatever the window

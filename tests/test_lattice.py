@@ -355,6 +355,13 @@ class TestInvariantsAndJson:
         assert '"basis"' in text and "3/2" in text
         assert lattice_from_json(text).same_lattice(l0)
 
+    @pytest.mark.parametrize("text", ['{}', '[1]', '5', '{"basis": 5}'])
+    def test_malformed_json_is_a_value_error(self, text):
+        # KeyError for '{}', TypeError for the others
+        with pytest.raises(ValueError, match="malformed lattice document") as info:
+            lattice_from_json(text)
+        assert isinstance(info.value.__cause__, (KeyError, TypeError))
+
     def test_lattice_equality_detects_difference(self):
         assert not lat([[1, 0], [0, 1]]).same_lattice(lat([[2, 0], [0, 1]]))
         assert lat([[1, 0], [0, 1]]).same_lattice(lat([[1, 5], [0, 1]]))

@@ -158,7 +158,7 @@ def test_preconditions_raise_their_class_not_a_bare_value_error():
     """A violated precondition is a toolkit class (InvalidParameter is also a
     ValueError); only the file readers raise a bare ValueError for a bad file."""
     readers = {("serialize", "load_signal_csv"), ("serialize", "load_operator_binary"),
-               ("density", "pointset_from_json")}
+               ("density", "pointset_from_json"), ("lattice", "lattice_from_json")}
     found = []
     for path in sorted(Path(gaborinv.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
